@@ -6,11 +6,12 @@ on a traffic path, and rewrites rule sets into disjoint, anomaly-free form
 via relevant decision trees.
 """
 
+__version__ = "0.1.0"
+
 from .correction import (
     CorrectedPair,
     GlobalRuleSet,
     ProjectionMode,
-    correct_global,
     correct_pair,
     correct_ruleset,
     integrate,
@@ -39,7 +40,6 @@ from .interop import (
     check_positioning,
     detect_inter,
     extend_schema,
-    extract_attributes,
     parse_topology,
     union_schema,
 )
@@ -75,8 +75,6 @@ from .ruleio import (
     serialize_ruleset,
 )
 from .values import AttrKind, ValueSet, ValueSetError
-
-__version__ = "0.1.0"
 
 __all__ = [
     "__version__",
@@ -128,7 +126,6 @@ __all__ = [
     "InterKind",
     "InterAnomaly",
     "InteropVerdict",
-    "extract_attributes",
     "union_schema",
     "extend_schema",
     "detect_inter",
@@ -142,7 +139,6 @@ __all__ = [
     "ProjectionMode",
     "CorrectedPair",
     "integrate",
-    "correct_global",
     "correct_ruleset",
     "project",
     "correct_pair",

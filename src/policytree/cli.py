@@ -10,14 +10,13 @@ relevant input is required).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import click
 
 from .correction import correct_pair, correct_ruleset
-from .dtree import dump_tree
+from .dtree import dump_tree, tree_to_rules
 from .interop import (
     TopologyError,
     check_positioning,
@@ -35,7 +34,6 @@ from .ruleio import (
     RuleFileError,
     parse_point,
     parse_ruleset,
-    ruleset_from_dict,
     save_ruleset,
     serialize_ruleset,
 )
@@ -95,19 +93,20 @@ def _fail(ctx: click.Context, message: str) -> None:
     ctx.exit(2)
 
 
-def _load(ctx: click.Context, path: str) -> tuple[RuleSet, dict]:
-    p = Path(path)
+def _read(ctx: click.Context, path: Path) -> bytes:
     try:
-        data = p.read_bytes()
-        text = data.decode("utf-8")
-        if p.suffix == ".json":
-            rs = ruleset_from_dict(json.loads(text))
-        else:
-            rs = parse_ruleset(text, source=str(p))
+        return path.read_bytes()
     except OSError as exc:
         _fail(ctx, str(exc))
-    except json.JSONDecodeError as exc:
-        _fail(ctx, f"{p}: {exc}")
+    except ValueError as exc:  # a NUL byte, e.g. in a path read from a topology file
+        _fail(ctx, f"{str(path)!r}: {exc}")
+
+
+def _load(ctx: click.Context, path: str) -> tuple[RuleSet, dict]:
+    p = Path(path)
+    data = _read(ctx, p)
+    try:
+        rs = parse_ruleset(data, source=str(p))
     except _INPUT_ERRORS as exc:
         _fail(ctx, str(exc))
     return rs, input_entry(str(p), data)
@@ -200,7 +199,13 @@ def correct(ctx: click.Context, rules_file: str, output: str | None):
     """Rewrite a rule set as disjoint rules free of internal anomalies."""
     opts: Options = ctx.obj
     rs, entry = _load(ctx, rules_file)
-    corrected = correct_ruleset(rs, opts.policy)
+    if opts.dump_tree:
+        # the same flattening as correct_ruleset, keeping the tree for the report
+        rdt = build_rdt(rs, opts.policy)
+        origins = {r.id: f"{rs.component_name}:r{r.id}" for r in rs.rules}
+        corrected = tree_to_rules(rdt.tree, origins)
+    else:
+        corrected = correct_ruleset(rs, opts.policy)
     if output is None:
         click.echo(serialize_ruleset(corrected), nl=False)
         ctx.exit(1 if detect_intra(rs) else 0)
@@ -210,7 +215,7 @@ def correct(ctx: click.Context, rules_file: str, output: str | None):
     report.verdict = _verdict(report.findings)
     report.outputs = [{"path": output, "rules": len(corrected.rules)}]
     if opts.dump_tree:
-        report.tree = dump_tree(build_rdt(rs, opts.policy).tree)
+        report.tree = dump_tree(rdt.tree)
     _finish(ctx, report, opts)
 
 
@@ -307,11 +312,11 @@ def check_topology(ctx: click.Context, topology_file: str):
     """Validate component ordering (and pairwise interop) along paths."""
     opts: Options = ctx.obj
     p = Path(topology_file)
+    data = _read(ctx, p)
     try:
-        data = p.read_bytes()
         topo = parse_topology(data.decode("utf-8"), source=str(p))
-    except OSError as exc:
-        _fail(ctx, str(exc))
+    except UnicodeDecodeError as exc:
+        _fail(ctx, f"{p}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     except TopologyError as exc:
         _fail(ctx, str(exc))
     report = Report(command="check-topology", inputs=[input_entry(str(p), data)])
@@ -389,6 +394,8 @@ def eval_packet(ctx: click.Context, rules_file: str, packet_arg: str, semantics:
             if not name or not token:
                 raise ValueSetError(f"malformed packet field {item.strip()!r}")
             attr = rs.schema.attribute(name)
+            if attr.name in packet:
+                raise ValueSetError(f"duplicate attribute {attr.name!r}")
             packet[attr.name] = parse_point(token, attr)
     except (KeyError, *_INPUT_ERRORS) as exc:
         _fail(ctx, f"bad --packet: {exc}")

@@ -44,7 +44,6 @@ __all__ = [
     "ProjectionMode",
     "CorrectedPair",
     "integrate",
-    "correct_global",
     "correct_ruleset",
     "project",
     "correct_pair",
@@ -108,12 +107,6 @@ def integrate(preceding: RuleSet, following: RuleSet) -> GlobalRuleSet:
         ),
         provenance=provenance,
     )
-
-
-def correct_global(
-    g: GlobalRuleSet, policy: ConflictPolicy = ConflictPolicy.SPECIFICITY
-) -> RelevantDecisionTree:
-    return build_rdt(g.ruleset, policy)
 
 
 def correct_ruleset(
@@ -240,7 +233,7 @@ def correct_pair(
     p_ext = extend_schema(preceding, target)
     f_ext = extend_schema(following, target)
     g = integrate(p_ext, f_ext)
-    rdt = correct_global(g, policy)
+    rdt = build_rdt(g.ruleset, policy)
     # carry provenance through earlier corrections: a rule that already
     # names an origin rule keeps it, so outputs trace back to user input
     origin_map = {}

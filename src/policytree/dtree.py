@@ -32,12 +32,9 @@ __all__ = [
     "Node",
     "DecisionTree",
     "Branch",
-    "BranchSuffix",
     "RelevancyViolation",
     "build_tree",
     "branches",
-    "suffix_node",
-    "suffix_edge",
     "check_relevant",
     "normalize",
     "tree_to_rules",
@@ -88,22 +85,6 @@ class DecisionTree:
 class Branch:
     """One root-to-leaf path: condition labels in level order, then the action."""
 
-    labels: tuple[ValueSet, ...]
-    action: str
-    owner: int
-
-
-@dataclass(frozen=True)
-class BranchSuffix:
-    """The tail of a branch from a given level.
-
-    ``includes_node`` distinguishes a suffix that starts *at* a node (ready
-    to hang off an incoming edge) from one that starts at that level's edge
-    (ready to append to an existing node).
-    """
-
-    start_level: int
-    includes_node: bool
     labels: tuple[ValueSet, ...]
     action: str
     owner: int
@@ -169,35 +150,6 @@ def branches(t: DecisionTree) -> list[Branch]:
 
     walk(t.root, [])
     return out
-
-
-def _check_suffix_level(b: Branch, level: int) -> None:
-    if not 1 <= level <= len(b.labels) + 1:
-        raise ValueError(f"suffix level {level} out of range for this branch")
-
-
-def suffix_node(b: Branch, level: int) -> BranchSuffix:
-    """The branch tail starting at the node of ``level`` (inclusive)."""
-    _check_suffix_level(b, level)
-    return BranchSuffix(
-        start_level=level,
-        includes_node=True,
-        labels=b.labels[level - 1 :],
-        action=b.action,
-        owner=b.owner,
-    )
-
-
-def suffix_edge(b: Branch, level: int) -> BranchSuffix:
-    """The branch tail starting at the edge leaving ``level``'s node."""
-    _check_suffix_level(b, level)
-    return BranchSuffix(
-        start_level=level,
-        includes_node=False,
-        labels=b.labels[level - 1 :],
-        action=b.action,
-        owner=b.owner,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ __all__ = [
     "InterKind",
     "InterAnomaly",
     "InteropVerdict",
-    "extract_attributes",
     "union_schema",
     "extend_schema",
     "detect_inter",
@@ -91,13 +90,8 @@ class InteropVerdict:
 
 
 # ---------------------------------------------------------------------------
-# schema extraction and extension
+# schema extension
 # ---------------------------------------------------------------------------
-
-
-def extract_attributes(rs: RuleSet) -> Schema:
-    """The component's schema (trivially available, kept as an operation)."""
-    return rs.schema
 
 
 def _domain_union(a: AttributeDef, b: AttributeDef) -> ValueSet:

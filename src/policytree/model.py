@@ -8,24 +8,11 @@ permit traffic, ``deny``/``reject``/``discard`` block it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .values import (
-    ANY,
-    AttrKind,
-    COMPLEMENT_LABEL,
-    ValueSet,
-    vs_difference,
-    vs_disjoint,
-    vs_equal,
-    vs_intersect,
-    vs_is_empty,
-    vs_proper_subset,
-    vs_subset,
-    vs_union,
-)
+from .values import AttrKind, COMPLEMENT_LABEL, ValueSet, vs_is_empty, vs_subset
 
 __all__ = [
     "SchemaError",
@@ -40,8 +27,6 @@ __all__ = [
     "BLOCK_ACTIONS",
     "DECISION_LABELS",
     "action_class",
-    "value_set_op",
-    "value_set_rel",
 ]
 
 
@@ -204,42 +189,3 @@ def complete_label_domain(kind: AttrKind, declared: frozenset[str]) -> frozenset
         return declared | {COMPLEMENT_LABEL}
     return declared
 
-
-# ---------------------------------------------------------------------------
-# string-dispatch wrappers over the value-set algebra
-# ---------------------------------------------------------------------------
-
-_OPS = {
-    "intersect": vs_intersect,
-    "union": vs_union,
-    "difference": vs_difference,
-}
-
-_RELS = {
-    "equal": vs_equal,
-    "subset": vs_subset,
-    "proper-subset": vs_proper_subset,
-    "disjoint": vs_disjoint,
-}
-
-
-def value_set_op(op: str, a: ValueSet, b: ValueSet, attr: AttributeDef) -> ValueSet:
-    """Apply a named set operation under ``attr``'s domain."""
-    try:
-        fn = _OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown value-set operation {op!r}") from None
-    return fn(a, b, attr.domain)
-
-
-def value_set_rel(rel: str, a: ValueSet, b: ValueSet, attr: AttributeDef) -> bool:
-    """Test a named set relation under ``attr``'s domain."""
-    try:
-        fn = _RELS[rel]
-    except KeyError:
-        raise ValueError(f"unknown value-set relation {rel!r}") from None
-    return fn(a, b, attr.domain)
-
-
-# Convenience re-export so callers can build wildcard conditions tersely.
-WILDCARD = ANY

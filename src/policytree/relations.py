@@ -23,12 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import Rule, Schema, SchemaError
-from .values import (
-    vs_equal,
-    vs_is_empty,
-    vs_intersect,
-    vs_proper_subset,
-)
+from .values import vs_compare
 
 __all__ = [
     "FieldRel",
@@ -76,16 +71,12 @@ def is_correlated(kind: RelationKind) -> bool:
 
 def field_relation(a, b, attr) -> FieldRel:
     """Relation of value ``a`` to value ``b`` under ``attr``'s domain."""
-    dom = attr.domain
-    if vs_equal(a, b, dom):
-        return FieldRel.EQUAL
-    if vs_proper_subset(a, b, dom):
-        return FieldRel.PROPER_SUBSET
-    if vs_proper_subset(b, a, dom):
+    sub, sup, meet = vs_compare(a, b, attr.domain)
+    if sub:
+        return FieldRel.EQUAL if sup else FieldRel.PROPER_SUBSET
+    if sup:
         return FieldRel.PROPER_SUPERSET
-    if vs_is_empty(vs_intersect(a, b, dom)):
-        return FieldRel.DISJOINT
-    return FieldRel.OVERLAPPING
+    return FieldRel.OVERLAPPING if meet else FieldRel.DISJOINT
 
 
 def relate(r_i: Rule, r_j: Rule, schema: Schema) -> RuleRelation:

@@ -11,9 +11,9 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
-__version__ = "0.1.0"
+from . import __version__
 
-__all__ = ["Report", "input_entry", "render_text", "render_json", "__version__"]
+__all__ = ["Report", "input_entry", "render_text", "render_json"]
 
 
 @dataclass

@@ -238,7 +238,33 @@ def _parse_attr_decl(rest: str, line: int, source: str) -> AttributeDef:
         raise RuleFileError(str(exc), line, source) from None
 
 
-def parse_ruleset(text: str, *, source: str = "<string>") -> RuleSet:
+def parse_ruleset(data: bytes | str, *, source: str = "<string>") -> RuleSet:
+    """Decode one rule file: the text format, or the dict mirror when
+    ``source`` ends in ``.json``.
+
+    ``data`` is the file's bytes (decoded as UTF-8) or its text.  Every
+    defect raises :class:`RuleFileError` naming ``source``.
+    """
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise RuleFileError(
+                f"not UTF-8 text ({exc.reason} at byte {exc.start})", None, source
+            ) from None
+    if Path(source).suffix == ".json":
+        try:
+            return _from_dict(json.loads(data), source)
+        except RuleFileError:
+            raise
+        except KeyError as exc:
+            raise RuleFileError(f"bad JSON rule file: missing key {exc}", None, source) from None
+        except (TypeError, ValueError) as exc:
+            raise RuleFileError(f"bad JSON rule file: {exc}", None, source) from None
+    return _parse_text(data, source)
+
+
+def _parse_text(text: str, source: str) -> RuleSet:
     component: str | None = None
     kind: ComponentKind | None = None
     attrs: list[AttributeDef] = []
@@ -403,27 +429,26 @@ def ruleset_to_dict(rs: RuleSet) -> dict:
 
 
 def ruleset_from_dict(d: dict) -> RuleSet:
+    return _from_dict(d, "<dict>")
+
+
+def _from_dict(d: dict, source: str) -> RuleSet:
     lines = [f"component {d['component']}", f"kind {d['kind']}"]
     for a in d["attributes"]:
         lines.append(f"attr {a['name']} {a['kind']} {a['domain']}")
     lines.append(f"decision {d['decision']['name']} {','.join(d['decision']['labels'])}")
     lines.append("rules")
-    text = "\n".join(lines) + "\n"
-    base = parse_ruleset(text, source="<dict>")
+    base = _parse_text("\n".join(lines) + "\n", source)
     attrs = base.schema.condition_attributes
     rules = []
     for entry in d["rules"]:
+        rule_id, origin = entry["id"], entry.get("origin", base.component_name)
+        if type(rule_id) is not int or not isinstance(origin, str):
+            raise ValueError(f"rule {rule_id!r}: id must be an integer and origin a string")
         condition = {}
         for attr in attrs:
             condition[attr.name] = parse_value(str(entry["values"][attr.name]), attr)
-        rules.append(
-            Rule(
-                id=int(entry["id"]),
-                condition=condition,
-                action=entry["action"],
-                origin=entry.get("origin", d["component"]),
-            )
-        )
+        rules.append(Rule(id=rule_id, condition=condition, action=entry["action"], origin=origin))
     return RuleSet(
         schema=base.schema,
         rules=tuple(rules),
@@ -434,14 +459,7 @@ def ruleset_from_dict(d: dict) -> RuleSet:
 
 def load_ruleset(path: str | Path) -> RuleSet:
     """Load a rule set from a ``.rules`` text file or a ``.json`` mirror."""
-    path = Path(path)
-    text = path.read_text()
-    if path.suffix == ".json":
-        try:
-            return ruleset_from_dict(json.loads(text))
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
-            raise RuleFileError(f"bad JSON rule file: {exc}", None, str(path)) from None
-    return parse_ruleset(text, source=str(path))
+    return parse_ruleset(Path(path).read_bytes(), source=str(path))
 
 
 def save_ruleset(path: str | Path, rs: RuleSet) -> None:

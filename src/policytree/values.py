@@ -41,8 +41,7 @@ __all__ = [
     "vs_is_empty",
     "vs_equal",
     "vs_subset",
-    "vs_proper_subset",
-    "vs_disjoint",
+    "vs_compare",
     "contains_point",
     "enumerate_points",
     "interval_endpoints",
@@ -245,12 +244,18 @@ def vs_subset(a: ValueSet, b: ValueSet, domain: ValueSet) -> bool:
     return True
 
 
-def vs_proper_subset(a: ValueSet, b: ValueSet, domain: ValueSet) -> bool:
-    return vs_subset(a, b, domain) and not vs_equal(a, b, domain)
+def vs_compare(a: ValueSet, b: ValueSet, domain: ValueSet) -> tuple[bool, bool, bool]:
+    """``(a ⊆ b, b ⊆ a, a ∩ b ≠ ∅)`` from one pass over both value sets.
 
-
-def vs_disjoint(a: ValueSet, b: ValueSet, domain: ValueSet) -> bool:
-    return vs_is_empty(vs_intersect(a, b, domain))
+    Canonical forms make containment an equality test: ``a ⊆ b`` exactly
+    when ``a ∩ b`` is ``a`` itself.
+    """
+    ea, eb = _pair(a, b, domain)
+    if ea.labels is not None:
+        la, lb = ea.labels, eb.labels
+        return la <= lb, lb <= la, not la.isdisjoint(lb)
+    common = _ivals_intersect(ea.intervals, eb.intervals)
+    return common == ea.intervals, common == eb.intervals, bool(common)
 
 
 def contains_point(v: ValueSet, value: int | str, domain: ValueSet) -> bool:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import CASES
 from policytree.cli import main
 from policytree.ruleio import load_ruleset, ruleset_to_dict
 
@@ -126,6 +130,19 @@ def test_correct_first_match_collapses(fw_path, tmp_path):
 def test_correct_clean_input_exits_zero(fixed_fw, tmp_path):
     result = run("correct", fixed_fw, "-o", str(tmp_path / "again.rules"))
     assert result.exit_code == 0
+
+
+@pytest.mark.parametrize("policy", ["specificity", "first-match"])
+def test_correct_dump_tree_is_the_tree_of_the_output(fw_path, tmp_path, policy):
+    def tree_block(output: str) -> str:
+        return output[output.index("tree:\n") :]
+
+    linted = run("--policy", policy, "--dump-tree", "lint", fw_path)
+    a, b = tmp_path / "a.rules", tmp_path / "b.rules"
+    dumped = run("--policy", policy, "--dump-tree", "correct", fw_path, "-o", str(a))
+    run("--policy", policy, "correct", fw_path, "-o", str(b))
+    assert tree_block(dumped.output) == tree_block(linted.output)
+    assert a.read_bytes() == b.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +305,10 @@ def test_eval_unmatched_packet(fw_path):
         (_PKT.replace("dst_port=80", "dst_port=eighty"), "bad --packet"),
         (_PKT.replace("src_addr=140.192.10.30", "src_addr=10.0.0.1"), "outside the declared domain"),
         (_PKT.replace("dst_port=80", "dst_port"), "malformed packet field"),
+        (
+            _PKT.replace("protocol=TCP", "protocol=TCP,protocol=UDP"),
+            "bad --packet: duplicate attribute 'protocol'",
+        ),
     ],
 )
 def test_eval_rejects_bad_packets(fw_path, packet, hint):
@@ -320,3 +341,162 @@ def test_malformed_json_is_an_input_error(tmp_path):
     bad.write_text("{not json")
     result = run("lint", str(bad))
     assert result.exit_code == 2
+
+
+def _fw_dict(**changes) -> dict:
+    d = ruleset_to_dict(load_ruleset(CASES / "fw.rules"))
+    d.update(changes)
+    return d
+
+
+def _without(d: dict, key: str) -> dict:
+    return {k: v for k, v in d.items() if k != key}
+
+
+def _first_rule(change) -> dict:
+    d = _fw_dict()
+    change(d["rules"][0])
+    return d
+
+
+@pytest.mark.parametrize(
+    "name, content, hint",
+    [
+        ("bad.rules", b"component FW\nkind filtering\n\xff\n", "not UTF-8 text"),
+        ("bad.topo", b"component FW filtering fw.rules \xe9\n", "not UTF-8 text"),
+        ("bad.topo", b"component FW filtering fw\x00.rules\n", "embedded null byte"),
+        ("bad.json", _without(_fw_dict(), "kind"), "missing key 'kind'"),
+        ("bad.json", _fw_dict(rules=5), "bad JSON rule file"),
+        ("bad.json", [_fw_dict()], "bad JSON rule file"),
+        (
+            "bad.json",
+            _first_rule(lambda r: r["values"].update(protocol="SCTP")),
+            "outside the declared domain",
+        ),
+        ("bad.json", _first_rule(lambda r: r.update(id="one")), "id must be an integer"),
+    ],
+)
+def test_bad_files_are_input_errors(tmp_path, name, content, hint):
+    path = tmp_path / name
+    path.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+    command = "check-topology" if name.endswith(".topo") else "lint"
+    result = run(command, str(path))
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ")
+    assert str(tmp_path) in result.output
+    assert result.output.count("\n") == 1
+    assert hint in result.output
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: no input ends in anything but exit 0, 1 or 2
+# ---------------------------------------------------------------------------
+
+_FW = (CASES / "fw.rules").read_bytes()
+_IDS = (CASES / "ids.rules").read_bytes()
+_TOPO = (CASES / "ingress.topo").read_bytes()
+_FW_DICT = _fw_dict()
+# fragments that are meaningful somewhere in a rule or topology file
+_FRAGMENTS = [
+    b"any", b"All", b"TCP", b"80", b"0-65535", b"70000", b"9-1", b"140.192.10.*",
+    b"10.0.0.0/8", b"1.2.3", b",", b"|", b"-", b"#", b"\n", b"\x00", b"\xff", b"\xc3",
+    b"accept", b"reject", b"rules\n", b"attr x label-enum a\n", b"path p FW IDS\n",
+    b"component Z filtering nope.rules\n", b"IDS:alerting",
+]
+# deep-copied so that a mutation inside inserted junk cannot change the next draw
+_JUNK = st.sampled_from(
+    [None, 5, 1.5, True, "", "x", "0-9", [], {}, [1], {"a": 1}]
+).map(copy.deepcopy)
+_FLAGS = ["--assume-relevant", "--dump-tree", "--format=json", "--policy=first-match"]
+_PATHS = {"fw.rules", "ids.rules", "fw.json", "site.topo", "out.rules", "out"}
+
+
+def _splice(data: bytes, edits) -> bytes:
+    for pos, cut, insert in edits:
+        pos = min(pos, len(data))
+        data = data[:pos] + insert + data[pos + cut :]
+    return data
+
+
+def _mutants(base: bytes):
+    insert = st.one_of(st.sampled_from(_FRAGMENTS), st.binary(max_size=3))
+    edit = st.tuples(st.integers(0, len(base)), st.integers(0, 6), insert)
+    return st.lists(edit, min_size=1, max_size=4).map(lambda edits: _splice(base, edits))
+
+
+def _slots(node) -> list:
+    """Every (container, key) pair in a JSON value."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    out = []
+    for key, value in items:
+        out.append((node, key))
+        out.extend(_slots(value))
+    return out
+
+
+@st.composite
+def _json_mutants(draw) -> bytes:
+    d = copy.deepcopy(_FW_DICT)
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _slots(d)
+        node, key = slots[draw(st.integers(0, len(slots) - 1))]
+        if draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(_JUNK)
+    return json.dumps(d).encode()
+
+
+@st.composite
+def _invocations(draw) -> tuple[dict, list]:
+    files = {"fw.rules": _FW, "ids.rules": _IDS, "site.topo": _TOPO}
+    flags = draw(st.lists(st.sampled_from(_FLAGS), unique=True))
+    kind = draw(st.sampled_from(["rules", "json", "topo", "packet"]))
+    if kind == "topo":
+        files["site.topo"] = draw(_mutants(_TOPO))
+        return files, flags + ["check-topology", "site.topo"]
+    rules = "fw.rules"
+    if kind == "rules":
+        files["fw.rules"] = draw(_mutants(_FW))
+    elif kind == "json":
+        rules = "fw.json"
+        files[rules] = draw(_json_mutants())
+    else:
+        packet = draw(_mutants(_PKT.encode())).decode("latin-1")
+        return files, flags + ["eval", rules, "--packet", packet]
+    command = draw(
+        st.sampled_from(
+            [
+                ["lint", rules],
+                ["correct", rules, "-o", "out.rules"],
+                ["check-interop", rules, "ids.rules"],
+                ["fix-interop", rules, "ids.rules", "-o", "out"],
+                ["eval", rules, "--packet", _PKT],
+            ]
+        )
+    )
+    return files, flags + command
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, derandomize=True)
+@given(_invocations())
+def test_cli_fuzz_exits_cleanly(fuzz_dir, invocation):
+    files, args = invocation
+    for name, data in files.items():
+        (fuzz_dir / name).write_bytes(data)
+    # file arguments resolve inside the fuzz directory
+    args = [str(fuzz_dir / a) if a in _PATHS else a for a in args]
+    result = run(*args)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code in (0, 1, 2)
+    assert "Traceback" not in result.output

@@ -20,8 +20,6 @@ from policytree.dtree import (
     dump_tree,
     evaluate_tree,
     normalize,
-    suffix_edge,
-    suffix_node,
     tree_to_rules,
 )
 from policytree.model import Rule, RuleSet, SchemaError
@@ -225,22 +223,8 @@ def test_evaluate_tree_no_match_and_missing_attr(fw):
 
 
 # ---------------------------------------------------------------------------
-# branch suffixes, copying, rendering
+# copying, rendering
 # ---------------------------------------------------------------------------
-
-
-def test_branch_suffixes(fw):
-    b = branches(build_tree(fw))[0]
-    full = suffix_node(b, 1)
-    assert full.includes_node and full.labels == b.labels and full.action == b.action
-
-    tail = suffix_edge(b, len(b.labels) + 1)
-    assert not tail.includes_node
-    assert tail.labels == () and tail.action == b.action and tail.owner == b.owner
-
-    for bad in (0, len(b.labels) + 2):
-        with pytest.raises(ValueError, match="out of range"):
-            suffix_node(b, bad)
 
 
 def test_copy_node_is_deep(fw):

@@ -13,7 +13,6 @@ from policytree.interop import (
     check_positioning,
     detect_inter,
     extend_schema,
-    extract_attributes,
     parse_topology,
     union_schema,
 )
@@ -74,10 +73,6 @@ def test_union_rejects_kind_clash():
     b = _schema(AttributeDef("x", AttrKind.LABEL_ENUM, labels("a")))
     with pytest.raises(SchemaError, match="declared as"):
         union_schema(a, b)
-
-
-def test_extract_attributes_is_the_component_schema(fw):
-    assert extract_attributes(fw) is fw.schema
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,11 @@ from policytree.values import (
     intervals,
     labels,
     point,
+    vs_compare,
     vs_difference,
-    vs_disjoint,
     vs_equal,
     vs_intersect,
     vs_is_empty,
-    vs_proper_subset,
     vs_subset,
     vs_union,
 )
@@ -30,8 +29,8 @@ DOM = intervals(((0, 30),))
 LDOM = labels("a", "b", "c", "d")
 
 
-def pts(v: ValueSet) -> set:
-    return set(enumerate_points(v, DOM))
+def pts(v: ValueSet, dom: ValueSet = DOM) -> set:
+    return set(enumerate_points(v, dom))
 
 
 span = st.tuples(st.integers(0, 30), st.integers(0, 30)).map(
@@ -39,6 +38,14 @@ span = st.tuples(st.integers(0, 30), st.integers(0, 30)).map(
 )
 ivals = st.lists(span, max_size=3).map(lambda ps: intervals(tuple(ps)))
 operand = st.one_of(st.just(ANY), ivals)
+label_operand = st.one_of(
+    st.just(ANY), st.sets(st.sampled_from("abcd")).map(lambda names: labels(*names))
+)
+# two operands of one shape, with the domain they live in
+same_shape = st.one_of(
+    st.tuples(operand, operand, st.just(DOM)),
+    st.tuples(label_operand, label_operand, st.just(LDOM)),
+)
 
 
 def assert_canonical(v: ValueSet) -> None:
@@ -74,12 +81,13 @@ def test_difference_matches_set_semantics(a, b):
     assert_canonical(out)
 
 
-@given(operand, operand)
-def test_relations_match_set_semantics(a, b):
-    assert vs_equal(a, b, DOM) == (pts(a) == pts(b))
-    assert vs_subset(a, b, DOM) == (pts(a) <= pts(b))
-    assert vs_proper_subset(a, b, DOM) == (pts(a) < pts(b))
-    assert vs_disjoint(a, b, DOM) == pts(a).isdisjoint(pts(b))
+@given(same_shape)
+def test_relations_match_set_semantics(operands):
+    a, b, dom = operands
+    pa, pb = pts(a, dom), pts(b, dom)
+    assert vs_equal(a, b, dom) == (pa == pb)
+    assert vs_subset(a, b, dom) == (pa <= pb)
+    assert vs_compare(a, b, dom) == (pa <= pb, pb <= pa, bool(pa & pb))
 
 
 @given(operand)
