@@ -66,7 +66,7 @@ from .oracle import (
     matches,
 )
 from .rdt import ConflictPolicy, RelevantDecisionTree, build_rdt, verify_rdt
-from .relations import FieldRelation, RelationKind, RuleRelation, relate
+from .relations import FieldRelation, RelationKind, RuleRelation, relate, relation_matrix
 from .ruleio import (
     RuleFileError,
     load_ruleset,
@@ -102,6 +102,7 @@ __all__ = [
     "RelationKind",
     "RuleRelation",
     "relate",
+    "relation_matrix",
     "IntraKind",
     "IntraAnomaly",
     "detect_intra",

@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .model import (
     ActionClass,
     AttributeDef,
@@ -37,7 +39,7 @@ from .model import (
     Severity,
     action_class,
 )
-from .relations import RelationKind, RuleRelation, is_correlated, relate
+from .relations import KINDS, RelationKind, RuleRelation, is_correlated, relate, relation_matrix
 from .values import ValueSet, intervals, vs_subset
 
 __all__ = [
@@ -183,10 +185,8 @@ def extend_schema(rs: RuleSet, target: Schema) -> RuleSet:
 # ---------------------------------------------------------------------------
 
 
-def _classify(rel: RuleRelation, preceding: Rule, following: Rule) -> InterKind | None:
-    p_class = action_class(preceding.action)
-    f_class = action_class(following.action)
-    if rel.kind in (RelationKind.BACKWARD, RelationKind.EXACT):
+def _classify(kind: RelationKind, p_class: ActionClass, f_class: ActionClass) -> InterKind | None:
+    if kind in (RelationKind.BACKWARD, RelationKind.EXACT):
         # the following rule's traffic is entirely decided upstream
         if p_class is ActionClass.BLOCK and f_class is ActionClass.PERMIT:
             return InterKind.SHADOWING
@@ -195,30 +195,45 @@ def _classify(rel: RuleRelation, preceding: Rule, following: Rule) -> InterKind 
         if p_class is ActionClass.BLOCK and f_class is ActionClass.BLOCK:
             return InterKind.REDUNDANCY
         return None
-    if is_correlated(rel.kind) and p_class is not f_class:
+    if is_correlated(kind) and p_class is not f_class:
         return InterKind.CORRELATION
     return None
+
+
+_CLASSES = tuple(ActionClass)
+# whether a pair is reported, by relation code and both action-class codes
+_REPORTED = np.array(
+    [[[_classify(k, p, f) is not None for f in _CLASSES] for p in _CLASSES] for k in KINDS]
+)
+
+
+def _class_codes(rs: RuleSet) -> np.ndarray:
+    return np.array([_CLASSES.index(action_class(r.action)) for r in rs.rules], dtype=np.intp)
 
 
 def detect_inter(preceding: RuleSet, following: RuleSet) -> list[InterAnomaly]:
     """All anomalous cross pairs.  Both sets must share one (union) schema."""
     if preceding.schema != following.schema:
         raise SchemaError("extend both components to the shared schema first")
+    codes = relation_matrix(preceding.rules, following.rules, preceding.schema)
+    reported = _REPORTED[
+        codes, _class_codes(preceding)[:, None], _class_codes(following)[None, :]
+    ]
     found: list[InterAnomaly] = []
-    for p in preceding.rules:
-        for f in following.rules:
-            rel = relate(p, f, preceding.schema)
-            kind = _classify(rel, p, f)
-            if kind is not None:
-                found.append(
-                    InterAnomaly(
-                        kind=kind,
-                        preceding_rule=p.id,
-                        following_rule=f.id,
-                        evidence=rel,
-                        severity=_SEVERITY[kind],
-                    )
-                )
+    rows, cols = np.nonzero(reported)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        p, f = preceding.rules[i], following.rules[j]
+        rel = relate(p, f, preceding.schema)
+        kind = _classify(rel.kind, action_class(p.action), action_class(f.action))
+        found.append(
+            InterAnomaly(
+                kind=kind,
+                preceding_rule=p.id,
+                following_rule=f.id,
+                evidence=rel,
+                severity=_SEVERITY[kind],
+            )
+        )
     found.sort(key=lambda a: (a.preceding_rule, a.following_rule, _KIND_ORDER[a.kind]))
     return found
 
@@ -258,6 +273,7 @@ def parse_topology(text: str, *, source: str = "<string>") -> Topology:
     Path members name declared components, or use inline ``name:kind``.
     """
     components: dict[str, TopologyComponent] = {}
+    declared_at: dict[str, int] = {}  # component name -> its component line
     paths: list[tuple[str, tuple[str, ...]]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -268,6 +284,12 @@ def parse_topology(text: str, *, source: str = "<string>") -> Topology:
             if len(rest) not in (2, 3):
                 raise TopologyError(f"{source}:{line_no}: expected component <name> <kind> [<file>]")
             name, kind_s = rest[0], rest[1]
+            if name in declared_at:
+                raise TopologyError(
+                    f"{source}:{line_no}: component {name!r} already declared"
+                    f" on line {declared_at[name]}"
+                )
+            declared_at[name] = line_no
             try:
                 kind = ComponentKind(kind_s)
             except ValueError:

@@ -18,13 +18,14 @@ and as redundancy when they agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
-from .model import RuleSet, Severity, action_class
-from .relations import RelationKind, RuleRelation, is_correlated, relate
+import numpy as np
+
+from .model import ActionClass, RuleSet, Severity, action_class
+from .relations import KINDS, RelationKind, RuleRelation, is_correlated, relate, relation_matrix
 
 __all__ = ["IntraKind", "IntraAnomaly", "detect_intra", "is_relevant_ruleset"]
-
-from enum import Enum
 
 
 class IntraKind(str, Enum):
@@ -53,45 +54,49 @@ class IntraAnomaly:
     severity: Severity
 
 
-def _classify(rel: RuleRelation, same_class: bool) -> IntraKind | None:
-    if rel.kind is RelationKind.EXACT or rel.kind is RelationKind.BACKWARD:
+def _classify(kind: RelationKind, same_class: bool) -> IntraKind | None:
+    if kind is RelationKind.EXACT or kind is RelationKind.BACKWARD:
         # the later rule never fires on anything of its own
         return IntraKind.REDUNDANCY if same_class else IntraKind.SHADOWING
-    if rel.kind is RelationKind.FORWARD and not same_class:
+    if kind is RelationKind.FORWARD and not same_class:
         return IntraKind.GENERALIZATION
-    if is_correlated(rel.kind) and not same_class:
+    if is_correlated(kind) and not same_class:
         return IntraKind.CORRELATION
     return None
 
 
+# whether a pair is reported, by relation code and by "same action class"
+_REPORTED = np.array(
+    [[_classify(k, same) is not None for same in (False, True)] for k in KINDS]
+)
+_DISJOINT = KINDS.index(RelationKind.DISJOINT)
+
+
 def detect_intra(rs: RuleSet) -> list[IntraAnomaly]:
     """All anomalous pairs, sorted by earlier id, later id, then kind."""
-    found: list[IntraAnomaly] = []
     rules = rs.rules
-    for i in range(len(rules)):
-        for j in range(i + 1, len(rules)):
-            rel = relate(rules[i], rules[j], rs.schema)
-            same = action_class(rules[i].action) == action_class(rules[j].action)
-            kind = _classify(rel, same)
-            if kind is not None:
-                found.append(
-                    IntraAnomaly(
-                        kind=kind,
-                        earlier=rules[i].id,
-                        later=rules[j].id,
-                        evidence=rel,
-                        severity=_SEVERITY[kind],
-                    )
-                )
+    permits = np.array([action_class(r.action) is ActionClass.PERMIT for r in rules], dtype=bool)
+    same = permits[:, None] == permits[None, :]
+    reported = _REPORTED[relation_matrix(rules, rules, rs.schema), same.astype(np.intp)]
+    found: list[IntraAnomaly] = []
+    earlier, later = np.nonzero(np.triu(reported, k=1))
+    for i, j in zip(earlier.tolist(), later.tolist()):
+        rel = relate(rules[i], rules[j], rs.schema)
+        kind = _classify(rel.kind, bool(same[i, j]))
+        found.append(
+            IntraAnomaly(
+                kind=kind,
+                earlier=rules[i].id,
+                later=rules[j].id,
+                evidence=rel,
+                severity=_SEVERITY[kind],
+            )
+        )
     found.sort(key=lambda a: (a.earlier, a.later, _KIND_ORDER[a.kind]))
     return found
 
 
 def is_relevant_ruleset(rs: RuleSet) -> bool:
     """True when no packet can match two rules (all pairs disjoint)."""
-    rules = rs.rules
-    for i in range(len(rules)):
-        for j in range(i + 1, len(rules)):
-            if relate(rules[i], rules[j], rs.schema).kind is not RelationKind.DISJOINT:
-                return False
-    return True
+    codes = relation_matrix(rs.rules, rs.rules, rs.schema)
+    return not np.triu(codes != _DISJOINT, k=1).any()

@@ -83,6 +83,16 @@ class RuleFileError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _parse_int(token: str) -> int:
+    """A decimal number written in ASCII digits only.
+
+    ``int()`` alone would also read ``1_0``, a sign or non-ASCII digits.
+    """
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"bad number {token!r}")
+    return int(token)
+
+
 def _ip_to_int(token: str) -> int:
     return int(ipaddress.IPv4Address(token))
 
@@ -118,8 +128,9 @@ def _parse_numeric_atom(token: str, kind: AttrKind) -> tuple[int, int]:
         return _parse_ipv4_atom(token)
     if "-" in token:
         lo_s, hi_s = token.split("-", 1)
-        return int(lo_s), int(hi_s)
-    return int(token), int(token)
+        return _parse_int(lo_s.strip()), _parse_int(hi_s.strip())
+    n = _parse_int(token)
+    return n, n
 
 
 def _parse_intervals(token: str, kind: AttrKind) -> ValueSet:
@@ -170,7 +181,7 @@ def parse_point(token: str, attr: AttributeDef) -> int | str:
                     raise ValueError("a packet needs a single address")
                 value: int | str = lo
             else:
-                value = int(token)
+                value = _parse_int(token)
         except ValueError as exc:
             raise ValueSetError(f"{attr.name}: {exc}") from None
     else:
@@ -355,7 +366,7 @@ def _parse_rule_line(
             source,
         )
     try:
-        rule_id = int(cells[0])
+        rule_id = _parse_int(cells[0])
     except ValueError:
         raise RuleFileError(f"bad rule id {cells[0]!r}", line_no, source) from None
     if rule_id != expected_id:
@@ -432,11 +443,30 @@ def ruleset_from_dict(d: dict) -> RuleSet:
     return _from_dict(d, "<dict>")
 
 
+# a comment mark, or a character that str.splitlines breaks a line at
+_NOT_IN_HEADER = "#\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def _from_dict(d: dict, source: str) -> RuleSet:
-    lines = [f"component {d['component']}", f"kind {d['kind']}"]
-    for a in d["attributes"]:
-        lines.append(f"attr {a['name']} {a['kind']} {a['domain']}")
-    lines.append(f"decision {d['decision']['name']} {','.join(d['decision']['labels'])}")
+    def text(value, key: str, forbidden: str = _NOT_IN_HEADER) -> str:
+        # the header is rebuilt as text, where these characters change its meaning
+        if not isinstance(value, str):
+            raise RuleFileError(f"bad JSON rule file: {key} must be a string", None, source)
+        bad = next((c for c in value if c in forbidden), None)
+        if bad is not None:
+            raise RuleFileError(f"bad JSON rule file: {key} holds {bad!r}", None, source)
+        return value
+
+    lines = [f"component {text(d['component'], 'component')}", f"kind {text(d['kind'], 'kind')}"]
+    for i, a in enumerate(d["attributes"]):
+        fields = (text(a[k], f"attributes[{i}].{k}") for k in ("name", "kind", "domain"))
+        lines.append("attr " + " ".join(fields))
+    dec = d["decision"]
+    labels = [
+        text(label, f"decision.labels[{i}]", _NOT_IN_HEADER + ",")
+        for i, label in enumerate(dec["labels"])
+    ]
+    lines.append(f"decision {text(dec['name'], 'decision.name')} {','.join(labels)}")
     lines.append("rules")
     base = _parse_text("\n".join(lines) + "\n", source)
     attrs = base.schema.condition_attributes

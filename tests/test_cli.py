@@ -309,6 +309,8 @@ def test_eval_unmatched_packet(fw_path):
             _PKT.replace("protocol=TCP", "protocol=TCP,protocol=UDP"),
             "bad --packet: duplicate attribute 'protocol'",
         ),
+        (_PKT.replace("dst_port=80", "dst_port=8_0"), "bad --packet: dst_port: bad number '8_0'"),
+        (_PKT.replace("dst_port=80", "dst_port=\u0668\u0660"), "bad --packet: dst_port: bad number"),
     ],
 )
 def test_eval_rejects_bad_packets(fw_path, packet, hint):
@@ -359,6 +361,15 @@ def _first_rule(change) -> dict:
     return d
 
 
+def _edited(change) -> dict:
+    d = _fw_dict()
+    change(d)
+    return d
+
+
+_FW_TEXT = (CASES / "fw.rules").read_bytes()
+
+
 @pytest.mark.parametrize(
     "name, content, hint",
     [
@@ -374,6 +385,22 @@ def _first_rule(change) -> dict:
             "outside the declared domain",
         ),
         ("bad.json", _first_rule(lambda r: r.update(id="one")), "id must be an integer"),
+        # a port or rule id that int() would read: 1_0 is not 10, an Arabic-Indic 1 is not 1
+        ("bad.rules", _FW_TEXT.replace(b"| any | deny", b"| 8_0 | deny", 1), "bad number '8_0'"),
+        ("bad.rules", _FW_TEXT.replace(b"\n1 |", "\n\u0661 |".encode()), "bad rule id"),
+        # JSON strings go into header lines, where '#' and line breaks change their meaning
+        (
+            "bad.json",
+            _edited(lambda d: d["attributes"][0].update(domain="TCP,UDP,ICMP # note")),
+            "attributes[0].domain holds '#'",
+        ),
+        ("bad.json", _edited(lambda d: d.update(component="FW\nkind alerting")), "component holds"),
+        ("bad.json", _edited(lambda d: d["decision"].update(labels=["accept,deny"])), "labels[0]"),
+        (
+            "bad.topo",
+            b"component FW filtering fw.rules\n\ncomponent FW alerting ids.rules\n",
+            "bad.topo:3: component 'FW' already declared on line 1",
+        ),
     ],
 )
 def test_bad_files_are_input_errors(tmp_path, name, content, hint):

@@ -248,6 +248,7 @@ def test_positioning_allows_filter_then_alert_chains():
         ("path solo", "needs a name and members"),
         ("path p GHOST", "undeclared component"),
         ("path p X:bridge", "unknown kind"),
+        ("component FW filtering a.rules\ncomponent FW alerting", "t.topo:2: .* on line 1"),
     ],
 )
 def test_topology_errors(text, message):

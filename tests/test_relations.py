@@ -3,13 +3,43 @@
 import itertools
 import random
 
-from hypothesis import given
+import numpy as np
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _corpus import interval_schema, random_ruleset
-from policytree.model import Rule
-from policytree.relations import FieldRel, RelationKind, field_relation, is_correlated, relate
-from policytree.values import ANY, enumerate_points, intervals
+from _corpus import interval_schema, random_ruleset, random_value
+from policytree.interop import InterAnomaly, InterKind, detect_inter
+from policytree.intra import IntraAnomaly, IntraKind, detect_intra, is_relevant_ruleset
+from policytree.model import (
+    ActionClass,
+    AttributeDef,
+    Rule,
+    RuleSet,
+    Schema,
+    SchemaError,
+    Severity,
+    action_class,
+    complete_label_domain,
+)
+from policytree.relations import (
+    _BLOCK_ROWS,
+    KINDS,
+    FieldRel,
+    RelationKind,
+    field_relation,
+    is_correlated,
+    relate,
+    relation_matrix,
+)
+from policytree.values import (
+    ANY,
+    AttrKind,
+    ValueSet,
+    enumerate_points,
+    intervals,
+    labels,
+)
 
 SCHEMA = interval_schema(2)  # f0 in 0..39, f1 in 0..14
 F0 = SCHEMA.attribute("f0")
@@ -108,3 +138,158 @@ def test_case_study_relations(fw):
     assert relate(r1, r4, fw.schema).kind is RelationKind.BACKWARD
     assert relate(r2, r3, fw.schema).kind is RelationKind.FORWARD
     assert relate(r3, r4, fw.schema).kind is RelationKind.CORRELATED
+
+
+# ---------------------------------------------------------------------------
+# the vectorized kernel against the scalar relation
+# ---------------------------------------------------------------------------
+
+_ADDR0 = (10 << 24) + 7  # 10.0.0.7
+_ATTRS = (
+    AttributeDef("port", AttrKind.PORT_RANGE, intervals(((0, 15),))),
+    AttributeDef("size", AttrKind.INTEGER_RANGE, intervals(((1, 9),))),
+    AttributeDef("addr", AttrKind.IPV4_RANGE, intervals(((_ADDR0, _ADDR0 + 23),))),
+    AttributeDef("proto", AttrKind.PROTOCOL_ENUM, labels("TCP", "UDP", "ICMP")),
+    AttributeDef(
+        "attack",
+        AttrKind.LABEL_ENUM,
+        ValueSet(labels=complete_label_domain(AttrKind.LABEL_ENUM, frozenset({"probe", "worm"}))),
+    ),
+)
+_DECISION = AttributeDef("action", AttrKind.LABEL_ENUM, labels("accept", "pass", "deny", "reject"))
+
+
+def _values(attr: AttributeDef):
+    """Wildcards, the explicit full domain, empty sets and proper subsets."""
+    if attr.kind.is_numeric:
+        lo, hi = attr.domain.intervals[0]
+        bound = st.integers(lo, hi)
+        some = st.lists(st.tuples(bound, bound).map(sorted), min_size=1, max_size=3).map(intervals)
+        empty = ValueSet(intervals=())
+    else:  # the open label enumeration's domain holds COMPLEMENT_LABEL, so it is drawn too
+        some = st.frozensets(st.sampled_from(sorted(attr.domain.labels)), min_size=1).map(
+            lambda names: ValueSet(labels=names)
+        )
+        empty = ValueSet(labels=frozenset())
+    return st.one_of(st.sampled_from([ANY, attr.domain, empty]), some, some)
+
+
+@st.composite
+def _schemas(draw) -> Schema:
+    # five attributes let one pair show all five field relations at once
+    chosen = draw(st.lists(st.sampled_from(_ATTRS), min_size=1, max_size=5, unique=True))
+    return Schema(condition_attributes=tuple(chosen), decision_attribute=_DECISION)
+
+
+@st.composite
+def _rulesets(draw, schema: Schema, name: str) -> RuleSet:
+    # a few values per attribute, so that rules share them as real rule sets do
+    pools = {
+        a.name: draw(st.lists(_values(a), min_size=1, max_size=5))
+        for a in schema.condition_attributes
+    }
+    n = draw(st.integers(0, 12))
+    rules = tuple(
+        Rule(
+            i,
+            {name: draw(st.sampled_from(pool)) for name, pool in pools.items()},
+            draw(st.sampled_from(sorted(_DECISION.domain.labels))),
+        )
+        for i in range(1, n + 1)
+    )
+    return RuleSet(schema=schema, rules=rules, component_name=name)
+
+
+def _scalar_intra(rs: RuleSet) -> list[IntraAnomaly]:
+    found = []
+    for a, b in itertools.combinations(rs.rules, 2):
+        rel = relate(a, b, rs.schema)
+        same = action_class(a.action) is action_class(b.action)
+        if rel.kind in (RelationKind.EXACT, RelationKind.BACKWARD):
+            kind = IntraKind.REDUNDANCY if same else IntraKind.SHADOWING
+        elif rel.kind is RelationKind.FORWARD and not same:
+            kind = IntraKind.GENERALIZATION
+        elif is_correlated(rel.kind) and not same:
+            kind = IntraKind.CORRELATION
+        else:
+            continue
+        severity = (
+            Severity.ERROR if kind in (IntraKind.REDUNDANCY, IntraKind.SHADOWING)
+            else Severity.WARNING
+        )
+        found.append(IntraAnomaly(kind, a.id, b.id, rel, severity))
+    return found
+
+
+def _scalar_inter(preceding: RuleSet, following: RuleSet) -> list[InterAnomaly]:
+    permit, block = ActionClass.PERMIT, ActionClass.BLOCK
+    inside = {
+        (block, permit): InterKind.SHADOWING,
+        (permit, block): InterKind.SPURIOUSNESS,
+        (block, block): InterKind.REDUNDANCY,
+    }
+    found = []
+    for p in preceding.rules:
+        for f in following.rules:
+            rel = relate(p, f, preceding.schema)
+            classes = (action_class(p.action), action_class(f.action))
+            if rel.kind in (RelationKind.EXACT, RelationKind.BACKWARD):
+                kind = inside.get(classes)
+            elif is_correlated(rel.kind) and classes[0] is not classes[1]:
+                kind = InterKind.CORRELATION
+            else:
+                kind = None
+            if kind is not None:
+                severity = Severity.WARNING if kind is InterKind.REDUNDANCY else Severity.ERROR
+                found.append(InterAnomaly(kind, p.id, f.id, rel, severity))
+    return found
+
+
+def _scalar_relevant(rs: RuleSet) -> bool:
+    return all(
+        relate(a, b, rs.schema).kind is RelationKind.DISJOINT
+        for a, b in itertools.combinations(rs.rules, 2)
+    )
+
+
+def _scalar_codes(a_rules, b_rules, schema) -> list[list[int]]:
+    return [[KINDS.index(relate(a, b, schema).kind) for b in b_rules] for a in a_rules]
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.data())
+def test_kernel_agrees_with_scalar_relate(data):
+    schema = data.draw(_schemas())
+    a = data.draw(_rulesets(schema, "A"))
+    b = data.draw(_rulesets(schema, "B"))
+    for left, right in ((a.rules, a.rules), (a.rules, b.rules), (b.rules, a.rules)):
+        codes = relation_matrix(left, right, schema)
+        assert codes.dtype == np.int8
+        assert codes.shape == (len(left), len(right))
+        assert codes.tolist() == _scalar_codes(left, right, schema)
+    assert detect_intra(a) == _scalar_intra(a)
+    assert is_relevant_ruleset(a) == _scalar_relevant(a)
+    assert detect_inter(a, b) == _scalar_inter(a, b)
+
+
+def test_kernel_spans_row_blocks():
+    rng = random.Random(3)
+    rs = random_ruleset(rng, max_rules=6, n_attrs=3)
+    many = [
+        Rule(i, {a.name: random_value(rng, a) for a in rs.schema.condition_attributes}, "deny")
+        for i in range(1, 2 * _BLOCK_ROWS + 4)
+    ]
+    codes = relation_matrix(many, rs.rules, rs.schema)
+    assert codes.tolist() == _scalar_codes(many, rs.rules, rs.schema)
+
+
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_kernel_rejects_rules_off_the_schema(change):
+    good = rule(ANY, ANY, rid=1)
+    condition = {"f0": ANY} if change == "missing" else {"f0": ANY, "f1": ANY, "f2": ANY}
+    bad = Rule(2, condition, "deny")
+    for a_rules, b_rules in (([good], [bad]), ([bad], [good]), ([good, bad], [good, bad])):
+        with pytest.raises(SchemaError, match="rule 2 does not match the schema"):
+            relation_matrix(a_rules, b_rules, SCHEMA)
+    with pytest.raises(SchemaError, match="rule 2"):
+        relate(good, bad, SCHEMA)

@@ -186,3 +186,28 @@ def test_parse_point():
         parse_point("ICMP", proto)
     with pytest.raises(ValueSetError):
         parse_point("1.2.3.*", ipv4)
+
+
+@pytest.mark.parametrize("token", ["1_0", "+10", "-10", "\u0661\u0660"])
+def test_numbers_are_ascii_digits_only(token):
+    # int() reads these as 10 or -10; a rule file means none of them
+    port = AttributeDef("port", AttrKind.PORT_RANGE, intervals(((0, 65535),)))
+    with pytest.raises(ValueError, match="bad number"):
+        parse_value(token, port)
+    with pytest.raises(ValueError, match="bad number"):
+        parse_value(f"5-{token}", port)
+    with pytest.raises(ValueSetError, match="bad number"):
+        parse_point(token, port)
+    with pytest.raises(RuleFileError, match="bad rule id"):
+        parse_ruleset(MINIMAL.replace("2 | any", f"{token} | any"), source="t.rules")
+
+
+def test_dict_header_strings_keep_their_meaning(fw):
+    d = ruleset_to_dict(fw)
+    d["attributes"][0]["domain"] += " # note"
+    with pytest.raises(RuleFileError, match=r"attributes\[0\]\.domain holds '#'"):
+        ruleset_from_dict(d)
+    for key in ("component", "kind"):
+        for text in ("FW\r", "FW\u2028x", 5):
+            with pytest.raises(RuleFileError, match=key):
+                ruleset_from_dict({**ruleset_to_dict(fw), key: text})
