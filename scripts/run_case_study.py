@@ -4,8 +4,8 @@
 Prints every intermediate artifact: the raw rule tables, the firewall's
 internal anomalies, its corrected regions, the shared schema, the
 cross-component anomalies, the merged global set, and the final pair of
-corrected components.  Ends with a packet-grid verification of the global
-tree against the plain ordered-rules referee.
+corrected components.  Ends with a check of the global tree against the
+plain ordered-rules referee, one packet per elementary cell.
 
 Usage:
     python3 scripts/run_case_study.py [--cases DIR] [--policy NAME]
@@ -118,7 +118,7 @@ def main() -> int:
     )
     mismatches = equivalence(pair.rdt.tree, merged.ruleset, semantics, space)
     elapsed = time.perf_counter() - started
-    print(f"sampled packet space: {space.size():,} points ({elapsed:.1f}s)")
+    print(f"packet space: {space.size():,} elementary cells ({elapsed:.1f}s)")
     print(f"tree vs ordered-rules referee ({semantics.value}): {len(mismatches)} mismatches")
     print(f"relevancy violations in the global tree: {len(check_relevant(pair.rdt.tree))}")
 

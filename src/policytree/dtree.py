@@ -12,7 +12,6 @@ are pairwise disjoint, so any packet follows at most one branch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 from .model import ComponentKind, Rule, RuleSet, Schema, SchemaError
@@ -340,31 +339,22 @@ def tree_to_rules(t: DecisionTree, origin_map: dict[int, str] | None = None) -> 
 def evaluate_tree(t: DecisionTree, packet: dict) -> str | None:
     """Decision for one packet; ``None`` when no branch matches.
 
-    When several branches match (possible only on non-relevant trees) the
-    branch with the smallest owner wins, so trees straight out of
-    :func:`build_tree` reproduce first-match order.  Depth-first order
-    alone would not: a later rule that shares a prefix with rule 1 sits
-    ahead of rule 2's unshared edge.
+    The first branch, in :func:`tree_to_rules` order, whose labels hold the
+    packet decides, so a tree decides as its flattening does under first
+    match.  Several branches can match only on a non-relevant tree; then
+    the smallest owner wins, and trees straight out of :func:`build_tree`
+    reproduce first-match order.
     """
     missing = set(t.schema.condition_names) - set(packet)
     if missing:
         raise SchemaError("packet is missing " + ", ".join(sorted(missing)))
-
-    hits: list[tuple[float, int, str]] = []
-
-    def walk(node: Node) -> None:
-        if node.level == t.action_level:
-            for e in node.edges:
-                rank = float(e.owner) if e.owner is not None else math.inf
-                hits.append((rank, len(hits), action_label(e)))
-            return
-        attr = t.attribute_at(node.level)
-        for e in node.edges:
-            if contains_point(e.label, packet[attr.name], attr.domain):
-                walk(e.child)
-
-    walk(t.root)
-    return min(hits)[2] if hits else None
+    attrs = t.schema.condition_attributes
+    hits = [
+        b
+        for b in branches(t)
+        if all(contains_point(v, packet[a.name], a.domain) for v, a in zip(b.labels, attrs))
+    ]
+    return min(hits, key=_branch_sort_key).action if hits else None
 
 
 def dump_tree(t: DecisionTree) -> str:

@@ -271,10 +271,26 @@ def parse_topology(text: str, *, source: str = "<string>") -> Topology:
     ``component <name> <kind> [<rules-file>]`` declares a component;
     ``path <name> <member> <member> ...`` lists a traffic path in order.
     Path members name declared components, or use inline ``name:kind``.
+    Every kind given for one name, on either kind of line, must agree.
     """
     components: dict[str, TopologyComponent] = {}
     declared_at: dict[str, int] = {}  # component name -> its component line
+    kind_at: dict[str, tuple[ComponentKind, int]] = {}  # name -> first kind given, its line
     paths: list[tuple[str, tuple[str, ...]]] = []
+
+    def parse_kind(name: str, kind_s: str, line_no: int) -> ComponentKind:
+        try:
+            kind = ComponentKind(kind_s)
+        except ValueError:
+            raise TopologyError(f"{source}:{line_no}: unknown kind {kind_s!r}") from None
+        first, first_line = kind_at.setdefault(name, (kind, line_no))
+        if first is not kind:
+            raise TopologyError(
+                f"{source}:{line_no}: component {name!r} is {kind.value} here"
+                f" but {first.value} on line {first_line}"
+            )
+        return kind
+
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -290,12 +306,10 @@ def parse_topology(text: str, *, source: str = "<string>") -> Topology:
                     f" on line {declared_at[name]}"
                 )
             declared_at[name] = line_no
-            try:
-                kind = ComponentKind(kind_s)
-            except ValueError:
-                raise TopologyError(f"{source}:{line_no}: unknown kind {kind_s!r}") from None
             components[name] = TopologyComponent(
-                name=name, kind=kind, rules_path=rest[2] if len(rest) == 3 else None
+                name=name,
+                kind=parse_kind(name, kind_s, line_no),
+                rules_path=rest[2] if len(rest) == 3 else None,
             )
         elif head == "path":
             if len(rest) < 2:
@@ -304,12 +318,7 @@ def parse_topology(text: str, *, source: str = "<string>") -> Topology:
             for member in rest[1:]:
                 if ":" in member:
                     name, kind_s = member.split(":", 1)
-                    try:
-                        kind = ComponentKind(kind_s)
-                    except ValueError:
-                        raise TopologyError(
-                            f"{source}:{line_no}: unknown kind {kind_s!r}"
-                        ) from None
+                    kind = parse_kind(name, kind_s, line_no)
                     components.setdefault(name, TopologyComponent(name=name, kind=kind))
                     members.append(name)
                 elif member in components:

@@ -10,11 +10,14 @@ from the ordered rules, under two semantics:
   specific rule).  This is the reference for the specificity construction
   policy, computed here rule-by-rule without any tree involved.
 
-It also discretizes attribute domains down to the points that can possibly
-distinguish rules (interval endpoints, their neighbours, one probe per gap,
-and full label enumerations) and compares a tree against a rule set over
-that space, reporting counterexample packets.  "No decision" is a first
-class outcome throughout (``None`` scalar, ``-1`` in grids).
+It also cuts each numeric domain into elementary cells, the maximal
+intervals on which no rule value changes, and keeps one packet per cell
+(label domains are enumerated in full).  Every rule matches all of a cell
+or none of it, so checking one point per cell is exact.  A tree decides a
+packet as its :func:`~policytree.dtree.tree_to_rules` flattening does under
+first match; the comparison of a tree against a rule set also cuts at the
+tree's own label bounds, so it stays exact for any tree.  "No decision" is
+a first class outcome throughout (``None`` scalar, ``-1`` in grids).
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from math import prod
 
 import numpy as np
 
-from .dtree import DecisionTree, Node, action_label
+from .dtree import DecisionTree, tree_to_rules
 from .model import AttributeDef, Rule, RuleSet, Schema, SchemaError
-from .values import ValueSet, contains_point, interval_endpoints, vs_equal, vs_subset
+from .values import ValueSet, contains_point, vs_equal, vs_subset
 
 __all__ = [
     "Packet",
@@ -108,7 +111,7 @@ def evaluate(rs: RuleSet, packet: Packet, semantics: Semantics) -> str | None:
 
 @dataclass(frozen=True)
 class DomainSpace:
-    """A finite sample of the packet space, one point list per attribute."""
+    """A grid of packets: one point list per attribute, crossed."""
 
     schema: Schema
     points: dict[str, tuple]
@@ -122,28 +125,23 @@ class DomainSpace:
             yield dict(zip(names, combo))
 
 
-def _numeric_points(attr: AttributeDef, value_sets: list[ValueSet]) -> tuple[int, ...]:
+def _cell_starts(attr: AttributeDef, value_sets) -> set[int]:
+    """The first point of every elementary cell the value sets cut the domain into.
+
+    A cut falls at each interval's ``lo`` and ``hi + 1``, for the domain and
+    for every value set; a cell starting outside the domain is dropped.
+    """
     dom = attr.domain
-    candidates: set[int] = set(interval_endpoints(dom))
-    for v in value_sets:
-        for e in interval_endpoints(v):
-            candidates.update((e - 1, e, e + 1))
-    pts = sorted(c for c in candidates if contains_point(dom, c, dom))
-    with_gaps = list(pts)
-    for a, b in zip(pts, pts[1:]):
-        if b - a > 1:
-            mid = (a + b) // 2
-            if contains_point(dom, mid, dom):
-                with_gaps.append(mid)
-    return tuple(sorted(with_gaps))
+    cuts = {c for v in (dom, *value_sets) for lo, hi in v.intervals or () for c in (lo, hi + 1)}
+    return {c for c in cuts if contains_point(dom, c, dom)}
 
 
 def endpoint_space(*rulesets: RuleSet) -> DomainSpace:
-    """Sample points per attribute from every rule in the given sets.
+    """One packet per elementary cell of the given rule sets.
 
     All rule sets must share one schema.  Label attributes enumerate their
-    whole domain; interval attributes keep each endpoint, its neighbours,
-    and one interior probe per gap, clamped to the domain.
+    whole domain; interval attributes keep the first point of every cell
+    cut by the domain and the rule values (see :func:`_cell_starts`).
     """
     if not rulesets:
         raise ValueError("endpoint_space needs at least one rule set")
@@ -155,10 +153,20 @@ def endpoint_space(*rulesets: RuleSet) -> DomainSpace:
     for attr in schema.condition_attributes:
         if attr.kind.is_numeric:
             vals = [r.condition[attr.name] for rs in rulesets for r in rs.rules]
-            points[attr.name] = _numeric_points(attr, vals)
+            points[attr.name] = tuple(sorted(_cell_starts(attr, vals)))
         else:
             points[attr.name] = tuple(sorted(attr.domain.labels or ()))
     return DomainSpace(schema=schema, points=points)
+
+
+def _cut_by(space: DomainSpace, rs: RuleSet) -> DomainSpace:
+    """``space`` with the cell starts of ``rs``'s own values added."""
+    points = dict(space.points)
+    for attr in rs.schema.condition_attributes:
+        if attr.kind.is_numeric:
+            vals = [r.condition[attr.name] for r in rs.rules]
+            points[attr.name] = tuple(sorted(_cell_starts(attr, vals).union(points[attr.name])))
+    return DomainSpace(schema=space.schema, points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -224,36 +232,18 @@ def _grid_rules(grid: _Grid, rs: RuleSet, semantics: Semantics) -> np.ndarray:
     return action_codes[owner + 1]
 
 
-def _grid_tree(grid: _Grid, tree: DecisionTree) -> np.ndarray:
-    decisions = np.full(grid.shape, -1, dtype=np.int16)
-    action_level = tree.action_level
-
-    def walk(node: Node, mask: np.ndarray) -> None:
-        if node.level == action_level:
-            for e in node.edges:
-                todo = mask & (decisions == -1)
-                decisions[todo] = grid.code_of[action_label(e)]
-            return
-        axis = node.level - 1
-        for e in node.edges:
-            sub = mask & grid.axis_mask(axis, e.label)
-            if sub.any():
-                walk(e.child, sub)
-
-    walk(tree.root, np.ones(grid.shape, dtype=bool))
-    return decisions
+def _flatten(tree: DecisionTree, space: DomainSpace) -> tuple[RuleSet, DomainSpace]:
+    """The tree as its first-match rule list, and ``space`` cut at its labels."""
+    rules = tree_to_rules(tree)
+    return rules, _cut_by(space, rules)
 
 
 def check_reliability(target: "RuleSet | DecisionTree", space: DomainSpace) -> list[Packet]:
-    """Sampled packets that receive no decision at all."""
-    if isinstance(target, RuleSet):
-        grid = _Grid(target.schema, space)
-        covered = np.zeros(grid.shape, dtype=bool)
-        for rule in target.rules:
-            covered |= grid.rule_mask(rule)
-    else:
-        grid = _Grid(target.schema, space)
-        covered = _grid_tree(grid, target) != -1
+    """Packets of the space that receive no decision at all."""
+    if isinstance(target, DecisionTree):
+        target, space = _flatten(target, space)
+    grid = _Grid(target.schema, space)
+    covered = _grid_rules(grid, target, Semantics.FIRST_MATCH) != -1
     return [grid.packet_at(tuple(idx)) for idx in np.argwhere(~covered)]
 
 
@@ -263,13 +253,14 @@ def equivalence(
     """Counterexamples where the tree and the rules disagree.
 
     Returns ``(packet, tree decision, rule decision)`` triples in point
-    order; empty means the tree reproduces the reference semantics over the
-    sampled space.
+    order; empty means the tree reproduces the reference semantics on
+    every packet of ``space`` cut further at the tree's own label bounds.
     """
     if tree.schema != rs.schema:
         raise SchemaError("tree and rule set must share a schema")
+    flat, space = _flatten(tree, space)
     grid = _Grid(rs.schema, space)
-    by_tree = _grid_tree(grid, tree)
+    by_tree = _grid_rules(grid, flat, Semantics.FIRST_MATCH)
     by_rules = _grid_rules(grid, rs, semantics)
     out = []
     for idx in np.argwhere(by_tree != by_rules):

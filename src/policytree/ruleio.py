@@ -17,8 +17,8 @@ ordered condition attributes (name, kind, domain), ``decision`` declares the
 decision attribute, and everything after the ``rules`` marker is one rule
 per line: ``id | value | ... | action`` with an optional trailing origin
 column.  Values are ``any``/``All`` (wildcard), a single value, ``lo-hi``,
-or a comma-joined union of those.  IPv4 values may use ``a.b.c.*`` blocks;
-a ``/nn`` suffix is accepted and ignored.
+or a comma-joined union of those.  IPv4 values may use ``a.b.c.*`` blocks
+or ``a.b.c.d/nn`` prefixes (``nn`` from 0 to 32, no host bits set).
 
 ``ruleset_to_dict``/``ruleset_from_dict`` mirror the same fields as plain
 dictionaries for machine consumption; both representations round-trip.
@@ -102,8 +102,16 @@ def _int_to_ip(n: int) -> str:
 
 
 def _parse_ipv4_atom(token: str) -> tuple[int, int]:
-    """One IPv4 atom: an address, or a block written with trailing ``*``."""
-    token = token.split("/", 1)[0]  # prefix lengths carry no extra meaning
+    """One IPv4 atom: an address, a ``/nn`` prefix, or a block written with trailing ``*``."""
+    if "/" in token:
+        address, length_s = token.split("/", 1)
+        if not (length_s.isascii() and length_s.isdigit() and int(length_s) <= 32):
+            raise ValueError(f"bad prefix length in {token!r}")
+        host_bits = (1 << (32 - int(length_s))) - 1
+        net = _ip_to_int(address)
+        if net & host_bits:
+            raise ValueError(f"host bits set in {token!r}")
+        return net, net | host_bits
     parts = token.split(".")
     if len(parts) != 4:
         raise ValueError(f"bad IPv4 value {token!r}")

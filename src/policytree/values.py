@@ -44,7 +44,6 @@ __all__ = [
     "vs_compare",
     "contains_point",
     "enumerate_points",
-    "interval_endpoints",
 ]
 
 
@@ -276,13 +275,3 @@ def enumerate_points(v: ValueSet, domain: ValueSet):
     for lo, hi in ev.intervals:
         yield from range(lo, hi + 1)
 
-
-def interval_endpoints(v: ValueSet) -> list[int]:
-    """The interval bounds of ``v`` (empty for wildcards and label sets)."""
-    if v.intervals is None:
-        return []
-    out: list[int] = []
-    for lo, hi in v.intervals:
-        out.append(lo)
-        out.append(hi)
-    return out

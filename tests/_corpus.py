@@ -1,8 +1,9 @@
 """Seeded random rule-set generators shared by the property tests.
 
-Domains are kept small on purpose: the exhaustive packet-grid referee in
-``policytree.oracle`` is the ground truth for most properties, and its cost
-is the product of the per-attribute point counts.
+Domains are kept small on purpose: the packet referee in
+``policytree.oracle`` is the ground truth for most properties, its cost is
+the product of the per-attribute cell counts, and some tests compare it
+with a space that lists every point.
 """
 
 from __future__ import annotations

@@ -311,6 +311,10 @@ def test_eval_unmatched_packet(fw_path):
         ),
         (_PKT.replace("dst_port=80", "dst_port=8_0"), "bad --packet: dst_port: bad number '8_0'"),
         (_PKT.replace("dst_port=80", "dst_port=\u0668\u0660"), "bad --packet: dst_port: bad number"),
+        (
+            _PKT.replace("src_addr=140.192.10.30", "src_addr=140.192.10.0/24"),
+            "bad --packet: src_addr: a packet needs a single address",
+        ),
     ],
 )
 def test_eval_rejects_bad_packets(fw_path, packet, hint):
@@ -400,6 +404,27 @@ _FW_TEXT = (CASES / "fw.rules").read_bytes()
             "bad.topo",
             b"component FW filtering fw.rules\n\ncomponent FW alerting ids.rules\n",
             "bad.topo:3: component 'FW' already declared on line 1",
+        ),
+        (
+            "bad.topo",
+            b"path ingress FW:alerting IDS:alerting\ncomponent FW filtering fw.rules\n",
+            "bad.topo:2: component 'FW' is filtering here but alerting on line 1",
+        ),
+        # a /nn prefix is a block: its host bits must be clear, its length 0-32
+        (
+            "bad.rules",
+            _FW_TEXT.replace(b"129.170.20.20-129.170.20.100", b"129.170.20.20/24", 1),
+            "host bits set in '129.170.20.20/24'",
+        ),
+        (
+            "bad.rules",
+            _FW_TEXT.replace(b"129.170.20.20-129.170.20.100", b"129.170.20.0/33", 1),
+            "bad prefix length in '129.170.20.0/33'",
+        ),
+        (
+            "bad.rules",
+            _FW_TEXT.replace(b"129.170.20.20-129.170.20.100", b"129.170.20.0/junk", 1),
+            "bad prefix length in '129.170.20.0/junk'",
         ),
     ],
 )

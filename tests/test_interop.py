@@ -249,6 +249,14 @@ def test_positioning_allows_filter_then_alert_chains():
         ("path p GHOST", "undeclared component"),
         ("path p X:bridge", "unknown kind"),
         ("component FW filtering a.rules\ncomponent FW alerting", "t.topo:2: .* on line 1"),
+        (
+            "path p FW:alerting IDS:alerting\ncomponent FW filtering fw.rules",
+            "t.topo:2: component 'FW' is filtering here but alerting on line 1",
+        ),
+        (
+            "component FW filtering fw.rules\n\npath p FW:alerting IDS:alerting",
+            "t.topo:3: component 'FW' is alerting here but filtering on line 1",
+        ),
     ],
 )
 def test_topology_errors(text, message):

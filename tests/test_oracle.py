@@ -1,16 +1,18 @@
-"""The packet-level referee: scalar evaluation, sampling, grid comparison."""
+"""The packet-level referee: scalar evaluation, elementary cells, grid comparison."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import islice
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from policytree.dtree import build_tree, evaluate_tree
-from policytree.model import Rule, RuleSet, SchemaError
+from policytree.dtree import build_tree, copy_node, evaluate_tree
+from policytree.model import AttributeDef, Rule, RuleSet, Schema, SchemaError
 from policytree.oracle import (
+    DomainSpace,
     Semantics,
     check_reliability,
     endpoint_space,
@@ -21,7 +23,7 @@ from policytree.oracle import (
 )
 from policytree.rdt import ConflictPolicy, build_rdt
 from policytree.ruleio import parse_point
-from policytree.values import ANY, intervals
+from policytree.values import ANY, AttrKind, enumerate_points, intervals
 
 from _corpus import interval_schema, random_ruleset
 
@@ -92,18 +94,18 @@ def test_partial_overlap_never_captures():
 
 
 # ---------------------------------------------------------------------------
-# domain sampling
+# elementary cells
 # ---------------------------------------------------------------------------
 
 
 def test_endpoint_space_brackets_every_rule_boundary():
-    rs = _rs1((((5, 10),), "accept"))
-    pts = endpoint_space(rs).points["f0"]
-    assert set(pts) >= {0, 4, 5, 6, 9, 10, 11, 39}
-    assert list(pts) == sorted(set(pts))
-    assert all(0 <= p <= 39 for p in pts)
-    # interior probes land between consecutive kept points
-    assert any(11 < p < 39 for p in pts)
+    # one point per elementary cell: [0,4], [5,10], [11,39]
+    assert endpoint_space(_rs1((((5, 10),), "accept"))).points["f0"] == (0, 5, 11)
+    # a domain with a hole gets no point inside the hole
+    gap = AttributeDef("f0", AttrKind.INTEGER_RANGE, intervals(((0, 9), (20, 29))))
+    schema = Schema(condition_attributes=(gap,), decision_attribute=SCHEMA1.decision_attribute)
+    rs = RuleSet(schema=schema, rules=(Rule(1, {"f0": intervals(((5, 7), (22, 24)))}, "deny"),))
+    assert endpoint_space(rs).points["f0"] == (0, 5, 8, 20, 22, 25)
 
 
 def test_endpoint_space_enumerates_label_domains(fw):
@@ -170,13 +172,65 @@ def test_no_decision_counts_as_agreement():
 
 
 @given(st.integers(0, 10_000))
+@example(11)
 def test_scalar_referee_matches_the_trees(seed):
     rs = random_ruleset(random.Random(seed), max_rules=8, n_attrs=2)
     space = endpoint_space(rs)
     corrected = build_rdt(rs).tree
     first = build_rdt(rs, ConflictPolicy.FIRST_MATCH).tree
     naive = build_tree(rs)
+    assert equivalence(naive, rs, Semantics.FIRST_MATCH, space) == []
     for pkt in islice(space.iter_packets(), 120):
         assert evaluate_tree(corrected, pkt) == evaluate(rs, pkt, Semantics.OWNER_CAPTURE)
         assert evaluate_tree(first, pkt) == evaluate(rs, pkt, Semantics.FIRST_MATCH)
         assert evaluate_tree(naive, pkt) == evaluate(rs, pkt, Semantics.FIRST_MATCH)
+
+
+def _every_point(schema: Schema) -> DomainSpace:
+    return DomainSpace(
+        schema=schema,
+        points={
+            a.name: tuple(enumerate_points(a.domain, a.domain))
+            for a in schema.condition_attributes
+        },
+    )
+
+
+def _shrink_one_label(tree, rng: random.Random):
+    """A copy of the tree with one condition label losing its top point."""
+    mutant = copy_node(tree.root)
+    edges = []
+    stack = [mutant]
+    while stack:
+        node = stack.pop()
+        if node.level < tree.action_level:
+            edges += [(node.level, e) for e in node.edges]
+            stack += [e.child for e in node.edges]
+    level, edge = rng.choice(edges)
+    domain = tree.attribute_at(level).domain
+    spans = (edge.label if not edge.label.is_wildcard else domain).intervals
+    edge.label = intervals(spans[:-1] + ((spans[-1][0], spans[-1][1] - 1),))
+    return replace(tree, root=mutant)
+
+
+@given(st.integers(0, 10_000))
+@example(2)
+def test_cells_decide_as_every_point_does(seed):
+    """The cell referee finds a mismatch exactly when full enumeration does.
+
+    The trees come from another rule set, or are a correct tree with one
+    label shrunk by its top point, so their bounds are not all ``rs``'s.
+    """
+    rng = random.Random(seed)
+    n_attrs = rng.randint(1, 3)
+    rs = random_ruleset(rng, max_rules=6, n_attrs=n_attrs)
+    other = random_ruleset(rng, max_rules=6, n_attrs=n_attrs)
+    cells, full = endpoint_space(rs), _every_point(rs.schema)
+    trees = [build_tree(other), build_rdt(other).tree]
+    for policy in ConflictPolicy:
+        trees.append(_shrink_one_label(build_rdt(rs, policy).tree, rng))
+    for tree in trees:
+        for semantics in Semantics:
+            by_cells = equivalence(tree, rs, semantics, cells)
+            by_points = equivalence(tree, rs, semantics, full)
+            assert bool(by_cells) == bool(by_points)

@@ -90,8 +90,14 @@ def test_ipv4_forms():
     star = parse_value("140.192.10.*", ipv4)
     assert star == parse_value("140.192.10.0-140.192.10.255", ipv4)
     assert parse_value("10.0.*.*", ipv4) == parse_value("10.0.0.0-10.0.255.255", ipv4)
-    # a prefix length is tolerated but carries no meaning of its own
-    assert parse_value("140.192.10.7/24", ipv4) == parse_value("140.192.10.7", ipv4)
+    # a prefix length means the whole block; host bits and bad lengths are errors
+    assert parse_value("140.192.10.0/24", ipv4) == star
+    assert parse_value("10.0.0.0/8", ipv4) == parse_value("10.*.*.*", ipv4)
+    assert parse_value("140.192.10.7/32", ipv4) == parse_value("140.192.10.7", ipv4)
+    assert parse_value("0.0.0.0/0", ipv4) == ipv4.domain
+    for bad in ("140.192.10.7/24", "1.2.3.4/junk", "1.2.3.4/33", "1.2.3.4/", "1.2.3.0/+24"):
+        with pytest.raises(ValueError):
+            parse_value(bad, ipv4)
     with pytest.raises(ValueError):
         parse_value("10.*.0.0", ipv4)  # wildcard octets must be a suffix
     with pytest.raises(ValueError):

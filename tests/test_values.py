@@ -12,7 +12,6 @@ from policytree.values import (
     ValueSetError,
     contains_point,
     enumerate_points,
-    interval_endpoints,
     intervals,
     labels,
     point,
@@ -147,9 +146,3 @@ def test_wildcard_domain_rejected():
 def test_string_point_in_interval_set_raises():
     with pytest.raises(ValueSetError):
         contains_point(intervals(((0, 5),)), "TCP", DOM)
-
-
-def test_interval_endpoints():
-    assert interval_endpoints(intervals(((3, 5), (9, 9)))) == [3, 5, 9, 9]
-    assert interval_endpoints(ANY) == []
-    assert interval_endpoints(labels("a")) == []
