@@ -27,7 +27,6 @@ from .dtree import (
     check_relevant,
     dump_tree,
     evaluate_tree,
-    normalize,
     tree_to_rules,
 )
 from .interop import (
@@ -115,7 +114,6 @@ __all__ = [
     "build_tree",
     "branches",
     "check_relevant",
-    "normalize",
     "tree_to_rules",
     "evaluate_tree",
     "dump_tree",

@@ -88,8 +88,20 @@ def main(ctx: click.Context, policy: str, fmt: str, assume_relevant: bool, dump_
     )
 
 
+def _write(text: str, err: bool = False) -> None:
+    """Write ``text`` unchanged to stdout (or stderr).
+
+    ``click.echo`` would strip ANSI escapes when not writing to a terminal,
+    and under click's ``CliRunner`` it caches each invocation's stream in a
+    weak mapping whose value is the key itself, so none is ever freed.
+    """
+    stream = click.get_text_stream("stderr" if err else "stdout")
+    stream.write(text)
+    stream.flush()
+
+
 def _fail(ctx: click.Context, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    _write(f"error: {message}\n", err=True)
     ctx.exit(2)
 
 
@@ -123,8 +135,7 @@ def _gate_relevant(ctx: click.Context, rs: RuleSet, opts: Options) -> None:
 
 
 def _emit(report: Report, opts: Options) -> None:
-    text = render_json(report) if opts.fmt == "json" else render_text(report)
-    click.echo(text, nl=False)
+    _write(render_json(report) if opts.fmt == "json" else render_text(report))
 
 
 def _plural(n: int, noun: str) -> str:
@@ -207,7 +218,7 @@ def correct(ctx: click.Context, rules_file: str, output: str | None):
     else:
         corrected = correct_ruleset(rs, opts.policy)
     if output is None:
-        click.echo(serialize_ruleset(corrected), nl=False)
+        _write(serialize_ruleset(corrected))
         ctx.exit(1 if detect_intra(rs) else 0)
     save_ruleset(Path(output), corrected)
     report = Report(command="correct", policy=opts.policy.value, inputs=[entry])

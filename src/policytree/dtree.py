@@ -12,19 +12,11 @@ are pairwise disjoint, so any packet follows at most one branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .model import ComponentKind, Rule, RuleSet, Schema, SchemaError
 from .ruleio import format_value
-from .values import (
-    ANY,
-    ValueSet,
-    contains_point,
-    vs_equal,
-    vs_intersect,
-    vs_is_empty,
-    vs_union,
-)
+from .values import ValueSet, contains_point, vs_intersect, vs_is_empty
 
 __all__ = [
     "Edge",
@@ -35,7 +27,6 @@ __all__ = [
     "build_tree",
     "branches",
     "check_relevant",
-    "normalize",
     "tree_to_rules",
     "evaluate_tree",
     "dump_tree",
@@ -44,16 +35,20 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
-    """A labelled edge.  ``owner`` is set on action edges only."""
+    """A labelled edge.  ``owner`` is set on action edges only.
+
+    While :mod:`policytree.rdt` builds a tree, condition labels are
+    :class:`~policytree.values.Cells` masks instead of value sets.
+    """
 
     label: ValueSet
     child: "Node | None"
     owner: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     """A tree node at a 1-based level; the last level is the action level."""
 
@@ -204,91 +199,12 @@ def check_relevant(t: DecisionTree) -> list[RelevancyViolation]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# normalization
-# ---------------------------------------------------------------------------
-
-
 def _vs_key(v: ValueSet) -> str:
     if v.is_wildcard:
         return "*"
     if v.labels is not None:
         return "L{" + ",".join(sorted(v.labels)) + "}"
     return "I" + ";".join(f"{lo}-{hi}" for lo, hi in v.intervals or ())
-
-
-def _min_owner(node: Node | None) -> int:
-    if node is None:
-        return 1 << 62
-    best = 1 << 62
-    for e in node.edges:
-        if e.child is None:
-            if e.owner is not None:
-                best = min(best, e.owner)
-        else:
-            best = min(best, _min_owner(e.child))
-    return best
-
-
-def normalize(t: DecisionTree) -> DecisionTree:
-    """Merge sibling edges whose subtrees match (same labels and actions).
-
-    Merged labels are unioned; a label covering the whole domain compresses
-    back to the wildcard.  Packet decisions are unchanged.  When subtrees
-    that differ only in owning rule are merged, the merged region keeps the
-    earliest owner.
-    """
-    root = copy_node(t.root)
-    _normalize_node(root, t)
-    return replace(t, root=root)
-
-
-def _normalize_node(node: Node, t: DecisionTree) -> str:
-    if node.level == t.action_level:
-        merged: dict[str, Edge] = {}
-        order: list[str] = []
-        for e in node.edges:
-            k = _vs_key(e.label)
-            if k not in merged:
-                merged[k] = e
-                order.append(k)
-            elif e.owner is not None and (merged[k].owner is None or e.owner < merged[k].owner):
-                merged[k] = e
-        node.edges = [merged[k] for k in order]
-        return "A(" + "|".join(sorted(order)) + ")"
-
-    attr = t.attribute_at(node.level)
-    keyed: list[tuple[str, Edge]] = []
-    for e in node.edges:
-        child_key = _normalize_node(e.child, t)
-        if not e.label.is_wildcard and vs_equal(e.label, attr.domain, attr.domain):
-            e.label = ANY
-        keyed.append((child_key, e))
-
-    groups: dict[str, list[Edge]] = {}
-    order = []
-    for child_key, e in keyed:
-        if child_key not in groups:
-            groups[child_key] = []
-            order.append(child_key)
-        groups[child_key].append(e)
-
-    new_edges: list[Edge] = []
-    parts: list[str] = []
-    for child_key in order:
-        group = groups[child_key]
-        if len(group) == 1:
-            edge = group[0]
-        else:
-            label = group[0].label
-            for e in group[1:]:
-                label = vs_union(label, e.label, attr.domain)
-            keep = min(range(len(group)), key=lambda i: (_min_owner(group[i].child), i))
-            edge = Edge(label=label, child=group[keep].child)
-        new_edges.append(edge)
-        parts.append(f"{_vs_key(edge.label)}=>{child_key}")
-    node.edges = new_edges
-    return "N(" + "|".join(sorted(parts)) + ")"
 
 
 # ---------------------------------------------------------------------------

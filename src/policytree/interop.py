@@ -38,6 +38,7 @@ from .model import (
     SchemaError,
     Severity,
     action_class,
+    control_char,
 )
 from .relations import KINDS, RelationKind, RuleRelation, is_correlated, relate, relation_matrix
 from .values import ValueSet, intervals, vs_subset
@@ -278,6 +279,14 @@ def parse_topology(text: str, *, source: str = "<string>") -> Topology:
     kind_at: dict[str, tuple[ComponentKind, int]] = {}  # name -> first kind given, its line
     paths: list[tuple[str, tuple[str, ...]]] = []
 
+    def check_name(name: str, line_no: int) -> str:
+        bad = control_char(name)
+        if bad is not None:
+            raise TopologyError(
+                f"{source}:{line_no}: name {name!r} holds control character {bad!r}"
+            )
+        return name
+
     def parse_kind(name: str, kind_s: str, line_no: int) -> ComponentKind:
         try:
             kind = ComponentKind(kind_s)
@@ -299,7 +308,7 @@ def parse_topology(text: str, *, source: str = "<string>") -> Topology:
         if head == "component":
             if len(rest) not in (2, 3):
                 raise TopologyError(f"{source}:{line_no}: expected component <name> <kind> [<file>]")
-            name, kind_s = rest[0], rest[1]
+            name, kind_s = check_name(rest[0], line_no), rest[1]
             if name in declared_at:
                 raise TopologyError(
                     f"{source}:{line_no}: component {name!r} already declared"
@@ -314,11 +323,11 @@ def parse_topology(text: str, *, source: str = "<string>") -> Topology:
         elif head == "path":
             if len(rest) < 2:
                 raise TopologyError(f"{source}:{line_no}: a path needs a name and members")
-            path_name, members = rest[0], []
+            path_name, members = check_name(rest[0], line_no), []
             for member in rest[1:]:
                 if ":" in member:
                     name, kind_s = member.split(":", 1)
-                    kind = parse_kind(name, kind_s, line_no)
+                    kind = parse_kind(check_name(name, line_no), kind_s, line_no)
                     components.setdefault(name, TopologyComponent(name=name, kind=kind))
                     members.append(name)
                 elif member in components:

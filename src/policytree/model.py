@@ -27,6 +27,7 @@ __all__ = [
     "BLOCK_ACTIONS",
     "DECISION_LABELS",
     "action_class",
+    "control_char",
 ]
 
 
@@ -50,6 +51,15 @@ def action_class(label: str) -> ActionClass:
     if label in BLOCK_ACTIONS:
         return ActionClass.BLOCK
     raise SchemaError(f"unknown decision label {label!r}")
+
+
+def control_char(text: str) -> str | None:
+    """The first C0 control character or DEL in ``text``, if any.
+
+    Names read from input files are printed verbatim in reports and rule
+    files, where such a character would be a line break or a terminal escape.
+    """
+    return next((c for c in text if c < " " or c == "\x7f"), None)
 
 
 class ComponentKind(str, Enum):

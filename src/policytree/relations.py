@@ -24,13 +24,14 @@ indexed by the set of ``FieldRel`` values seen across the fields.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .model import Rule, Schema, SchemaError
-from .values import vs_compare
+from .values import Cells, vs_compare
 
 __all__ = [
     "FieldRel",
@@ -80,6 +81,15 @@ KINDS = tuple(RelationKind)
 _BIT = {rel: 1 << i for i, rel in enumerate(FieldRel)}
 
 
+def _field_rel(sub: bool, sup: bool, meet: bool) -> FieldRel:
+    """The field relation of ``(a ⊆ b, b ⊆ a, a ∩ b ≠ ∅)``."""
+    if sub:
+        return FieldRel.EQUAL if sup else FieldRel.PROPER_SUBSET
+    if sup:
+        return FieldRel.PROPER_SUPERSET
+    return FieldRel.OVERLAPPING if meet else FieldRel.DISJOINT
+
+
 def _kind_of(mask: int) -> RelationKind:
     """The kind of a pair whose fields show exactly the relations in ``mask``."""
     eq = _BIT[FieldRel.EQUAL]
@@ -98,6 +108,10 @@ def _kind_of(mask: int) -> RelationKind:
     return RelationKind.CORRELATED_GENERAL
 
 
+# FieldRel bit by (a ⊆ b, b ⊆ a, a ∩ b ≠ ∅)
+_BIT_OF = {
+    triple: _BIT[_field_rel(*triple)] for triple in itertools.product((False, True), repeat=3)
+}
 _KIND_OF_MASK = tuple(_kind_of(mask) for mask in range(1 << len(FieldRel)))
 _CODE_OF_MASK = np.array([KINDS.index(kind) for kind in _KIND_OF_MASK], dtype=np.int8)
 
@@ -111,12 +125,7 @@ def is_correlated(kind: RelationKind) -> bool:
 
 def field_relation(a, b, attr) -> FieldRel:
     """Relation of value ``a`` to value ``b`` under ``attr``'s domain."""
-    sub, sup, meet = vs_compare(a, b, attr.domain)
-    if sub:
-        return FieldRel.EQUAL if sup else FieldRel.PROPER_SUBSET
-    if sup:
-        return FieldRel.PROPER_SUPERSET
-    return FieldRel.OVERLAPPING if meet else FieldRel.DISJOINT
+    return _field_rel(*vs_compare(a, b, attr.domain))
 
 
 def _check_schema(rules, schema: Schema) -> None:
@@ -155,8 +164,8 @@ def relation_matrix(a_rules, b_rules, schema: Schema) -> np.ndarray:
 
     Returns an ``int8`` array of shape ``(len(a_rules), len(b_rules))``.
     Rules use few distinct values per attribute, so each attribute's
-    relation is computed once per pair of distinct values, by
-    :func:`field_relation`, and gathered to the rule pairs.
+    relation is computed once per pair of distinct values, from their
+    :class:`~policytree.values.Cells` masks, and gathered to the rule pairs.
     """
     _check_schema(a_rules, schema)
     _check_schema(b_rules, schema)
@@ -164,8 +173,13 @@ def relation_matrix(a_rules, b_rules, schema: Schema) -> np.ndarray:
     for attr in schema.condition_attributes:
         a_vocab, a_ids = _vocabulary(r.condition[attr.name] for r in a_rules)
         b_vocab, b_ids = _vocabulary(r.condition[attr.name] for r in b_rules)
+        cells = Cells(attr.domain, a_vocab + b_vocab)
+        b_masks = [cells.mask(b) for b in b_vocab]
         bits = np.array(
-            [[_BIT[field_relation(a, b, attr)] for b in b_vocab] for a in a_vocab],
+            [
+                [_BIT_OF[not a & ~b, not b & ~a, a & b != 0] for b in b_masks]
+                for a in map(cells.mask, a_vocab)
+            ],
             dtype=np.uint8,
         ).reshape(len(a_vocab), len(b_vocab))  # a 2-D shape even when a list is empty
         tables.append((bits, a_ids, b_ids))

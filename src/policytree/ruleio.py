@@ -38,6 +38,7 @@ from .model import (
     Schema,
     SchemaError,
     complete_label_domain,
+    control_char,
 )
 from .values import (
     ANY,
@@ -228,11 +229,25 @@ def _format_domain(attr: AttributeDef) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _name(text: str, what: str, line: int | None, source: str) -> str:
+    """``text``, unless it holds a control character (see :func:`control_char`)."""
+    bad = control_char(text)
+    if bad is not None:
+        raise RuleFileError(f"{what} {text!r} holds control character {bad!r}", line, source)
+    return text
+
+
+def _labels(text: str, what: str, line: int, source: str) -> frozenset[str]:
+    """The comma-separated names of a label domain."""
+    return frozenset(_name(p.strip(), what, line, source) for p in text.split(","))
+
+
 def _parse_attr_decl(rest: str, line: int, source: str) -> AttributeDef:
     parts = rest.split(None, 2)
     if len(parts) != 3:
         raise RuleFileError("expected: attr <name> <kind> <domain>", line, source)
     name, kind_s, domain_s = parts
+    _name(name, "attribute name", line, source)
     try:
         kind = AttrKind(kind_s)
     except ValueError:
@@ -243,7 +258,7 @@ def _parse_attr_decl(rest: str, line: int, source: str) -> AttributeDef:
         except ValueError as exc:
             raise RuleFileError(f"bad domain for {name!r}: {exc}", line, source) from None
     else:
-        names = frozenset(p.strip() for p in domain_s.split(","))
+        names = _labels(domain_s, f"label of {name!r}", line, source)
         if "" in names:
             raise RuleFileError(f"bad domain for {name!r}: empty label", line, source)
         if COMPLEMENT_LABEL in names:
@@ -305,7 +320,7 @@ def _parse_text(text: str, source: str) -> RuleSet:
         if head == "component":
             if not rest:
                 raise RuleFileError("component needs a name", line_no, source)
-            component = rest
+            component = _name(rest, "component", line_no, source)
         elif head == "kind":
             try:
                 kind = ComponentKind(rest)
@@ -322,8 +337,8 @@ def _parse_text(text: str, source: str) -> RuleSet:
             parts = rest.split(None, 1)
             if len(parts) != 2:
                 raise RuleFileError("expected: decision <name> <labels>", line_no, source)
-            name, labels_s = parts
-            names = frozenset(p.strip() for p in labels_s.split(","))
+            name = _name(parts[0], "decision name", line_no, source)
+            names = _labels(parts[1], "decision label", line_no, source)
             try:
                 decision = AttributeDef(
                     name=name, kind=AttrKind.LABEL_ENUM, domain=ValueSet(labels=names)
@@ -392,7 +407,9 @@ def _parse_rule_line(
     action = cells[n + 1]
     if action not in (decision.domain.labels or ()):
         raise RuleFileError(f"action {action!r} not in decision domain", line_no, source)
-    origin = cells[n + 2] if len(cells) == n + 3 else component
+    origin = component
+    if len(cells) == n + 3:
+        origin = _name(cells[n + 2], "origin", line_no, source)
     return Rule(id=rule_id, condition=condition, action=action, origin=origin)
 
 
@@ -451,8 +468,8 @@ def ruleset_from_dict(d: dict) -> RuleSet:
     return _from_dict(d, "<dict>")
 
 
-# a comment mark, or a character that str.splitlines breaks a line at
-_NOT_IN_HEADER = "#\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# a comment mark, or a line break that is not a control character
+_NOT_IN_HEADER = "#\x85\u2028\u2029"
 
 
 def _from_dict(d: dict, source: str) -> RuleSet:
@@ -460,7 +477,7 @@ def _from_dict(d: dict, source: str) -> RuleSet:
         # the header is rebuilt as text, where these characters change its meaning
         if not isinstance(value, str):
             raise RuleFileError(f"bad JSON rule file: {key} must be a string", None, source)
-        bad = next((c for c in value if c in forbidden), None)
+        bad = control_char(value) or next((c for c in value if c in forbidden), None)
         if bad is not None:
             raise RuleFileError(f"bad JSON rule file: {key} holds {bad!r}", None, source)
         return value
@@ -483,6 +500,7 @@ def _from_dict(d: dict, source: str) -> RuleSet:
         rule_id, origin = entry["id"], entry.get("origin", base.component_name)
         if type(rule_id) is not int or not isinstance(origin, str):
             raise ValueError(f"rule {rule_id!r}: id must be an integer and origin a string")
+        _name(origin, f"rule {rule_id} origin", None, source)
         condition = {}
         for attr in attrs:
             condition[attr.name] = parse_value(str(entry["values"][attr.name]), attr)

@@ -42,6 +42,7 @@ __all__ = [
     "vs_equal",
     "vs_subset",
     "vs_compare",
+    "Cells",
     "contains_point",
     "enumerate_points",
 ]
@@ -255,6 +256,74 @@ def vs_compare(a: ValueSet, b: ValueSet, domain: ValueSet) -> tuple[bool, bool, 
         return la <= lb, lb <= la, not la.isdisjoint(lb)
     common = _ivals_intersect(ea.intervals, eb.intervals)
     return common == ea.intervals, common == eb.intervals, bool(common)
+
+
+class Cells:
+    """Bitmask codec for value sets of one attribute.
+
+    An interval domain is cut at every interval's ``lo`` and ``hi + 1``,
+    for the domain and each of ``value_sets``; bit ``i`` stands for the
+    elementary cell ``[cuts[i], cuts[i + 1] - 1]``.  A label domain gets one
+    bit per label.  Every value set the codec was built from, and every
+    Boolean combination of them, is then an int: intersection is ``&``,
+    union ``|``, difference ``& ~`` and the empty set ``0``.  This is the
+    bit-vector encoding of packet classification (Lakshman & Stiliadis,
+    SIGCOMM 1998).
+    """
+
+    def __init__(self, domain: ValueSet, value_sets=()):
+        _check_domain(domain)
+        self._numeric = domain.intervals is not None
+        if self._numeric:
+            spans = [span for v in (domain, *value_sets) for span in v.intervals or ()]
+            self._cuts = sorted({c for lo, hi in spans for c in (lo, hi + 1)})
+        else:
+            self._cuts = sorted(domain.labels.union(*(v.labels or () for v in value_sets)))
+        self._index = {c: i for i, c in enumerate(self._cuts)}
+        self._masks: dict[ValueSet, int] = {}
+        self._values: dict[int, ValueSet] = {}
+        self.full = self.mask(domain)
+
+    def mask(self, v: ValueSet) -> int:
+        """The cells of ``v``; the wildcard is the whole domain."""
+        m = self._masks.get(v)
+        if m is None:
+            m = self._masks[v] = self._encode(v)
+        return m
+
+    def _encode(self, v: ValueSet) -> int:
+        if v.is_wildcard:
+            return self.full
+        if (v.intervals is not None) != self._numeric:
+            raise ValueSetError("cannot combine a label set with an interval set")
+        try:
+            if self._numeric:
+                index = self._index
+                return sum((1 << index[hi + 1]) - (1 << index[lo]) for lo, hi in v.intervals)
+            return sum(1 << self._index[label] for label in v.labels)
+        except KeyError:
+            raise ValueSetError(f"{v!r} is not cut by this codec") from None
+
+    def value(self, m: int) -> ValueSet:
+        """The value set of mask ``m``: ``ANY`` for the whole domain, else canonical."""
+        v = self._values.get(m)
+        if v is None:
+            v = self._values[m] = self._decode(m)
+        return v
+
+    def _decode(self, m: int) -> ValueSet:
+        if m == self.full:
+            return ANY
+        cuts = self._cuts
+        if not self._numeric:
+            return ValueSet(labels=frozenset(c for i, c in enumerate(cuts) if m >> i & 1))
+        spans = []
+        while m:
+            low = m & -m
+            end = m + low  # the carry clears the lowest run of cells and sets the bit after it
+            spans.append((cuts[low.bit_length() - 1], cuts[(end & ~m).bit_length() - 1] - 1))
+            m &= end
+        return ValueSet(intervals=tuple(spans))
 
 
 def contains_point(v: ValueSet, value: int | str, domain: ValueSet) -> bool:

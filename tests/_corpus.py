@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from policytree.correction import correct_ruleset
 from policytree.model import (
     AttributeDef,
@@ -127,3 +129,63 @@ def random_component_pair(rng: random.Random) -> tuple[RuleSet, RuleSet]:
         component_name="S",
     )
     return correct_ruleset(preceding), correct_ruleset(following)
+
+
+# ---------------------------------------------------------------------------
+# hypothesis strategies over every attribute kind
+# ---------------------------------------------------------------------------
+
+_ADDR0 = (10 << 24) + 7  # 10.0.0.7
+MIXED_ATTRS = (
+    AttributeDef("port", AttrKind.PORT_RANGE, intervals(((0, 15),))),
+    AttributeDef("size", AttrKind.INTEGER_RANGE, intervals(((1, 9),))),
+    AttributeDef("addr", AttrKind.IPV4_RANGE, intervals(((_ADDR0, _ADDR0 + 23),))),
+    AttributeDef("proto", AttrKind.PROTOCOL_ENUM, labels("TCP", "UDP", "ICMP")),
+    AttributeDef(
+        "attack",
+        AttrKind.LABEL_ENUM,
+        ValueSet(labels=complete_label_domain(AttrKind.LABEL_ENUM, frozenset({"probe", "worm"}))),
+    ),
+)
+_DECISION = AttributeDef("action", AttrKind.LABEL_ENUM, labels("accept", "pass", "deny", "reject"))
+
+
+def mixed_values(attr: AttributeDef):
+    """Wildcards, the explicit full domain, empty sets and proper subsets."""
+    if attr.kind.is_numeric:
+        lo, hi = attr.domain.intervals[0]
+        bound = st.integers(lo, hi)
+        some = st.lists(st.tuples(bound, bound).map(sorted), min_size=1, max_size=3).map(intervals)
+        empty = ValueSet(intervals=())
+    else:  # the open label enumeration's domain holds COMPLEMENT_LABEL, so it is drawn too
+        some = st.frozensets(st.sampled_from(sorted(attr.domain.labels)), min_size=1).map(
+            lambda names: ValueSet(labels=names)
+        )
+        empty = ValueSet(labels=frozenset())
+    return st.one_of(st.sampled_from([ANY, attr.domain, empty]), some, some)
+
+
+@st.composite
+def mixed_schemas(draw) -> Schema:
+    # five attributes let one pair show all five field relations at once
+    chosen = draw(st.lists(st.sampled_from(MIXED_ATTRS), min_size=1, max_size=5, unique=True))
+    return Schema(condition_attributes=tuple(chosen), decision_attribute=_DECISION)
+
+
+@st.composite
+def mixed_rulesets(draw, schema: Schema, name: str) -> RuleSet:
+    # a few values per attribute, so that rules share them as real rule sets do
+    pools = {
+        a.name: draw(st.lists(mixed_values(a), min_size=1, max_size=5))
+        for a in schema.condition_attributes
+    }
+    n = draw(st.integers(0, 12))
+    rules = tuple(
+        Rule(
+            i,
+            {name: draw(st.sampled_from(pool)) for name, pool in pools.items()},
+            draw(st.sampled_from(sorted(_DECISION.domain.labels))),
+        )
+        for i in range(1, n + 1)
+    )
+    return RuleSet(schema=schema, rules=rules, component_name=name)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import json
 
 import pytest
@@ -83,6 +84,18 @@ def test_reports_are_byte_deterministic(fw_path):
         a = run("--format", fmt, "lint", fw_path)
         b = run("--format", fmt, "lint", fw_path)
         assert a.output == b.output
+
+
+def test_repeated_runs_keep_no_objects(fw_path):
+    # click.echo would cache every invocation's output stream for good
+    for _ in range(20):
+        run("lint", fw_path)
+    gc.collect()
+    before = len(gc.get_objects())
+    for _ in range(200):
+        run("lint", fw_path)
+    gc.collect()
+    assert len(gc.get_objects()) - before < 50
 
 
 def test_dump_tree_flag(fw_path):
@@ -426,6 +439,49 @@ _FW_TEXT = (CASES / "fw.rules").read_bytes()
             _FW_TEXT.replace(b"129.170.20.20-129.170.20.100", b"129.170.20.0/junk", 1),
             "bad prefix length in '129.170.20.0/junk'",
         ),
+        # names are printed as they are, so a control character would be a terminal escape
+        (
+            "bad.rules",
+            _FW_TEXT.replace(b"component FW", b"component F\x1b[31mW"),
+            "component 'F\\x1b[31mW' holds control character '\\x1b'",
+        ),
+        (
+            "bad.rules",
+            _FW_TEXT.replace(b"attr src_port", b"attr src\x07port"),
+            "attribute name 'src\\x07port' holds control character '\\x07'",
+        ),
+        (
+            "bad.rules",
+            _FW_TEXT.replace(b"TCP,UDP,ICMP", b"TCP,UDP,IC\x7fMP"),
+            "label of 'protocol' 'IC\\x7fMP' holds control character '\\x7f'",
+        ),
+        (
+            "bad.rules",
+            _FW_TEXT.replace(b"accept,deny", b"accept,deny,\x01"),
+            "decision label '\\x01' holds control character '\\x01'",
+        ),
+        (
+            "bad.rules",
+            _FW_TEXT.replace(b"| any | deny\n", b"| any | deny | X\x1b[0m\n", 1),
+            "origin 'X\\x1b[0m' holds control character '\\x1b'",
+        ),
+        ("bad.json", _fw_dict(component="F\x1b[31mW"), "component holds '\\x1b'"),
+        (
+            "bad.json",
+            _edited(lambda d: d["rules"][0].update(origin="\x9b\x1b")),
+            "rule 1 origin '\\x9b\\x1b' holds control character '\\x1b'",
+        ),
+        (
+            "bad.topo",
+            b"component F\x1bW filtering fw.rules\n",
+            "bad.topo:1: name 'F\\x1bW' holds control character '\\x1b'",
+        ),
+        (
+            "bad.topo",
+            b"path in\x7fgress FW:filtering IDS:alerting\n",
+            "name 'in\\x7fgress' holds control character '\\x7f'",
+        ),
+        ("bad.topo", b"path ingress F\x1bW:filtering\n", "name 'F\\x1bW' holds"),
     ],
 )
 def test_bad_files_are_input_errors(tmp_path, name, content, hint):

@@ -1,8 +1,8 @@
-"""Plain decision trees: construction, relevancy checking, normalization.
+"""Plain decision trees: construction, relevancy checking, evaluation.
 
 The exhaustive referees here enumerate whole (small) domains, so the
 assertions are about packet behaviour, not tree shape — except where the
-shape itself is the contract (sibling merging, owner bookkeeping).
+shape itself is the contract (prefix sharing, owner bookkeeping).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from policytree.dtree import (
     copy_node,
     dump_tree,
     evaluate_tree,
-    normalize,
     tree_to_rules,
 )
 from policytree.model import Rule, RuleSet, SchemaError
@@ -39,11 +38,6 @@ def _rs1(*rows: tuple[tuple[tuple[int, int], ...] | None, str]) -> RuleSet:
         for i, (spans, action) in enumerate(rows, start=1)
     )
     return RuleSet(schema=SCHEMA1, rules=rules, component_name="T1")
-
-
-def _points(rs: RuleSet) -> list[dict]:
-    hi = rs.schema.condition_attributes[0].domain.intervals[0][1]
-    return [{"f0": x} for x in range(hi + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -108,84 +102,6 @@ def test_conflicting_duplicate_not_an_action_overlap():
     # elsewhere in the pipeline; at the action node the labels are disjoint.
     rs = _rs1((((0, 9),), "accept"), (((0, 9),), "deny"))
     assert check_relevant(build_tree(rs)) == []
-
-
-# ---------------------------------------------------------------------------
-# normalization
-# ---------------------------------------------------------------------------
-
-
-def test_adjacent_same_action_edges_merge():
-    rs = _rs1((((0, 5),), "accept"), (((6, 10),), "accept"))
-    t = normalize(build_tree(rs))
-    assert len(t.root.edges) == 1
-    assert t.root.edges[0].label == intervals(((0, 10),))
-    (b,) = branches(t)
-    assert b.owner == 1  # merged region keeps the earliest owner
-
-
-def test_merged_full_domain_compresses_to_wildcard():
-    rs = _rs1((((0, 19),), "accept"), (((20, 39),), "accept"))
-    t = normalize(build_tree(rs))
-    assert len(t.root.edges) == 1
-    assert t.root.edges[0].label.is_wildcard
-
-
-def test_different_actions_do_not_merge():
-    rs = _rs1((((0, 5),), "accept"), (((6, 10),), "deny"))
-    t = normalize(build_tree(rs))
-    assert len(t.root.edges) == 2
-
-
-def test_duplicate_action_edges_dedupe_to_earliest():
-    rs = _rs1((((0, 9),), "accept"), (((0, 9),), "accept"))
-    t = normalize(build_tree(rs))
-    assert [b.owner for b in branches(t)] == [1]
-    assert check_relevant(t) == []
-
-
-def test_normalize_keeps_distinct_action_edges():
-    # A genuinely contradictory node (same region, two decisions) is not
-    # smoothed over; both edges survive for the caller to see.
-    rs = _rs1((((0, 9),), "accept"), (((0, 9),), "deny"))
-    t = normalize(build_tree(rs))
-    assert len(branches(t)) == 2
-
-
-def _relevant_ruleset(rng: random.Random) -> RuleSet:
-    """Pairwise-disjoint one-attribute rules, some split so normalize has
-    same-action sibling pairs to merge."""
-    cuts = sorted(rng.sample(range(1, 39), rng.randint(1, 5)))
-    spans = list(zip([0] + cuts, [c - 1 for c in cuts] + [39]))
-    rows: list[tuple[tuple[tuple[int, int], ...], str]] = []
-    for lo, hi in spans:
-        action = rng.choice(("accept", "deny"))
-        if hi - lo >= 1 and rng.random() < 0.5:
-            mid = rng.randint(lo, hi - 1)
-            rows.append((((lo, mid),), action))
-            rows.append((((mid + 1, hi),), action))
-        else:
-            rows.append((((lo, hi),), action))
-    return _rs1(*rows)
-
-
-@given(st.integers(0, 10_000))
-def test_normalize_preserves_decisions_on_relevant_trees(seed):
-    rs = _relevant_ruleset(random.Random(seed))
-    t = build_tree(rs)
-    assert check_relevant(t) == []
-    n = normalize(t)
-    assert check_relevant(n) == []
-    assert len(branches(n)) <= len(branches(t))
-    for p in _points(rs):
-        assert evaluate_tree(n, p) == evaluate_tree(t, p)
-
-
-@given(st.integers(0, 10_000))
-def test_normalize_is_idempotent(seed):
-    rs = _relevant_ruleset(random.Random(seed))
-    once = normalize(build_tree(rs))
-    assert normalize(once).root == once.root
 
 
 # ---------------------------------------------------------------------------

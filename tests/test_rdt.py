@@ -10,15 +10,30 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from policytree.dtree import DecisionTree, build_tree, check_relevant, evaluate_tree, normalize, tree_to_rules
+from policytree.dtree import (
+    branches,
+    build_tree,
+    check_relevant,
+    copy_node,
+    evaluate_tree,
+    tree_to_rules,
+)
 from policytree.model import ComponentKind, Rule, RuleSet
-from policytree.rdt import ConflictPolicy, RelevantDecisionTree, build_rdt, verify_rdt
+from policytree.oracle import Semantics, endpoint_space, equivalence, evaluate
+from policytree.rdt import (
+    ConflictPolicy,
+    RelevantDecisionTree,
+    _Inserter,
+    build_rdt,
+    normalize,
+    verify_rdt,
+)
 from policytree.ruleio import load_ruleset, parse_point, parse_value
 from policytree.values import ANY, intervals
 
-from _corpus import interval_schema, random_ruleset
+from _corpus import interval_schema, mixed_rulesets, mixed_schemas, random_ruleset
 
 SCHEMA1 = interval_schema(1, (40,))
 
@@ -81,6 +96,77 @@ def test_exact_duplicate_loses_under_both_policies():
 
 
 # ---------------------------------------------------------------------------
+# merging sibling regions
+# ---------------------------------------------------------------------------
+
+
+def test_adjacent_same_action_edges_merge():
+    for policy in ConflictPolicy:
+        t = build_rdt(_rs1((((0, 5),), "accept"), (((6, 10),), "accept")), policy).tree
+        assert len(t.root.edges) == 1
+        assert t.root.edges[0].label == intervals(((0, 10),))
+        (b,) = branches(t)
+        assert b.owner == 1  # the merged region keeps the earliest owner
+
+
+def test_merged_full_domain_compresses_to_wildcard():
+    t = build_rdt(_rs1((((0, 19),), "accept"), (((20, 39),), "accept"))).tree
+    assert len(t.root.edges) == 1
+    assert t.root.edges[0].label.is_wildcard
+
+
+def test_different_actions_do_not_merge():
+    t = build_rdt(_rs1((((0, 5),), "accept"), (((6, 10),), "deny"))).tree
+    assert len(t.root.edges) == 2
+
+
+def test_duplicate_action_edges_dedupe_to_earliest():
+    t = build_rdt(_rs1((((0, 9),), "accept"), (((0, 9),), "accept"))).tree
+    assert [b.owner for b in branches(t)] == [1]
+    assert check_relevant(t) == []
+
+
+def _relevant_ruleset(rng: random.Random) -> RuleSet:
+    """Pairwise-disjoint one-attribute rules, some split so that the merge
+    has same-action sibling pairs to join."""
+    cuts = sorted(rng.sample(range(1, 39), rng.randint(1, 5)))
+    spans = list(zip([0] + cuts, [c - 1 for c in cuts] + [39]))
+    rows: list[tuple[tuple[tuple[int, int], ...], str]] = []
+    for lo, hi in spans:
+        action = rng.choice(("accept", "deny"))
+        if hi - lo >= 1 and rng.random() < 0.5:
+            mid = rng.randint(lo, hi - 1)
+            rows.append((((lo, mid),), action))
+            rows.append((((mid + 1, hi),), action))
+        else:
+            rows.append((((lo, hi),), action))
+    return _rs1(*rows)
+
+
+@given(st.integers(0, 10_000))
+def test_merge_keeps_decisions_on_relevant_sets(seed):
+    rs = _relevant_ruleset(random.Random(seed))
+    for policy in ConflictPolicy:
+        t = build_rdt(rs, policy).tree
+        assert check_relevant(t) == []
+        assert len(branches(t)) <= len(rs.rules)
+        for x in range(40):
+            p = {"f0": x}
+            assert evaluate_tree(t, p) == evaluate(rs, p, Semantics.FIRST_MATCH)
+
+
+@given(st.integers(0, 10_000), st.sampled_from(list(ConflictPolicy)))
+def test_merge_is_idempotent(seed, policy):
+    rs = random_ruleset(random.Random(seed), max_rules=10)
+    inserter = _Inserter(rs, policy)
+    for rule in rs.rules:
+        inserter.insert(rule)
+    once = normalize(inserter.tree)
+    merged = copy_node(once.root)
+    assert normalize(once).root == merged
+
+
+# ---------------------------------------------------------------------------
 # the firewall fixture
 # ---------------------------------------------------------------------------
 
@@ -140,7 +226,6 @@ def test_component_metadata_survives(fw):
     t = build_rdt(fw).tree
     assert t.component_name == "FW"
     assert t.component_kind is ComponentKind.FILTERING
-    assert normalize(t).root == t.root  # build output is already normalized
 
 
 def test_empty_ruleset(cases_dir):
@@ -172,3 +257,17 @@ def test_random_rulesets_verify_clean(seed, policy):
     assert rdt.policy is policy
     v = verify_rdt(rdt, rs)
     assert v.ok, (v.relevancy_violations, v.anomalies, v.mismatches[:3])
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.data())
+def test_trees_over_every_attribute_kind_decide_as_the_rules(data):
+    # ports, integers, IPv4, protocols and open labels, with wildcards,
+    # explicit full domains and empty sets among the rule values
+    rs = data.draw(mixed_rulesets(data.draw(mixed_schemas()), "R"))
+    space = endpoint_space(rs)
+    for policy, semantics in (
+        (ConflictPolicy.SPECIFICITY, Semantics.OWNER_CAPTURE),
+        (ConflictPolicy.FIRST_MATCH, Semantics.FIRST_MATCH),
+    ):
+        assert equivalence(build_rdt(rs, policy).tree, rs, semantics, space) == []

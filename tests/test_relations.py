@@ -9,18 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _corpus import interval_schema, random_ruleset, random_value
+from _corpus import mixed_rulesets as _rulesets
+from _corpus import mixed_schemas as _schemas
 from policytree.interop import InterAnomaly, InterKind, detect_inter
 from policytree.intra import IntraAnomaly, IntraKind, detect_intra, is_relevant_ruleset
 from policytree.model import (
     ActionClass,
-    AttributeDef,
     Rule,
     RuleSet,
-    Schema,
     SchemaError,
     Severity,
     action_class,
-    complete_label_domain,
 )
 from policytree.relations import (
     _BLOCK_ROWS,
@@ -32,14 +31,7 @@ from policytree.relations import (
     relate,
     relation_matrix,
 )
-from policytree.values import (
-    ANY,
-    AttrKind,
-    ValueSet,
-    enumerate_points,
-    intervals,
-    labels,
-)
+from policytree.values import ANY, enumerate_points, intervals
 
 SCHEMA = interval_schema(2)  # f0 in 0..39, f1 in 0..14
 F0 = SCHEMA.attribute("f0")
@@ -143,62 +135,6 @@ def test_case_study_relations(fw):
 # ---------------------------------------------------------------------------
 # the vectorized kernel against the scalar relation
 # ---------------------------------------------------------------------------
-
-_ADDR0 = (10 << 24) + 7  # 10.0.0.7
-_ATTRS = (
-    AttributeDef("port", AttrKind.PORT_RANGE, intervals(((0, 15),))),
-    AttributeDef("size", AttrKind.INTEGER_RANGE, intervals(((1, 9),))),
-    AttributeDef("addr", AttrKind.IPV4_RANGE, intervals(((_ADDR0, _ADDR0 + 23),))),
-    AttributeDef("proto", AttrKind.PROTOCOL_ENUM, labels("TCP", "UDP", "ICMP")),
-    AttributeDef(
-        "attack",
-        AttrKind.LABEL_ENUM,
-        ValueSet(labels=complete_label_domain(AttrKind.LABEL_ENUM, frozenset({"probe", "worm"}))),
-    ),
-)
-_DECISION = AttributeDef("action", AttrKind.LABEL_ENUM, labels("accept", "pass", "deny", "reject"))
-
-
-def _values(attr: AttributeDef):
-    """Wildcards, the explicit full domain, empty sets and proper subsets."""
-    if attr.kind.is_numeric:
-        lo, hi = attr.domain.intervals[0]
-        bound = st.integers(lo, hi)
-        some = st.lists(st.tuples(bound, bound).map(sorted), min_size=1, max_size=3).map(intervals)
-        empty = ValueSet(intervals=())
-    else:  # the open label enumeration's domain holds COMPLEMENT_LABEL, so it is drawn too
-        some = st.frozensets(st.sampled_from(sorted(attr.domain.labels)), min_size=1).map(
-            lambda names: ValueSet(labels=names)
-        )
-        empty = ValueSet(labels=frozenset())
-    return st.one_of(st.sampled_from([ANY, attr.domain, empty]), some, some)
-
-
-@st.composite
-def _schemas(draw) -> Schema:
-    # five attributes let one pair show all five field relations at once
-    chosen = draw(st.lists(st.sampled_from(_ATTRS), min_size=1, max_size=5, unique=True))
-    return Schema(condition_attributes=tuple(chosen), decision_attribute=_DECISION)
-
-
-@st.composite
-def _rulesets(draw, schema: Schema, name: str) -> RuleSet:
-    # a few values per attribute, so that rules share them as real rule sets do
-    pools = {
-        a.name: draw(st.lists(_values(a), min_size=1, max_size=5))
-        for a in schema.condition_attributes
-    }
-    n = draw(st.integers(0, 12))
-    rules = tuple(
-        Rule(
-            i,
-            {name: draw(st.sampled_from(pool)) for name, pool in pools.items()},
-            draw(st.sampled_from(sorted(_DECISION.domain.labels))),
-        )
-        for i in range(1, n + 1)
-    )
-    return RuleSet(schema=schema, rules=rules, component_name=name)
-
 
 def _scalar_intra(rs: RuleSet) -> list[IntraAnomaly]:
     found = []

@@ -1,13 +1,17 @@
 """The interval/label algebra, checked point-wise against Python sets."""
 
+import itertools
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _corpus import mixed_rulesets, mixed_schemas
 from policytree.values import (
     ANY,
     EMPTY_INTERVALS,
     EMPTY_LABELS,
+    Cells,
     ValueSet,
     ValueSetError,
     contains_point,
@@ -146,3 +150,48 @@ def test_wildcard_domain_rejected():
 def test_string_point_in_interval_set_raises():
     with pytest.raises(ValueSetError):
         contains_point(intervals(((0, 5),)), "TCP", DOM)
+
+
+# ---------------------------------------------------------------------------
+# the cell-mask codec
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.data())
+def test_cells_are_exact_on_every_attribute_kind(data):
+    # wildcards, explicit full domains, empty sets and proper subsets of
+    # port, integer, IPv4, protocol and open-label attributes
+    rs = data.draw(mixed_rulesets(data.draw(mixed_schemas()), "R"))
+    for attr in rs.schema.condition_attributes:
+        dom = attr.domain
+        values = [r.condition[attr.name] for r in rs.rules]
+        cells = Cells(dom, values)
+        assert cells.mask(ANY) == cells.mask(dom) == cells.full
+        for v in values:
+            assert cells.value(cells.mask(v)) == (ANY if vs_equal(v, dom, dom) else v)
+        for a, b in itertools.product(values, repeat=2):
+            ma, mb = cells.mask(a), cells.mask(b)
+            assert cells.value(ma & mb) == vs_intersect(a, b, dom)
+            assert cells.value(ma & ~mb) == vs_difference(a, b, dom)
+            assert cells.value(ma | mb) == vs_union(a, b, dom)
+
+
+def test_cells_over_a_domain_with_a_hole():
+    dom = intervals(((0, 9), (20, 29)))
+    v = intervals(((5, 9), (20, 22)))
+    cells = Cells(dom, [v])
+    # cells [0,4] [5,9] [10,19] [20,22] [23,29]; the hole is never set
+    assert cells.mask(v) == 0b01010
+    assert cells.full == 0b11011
+    assert cells.value(cells.mask(v)) == v
+    assert cells.value(cells.full) == ANY
+    assert cells.value(cells.full & ~cells.mask(v)) == intervals(((0, 4), (23, 29)))
+    assert cells.value(0) == EMPTY_INTERVALS
+    with pytest.raises(ValueSetError, match="not cut by this codec"):
+        cells.mask(intervals(((3, 6),)))
+    with pytest.raises(ValueSetError, match="label set"):
+        cells.mask(labels("a"))
+    with pytest.raises(ValueSetError, match="label set"):
+        Cells(LDOM).mask(v)
+    assert Cells(LDOM).value(0) == EMPTY_LABELS
