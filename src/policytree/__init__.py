@@ -23,7 +23,6 @@ from .dtree import (
     Edge,
     Node,
     branches,
-    build_tree,
     check_relevant,
     dump_tree,
     evaluate_tree,
@@ -57,14 +56,13 @@ from .model import (
 from .oracle import (
     DomainSpace,
     Semantics,
-    check_reliability,
     endpoint_space,
     equivalence,
     evaluate,
     evaluate_rule,
     matches,
 )
-from .rdt import ConflictPolicy, RelevantDecisionTree, build_rdt, verify_rdt
+from .rdt import ConflictPolicy, RelevantDecisionTree, build_rdt
 from .relations import FieldRelation, RelationKind, RuleRelation, relate, relation_matrix
 from .ruleio import (
     RuleFileError,
@@ -111,7 +109,6 @@ __all__ = [
     "Node",
     "Branch",
     "DecisionTree",
-    "build_tree",
     "branches",
     "check_relevant",
     "tree_to_rules",
@@ -120,7 +117,6 @@ __all__ = [
     "ConflictPolicy",
     "RelevantDecisionTree",
     "build_rdt",
-    "verify_rdt",
     # interoperability
     "InterKind",
     "InterAnomaly",
@@ -148,6 +144,5 @@ __all__ = [
     "evaluate_rule",
     "DomainSpace",
     "endpoint_space",
-    "check_reliability",
     "equivalence",
 ]

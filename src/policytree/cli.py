@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from .correction import correct_pair, correct_ruleset
-from .dtree import dump_tree, tree_to_rules
+from .dtree import dump_tree
 from .interop import (
     TopologyError,
     check_positioning,
@@ -112,6 +112,13 @@ def _read(ctx: click.Context, path: Path) -> bytes:
         _fail(ctx, str(exc))
     except ValueError as exc:  # a NUL byte, e.g. in a path read from a topology file
         _fail(ctx, f"{str(path)!r}: {exc}")
+
+
+def _save(ctx: click.Context, path: Path, rs: RuleSet) -> None:
+    try:
+        save_ruleset(path, rs)
+    except OSError as exc:
+        _fail(ctx, str(exc))
 
 
 def _load(ctx: click.Context, path: str) -> tuple[RuleSet, dict]:
@@ -210,23 +217,17 @@ def correct(ctx: click.Context, rules_file: str, output: str | None):
     """Rewrite a rule set as disjoint rules free of internal anomalies."""
     opts: Options = ctx.obj
     rs, entry = _load(ctx, rules_file)
-    if opts.dump_tree:
-        # the same flattening as correct_ruleset, keeping the tree for the report
-        rdt = build_rdt(rs, opts.policy)
-        origins = {r.id: f"{rs.component_name}:r{r.id}" for r in rs.rules}
-        corrected = tree_to_rules(rdt.tree, origins)
-    else:
-        corrected = correct_ruleset(rs, opts.policy)
+    corrected = correct_ruleset(rs, opts.policy)
     if output is None:
         _write(serialize_ruleset(corrected))
         ctx.exit(1 if detect_intra(rs) else 0)
-    save_ruleset(Path(output), corrected)
+    _save(ctx, Path(output), corrected)
     report = Report(command="correct", policy=opts.policy.value, inputs=[entry])
     report.findings = _intra_findings(rs)
     report.verdict = _verdict(report.findings)
     report.outputs = [{"path": output, "rules": len(corrected.rules)}]
     if opts.dump_tree:
-        report.tree = dump_tree(rdt.tree)
+        report.tree = dump_tree(build_rdt(rs, opts.policy).tree)
     _finish(ctx, report, opts)
 
 
@@ -302,11 +303,14 @@ def fix_interop(ctx: click.Context, preceding_file: str, following_file: str, ou
     except _INPUT_ERRORS as exc:
         _fail(ctx, str(exc))
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail(ctx, str(exc))
     for corrected, source in ((pair.preceding, preceding_file), (pair.following, following_file)):
         suffix = Path(source).suffix or ".rules"
         dest = out / f"{corrected.component_name}-corrected{suffix}"
-        save_ruleset(dest, corrected)
+        _save(ctx, dest, corrected)
         report.outputs.append({"path": str(dest), "rules": len(corrected.rules)})
     report.verdict = (
         "already interoperable" if not report.findings else _verdict(report.findings)

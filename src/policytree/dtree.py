@@ -24,7 +24,6 @@ __all__ = [
     "DecisionTree",
     "Branch",
     "RelevancyViolation",
-    "build_tree",
     "branches",
     "check_relevant",
     "tree_to_rules",
@@ -97,35 +96,8 @@ def copy_node(node: Node) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# construction and traversal
+# traversal
 # ---------------------------------------------------------------------------
-
-
-def build_tree(rs: RuleSet) -> DecisionTree:
-    """Build the plain (uncorrected) tree: one branch per rule.
-
-    Prefixes are shared only when edge labels are structurally identical,
-    so the branch list reads back as the original ordered rules.
-    """
-    root = Node(level=1)
-    for rule in rs.rules:
-        node = root
-        for level, attr in enumerate(rs.schema.condition_attributes, start=1):
-            v = rule.condition[attr.name]
-            edge = next((e for e in node.edges if e.label == v), None)
-            if edge is None:
-                edge = Edge(label=v, child=Node(level=level + 1))
-                node.edges.append(edge)
-            node = edge.child
-        node.edges.append(
-            Edge(label=ValueSet(labels=frozenset({rule.action})), child=None, owner=rule.id)
-        )
-    return DecisionTree(
-        schema=rs.schema,
-        root=root,
-        component_name=rs.component_name,
-        component_kind=rs.component_kind,
-    )
 
 
 def branches(t: DecisionTree) -> list[Branch]:
@@ -229,7 +201,7 @@ def tree_to_rules(t: DecisionTree, origin_map: dict[int, str] | None = None) -> 
     """Read the branches back as an ordered rule set.
 
     Branches sort by owning rule id, then by region; ids are renumbered
-    consecutively.  On a plain per-rule tree this inverts ``build_tree``.
+    consecutively.
     """
     names = t.schema.condition_names
     rules = []
@@ -258,8 +230,7 @@ def evaluate_tree(t: DecisionTree, packet: dict) -> str | None:
     The first branch, in :func:`tree_to_rules` order, whose labels hold the
     packet decides, so a tree decides as its flattening does under first
     match.  Several branches can match only on a non-relevant tree; then
-    the smallest owner wins, and trees straight out of :func:`build_tree`
-    reproduce first-match order.
+    the smallest owner wins.
     """
     missing = set(t.schema.condition_names) - set(packet)
     if missing:

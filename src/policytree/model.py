@@ -89,6 +89,9 @@ class AttributeDef:
             raise SchemaError(f"attribute {self.name!r} needs a label domain")
         if vs_is_empty(self.domain):
             raise SchemaError(f"attribute {self.name!r} has an empty domain")
+        addresses = self.domain.intervals if self.kind is AttrKind.IPV4_RANGE else ()
+        if any(lo < 0 or hi >= 1 << 32 for lo, hi in addresses):
+            raise SchemaError(f"attribute {self.name!r} has a domain outside the IPv4 range")
 
 
 @dataclass(frozen=True)
@@ -136,11 +139,8 @@ class Rule:
     action: str
     origin: str = ""
 
-    def value(self, name: str) -> ValueSet:
-        return self.condition[name]
 
-
-def _validate_rule(rule: Rule, schema: Schema) -> None:
+def _validate_rule(rule: Rule, schema: Schema, inside: set[tuple[str, ValueSet]]) -> None:
     expected = set(schema.condition_names)
     got = set(rule.condition)
     if expected != got:
@@ -154,12 +154,11 @@ def _validate_rule(rule: Rule, schema: Schema) -> None:
         raise SchemaError(f"rule {rule.id}: {'; '.join(parts)}")
     for attr in schema.condition_attributes:
         v = rule.condition[attr.name]
-        if v.is_wildcard:
+        if v.is_wildcard or (attr.name, v) in inside:
             continue
         if not vs_subset(v, attr.domain, attr.domain):
-            raise SchemaError(
-                f"rule {rule.id}: value for {attr.name!r} falls outside its domain"
-            )
+            raise SchemaError(f"rule {rule.id}: value for {attr.name!r} falls outside its domain")
+        inside.add((attr.name, v))
     if rule.action not in (schema.decision_attribute.domain.labels or ()):
         raise SchemaError(f"rule {rule.id}: action {rule.action!r} not in decision domain")
 
@@ -174,12 +173,13 @@ class RuleSet:
     component_name: str = ""
 
     def __post_init__(self) -> None:
+        inside: set[tuple[str, ValueSet]] = set()  # (attribute, value set) pairs in domain
         for pos, rule in enumerate(self.rules, start=1):
             if rule.id != pos:
                 raise SchemaError(
                     f"rule ids must be consecutive from 1; found {rule.id} at position {pos}"
                 )
-            _validate_rule(rule, self.schema)
+            _validate_rule(rule, self.schema, inside)
 
     def __len__(self) -> int:
         return len(self.rules)

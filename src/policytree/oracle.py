@@ -41,7 +41,6 @@ __all__ = [
     "matches",
     "evaluate",
     "evaluate_rule",
-    "check_reliability",
     "equivalence",
 ]
 
@@ -232,21 +231,6 @@ def _grid_rules(grid: _Grid, rs: RuleSet, semantics: Semantics) -> np.ndarray:
     return action_codes[owner + 1]
 
 
-def _flatten(tree: DecisionTree, space: DomainSpace) -> tuple[RuleSet, DomainSpace]:
-    """The tree as its first-match rule list, and ``space`` cut at its labels."""
-    rules = tree_to_rules(tree)
-    return rules, _cut_by(space, rules)
-
-
-def check_reliability(target: "RuleSet | DecisionTree", space: DomainSpace) -> list[Packet]:
-    """Packets of the space that receive no decision at all."""
-    if isinstance(target, DecisionTree):
-        target, space = _flatten(target, space)
-    grid = _Grid(target.schema, space)
-    covered = _grid_rules(grid, target, Semantics.FIRST_MATCH) != -1
-    return [grid.packet_at(tuple(idx)) for idx in np.argwhere(~covered)]
-
-
 def equivalence(
     tree: DecisionTree, rs: RuleSet, semantics: Semantics, space: DomainSpace
 ) -> list[tuple[Packet, str | None, str | None]]:
@@ -258,7 +242,8 @@ def equivalence(
     """
     if tree.schema != rs.schema:
         raise SchemaError("tree and rule set must share a schema")
-    flat, space = _flatten(tree, space)
+    flat = tree_to_rules(tree)
+    space = _cut_by(space, flat)
     grid = _Grid(rs.schema, space)
     by_tree = _grid_rules(grid, flat, Semantics.FIRST_MATCH)
     by_rules = _grid_rules(grid, rs, semantics)

@@ -27,10 +27,10 @@ once, at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .dtree import DecisionTree, Edge, Node, check_relevant, copy_node, tree_to_rules
+from .dtree import DecisionTree, Edge, Node, copy_node
 from .model import Rule, RuleSet
 from .relations import RelationKind, relate
 from .values import Cells, labels
@@ -39,8 +39,6 @@ __all__ = [
     "ConflictPolicy",
     "RelevantDecisionTree",
     "build_rdt",
-    "RdtVerification",
-    "verify_rdt",
 ]
 
 
@@ -188,40 +186,3 @@ def build_rdt(rs: RuleSet, policy: ConflictPolicy = ConflictPolicy.SPECIFICITY) 
     )
     return RelevantDecisionTree(tree=tree, policy=policy)
 
-
-@dataclass
-class RdtVerification:
-    """Outcome of the three independent checks on a built tree."""
-
-    relevancy_violations: list = field(default_factory=list)
-    anomalies: list = field(default_factory=list)
-    mismatches: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not (self.relevancy_violations or self.anomalies or self.mismatches)
-
-
-def verify_rdt(rdt: RelevantDecisionTree, rs: RuleSet, space=None) -> RdtVerification:
-    """Check relevancy, absence of anomalies, and packet-level equivalence.
-
-    The equivalence check replays the original rules under the matching
-    reference semantics (first-match, or owner-capture for the specificity
-    policy) over a discretized packet space and compares decisions with the
-    tree's.
-    """
-    from .intra import detect_intra
-    from .oracle import Semantics, endpoint_space, equivalence
-
-    if space is None:
-        space = endpoint_space(rs)
-    semantics = (
-        Semantics.FIRST_MATCH
-        if rdt.policy is ConflictPolicy.FIRST_MATCH
-        else Semantics.OWNER_CAPTURE
-    )
-    return RdtVerification(
-        relevancy_violations=check_relevant(rdt.tree),
-        anomalies=detect_intra(tree_to_rules(rdt.tree)),
-        mismatches=equivalence(rdt.tree, rs, semantics, space),
-    )

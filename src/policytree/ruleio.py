@@ -99,7 +99,7 @@ def _ip_to_int(token: str) -> int:
 
 
 def _int_to_ip(n: int) -> str:
-    return str(ipaddress.IPv4Address(n))
+    return f"{n >> 24}.{n >> 16 & 255}.{n >> 8 & 255}.{n & 255}"
 
 
 def _parse_ipv4_atom(token: str) -> tuple[int, int]:
@@ -305,6 +305,7 @@ def _parse_text(text: str, source: str) -> RuleSet:
     decision: AttributeDef | None = None
     rules: list[Rule] = []
     in_rules = False
+    header_at: dict[str, int] = {}  # component/kind/decision -> its line
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -317,6 +318,10 @@ def _parse_text(text: str, source: str) -> RuleSet:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
+        if head in ("component", "kind", "decision"):
+            first = header_at.setdefault(head, line_no)
+            if first != line_no:
+                raise RuleFileError(f"{head} already given on line {first}", line_no, source)
         if head == "component":
             if not rest:
                 raise RuleFileError("component needs a name", line_no, source)

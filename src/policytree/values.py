@@ -29,22 +29,16 @@ __all__ = [
     "ValueSet",
     "ValueSetError",
     "ANY",
-    "EMPTY_LABELS",
-    "EMPTY_INTERVALS",
     "COMPLEMENT_LABEL",
     "labels",
     "intervals",
-    "point",
     "vs_intersect",
-    "vs_union",
-    "vs_difference",
     "vs_is_empty",
     "vs_equal",
     "vs_subset",
     "vs_compare",
     "Cells",
     "contains_point",
-    "enumerate_points",
 ]
 
 
@@ -101,8 +95,6 @@ class ValueSet:
 
 
 ANY = ValueSet()
-EMPTY_LABELS = ValueSet(labels=frozenset())
-EMPTY_INTERVALS = ValueSet(intervals=())
 
 
 def labels(*names: str) -> ValueSet:
@@ -112,10 +104,6 @@ def labels(*names: str) -> ValueSet:
 def intervals(pairs) -> ValueSet:
     """Build a canonical interval union from (lo, hi) pairs."""
     return ValueSet(intervals=_canonical(pairs))
-
-
-def point(value: int) -> ValueSet:
-    return ValueSet(intervals=((value, value),))
 
 
 def _canonical(pairs) -> tuple[tuple[int, int], ...]:
@@ -149,25 +137,6 @@ def _ivals_intersect(a, b):
     return tuple(out)
 
 
-def _ivals_difference(a, b):
-    out = []
-    for lo, hi in a:
-        pieces = [(lo, hi)]
-        for blo, bhi in b:
-            next_pieces = []
-            for plo, phi in pieces:
-                if bhi < plo or blo > phi:
-                    next_pieces.append((plo, phi))
-                    continue
-                if plo < blo:
-                    next_pieces.append((plo, blo - 1))
-                if bhi < phi:
-                    next_pieces.append((bhi + 1, phi))
-            pieces = next_pieces
-        out.extend(pieces)
-    return _canonical(out)
-
-
 def _expand(v: ValueSet, domain: ValueSet) -> ValueSet:
     if v.is_wildcard:
         return domain
@@ -199,24 +168,6 @@ def vs_intersect(a: ValueSet, b: ValueSet, domain: ValueSet) -> ValueSet:
         out = ValueSet(labels=ea.labels & eb.labels)
     else:
         out = ValueSet(intervals=_ivals_intersect(ea.intervals, eb.intervals))
-    return _compress(out, domain)
-
-
-def vs_union(a: ValueSet, b: ValueSet, domain: ValueSet) -> ValueSet:
-    ea, eb = _pair(a, b, domain)
-    if ea.labels is not None:
-        out = ValueSet(labels=ea.labels | eb.labels)
-    else:
-        out = ValueSet(intervals=_canonical(list(ea.intervals) + list(eb.intervals)))
-    return _compress(out, domain)
-
-
-def vs_difference(a: ValueSet, b: ValueSet, domain: ValueSet) -> ValueSet:
-    ea, eb = _pair(a, b, domain)
-    if ea.labels is not None:
-        out = ValueSet(labels=ea.labels - eb.labels)
-    else:
-        out = ValueSet(intervals=_ivals_difference(ea.intervals, eb.intervals))
     return _compress(out, domain)
 
 
@@ -333,14 +284,4 @@ def contains_point(v: ValueSet, value: int | str, domain: ValueSet) -> bool:
     if isinstance(value, str):
         raise ValueSetError(f"interval sets hold integers, not {value!r}")
     return any(lo <= value <= hi for lo, hi in ev.intervals)
-
-
-def enumerate_points(v: ValueSet, domain: ValueSet):
-    """Yield every value of ``v``.  Only sensible for small domains."""
-    ev = _expand(v, domain)
-    if ev.labels is not None:
-        yield from sorted(ev.labels)
-        return
-    for lo, hi in ev.intervals:
-        yield from range(lo, hi + 1)
 

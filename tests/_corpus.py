@@ -1,9 +1,9 @@
-"""Seeded random rule-set generators shared by the property tests.
+"""Seeded random rule-set generators and reference code shared by the tests.
 
 Domains are kept small on purpose: the packet referee in
 ``policytree.oracle`` is the ground truth for most properties, its cost is
 the product of the per-attribute cell counts, and some tests compare it
-with a space that lists every point.
+with a space that lists every point (see :func:`enumerate_points`).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import random
 from hypothesis import strategies as st
 
 from policytree.correction import correct_ruleset
+from policytree.dtree import DecisionTree, Edge, Node
 from policytree.model import (
     AttributeDef,
     ComponentKind,
@@ -22,6 +23,41 @@ from policytree.model import (
     complete_label_domain,
 )
 from policytree.values import ANY, AttrKind, ValueSet, intervals, labels
+
+
+def enumerate_points(v: ValueSet, domain: ValueSet) -> list:
+    """Every value of ``v`` in ``domain``, in order.  Only sensible for small domains."""
+    v = domain if v.is_wildcard else v
+    if v.labels is not None:
+        return sorted(v.labels)
+    return [x for lo, hi in v.intervals for x in range(lo, hi + 1)]
+
+
+def build_tree(rs: RuleSet) -> DecisionTree:
+    """The plain (uncorrected) tree: one branch per rule.
+
+    Prefixes are shared only when edge labels are structurally identical,
+    so the branch list reads back as the original ordered rules, and the
+    tree overlaps wherever the rules do.
+    """
+    root = Node(level=1)
+    for rule in rs.rules:
+        node = root
+        for level, attr in enumerate(rs.schema.condition_attributes, start=1):
+            v = rule.condition[attr.name]
+            edge = next((e for e in node.edges if e.label == v), None)
+            if edge is None:
+                edge = Edge(label=v, child=Node(level=level + 1))
+                node.edges.append(edge)
+            node = edge.child
+        node.edges.append(Edge(label=labels(rule.action), child=None, owner=rule.id))
+    return DecisionTree(
+        schema=rs.schema,
+        root=root,
+        component_name=rs.component_name,
+        component_kind=rs.component_kind,
+    )
+
 
 _DOMAIN_SIZES = (40, 15, 8, 8)
 _PAIR_SIZES = (20, 12, 8)

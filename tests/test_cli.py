@@ -347,6 +347,23 @@ def test_missing_file_is_an_input_error(tmp_path):
     assert result.output.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "command, output",
+    [
+        ("correct", "no/such/dir/x.rules"),  # the directory does not exist
+        ("fix-interop", "taken"),  # a file stands where the directory should be
+    ],
+)
+def test_unwritable_output_is_an_input_error(fw_path, ids_path, tmp_path, command, output):
+    (tmp_path / "taken").write_text("")
+    inputs = [fw_path] if command == "correct" else [fw_path, ids_path]
+    result = run(command, *inputs, "-o", str(tmp_path / output))
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ")
+    assert result.output.count("\n") == 1
+    assert str(tmp_path) in result.output
+
+
 def test_malformed_rules_file_reports_location(tmp_path):
     bad = tmp_path / "bad.rules"
     bad.write_text("component X\nkind filtering\nwat\n")
@@ -482,6 +499,22 @@ _FW_TEXT = (CASES / "fw.rules").read_bytes()
             "name 'in\\x7fgress' holds control character '\\x7f'",
         ),
         ("bad.topo", b"path ingress F\x1bW:filtering\n", "name 'F\\x1bW' holds"),
+        # a header line given twice is an error, not an override
+        (
+            "bad.rules",
+            _FW_TEXT.replace(b"kind filtering\n", b"kind filtering\ncomponent B\n"),
+            "bad.rules:4: component already given on line 2",
+        ),
+        (
+            "bad.rules",
+            _FW_TEXT.replace(b"rules\n1 |", b"kind alerting\nrules\n1 |"),
+            "bad.rules:10: kind already given on line 3",
+        ),
+        (
+            "bad.rules",
+            _FW_TEXT.replace(b"rules\n1 |", b"decision action accept,deny\nrules\n1 |"),
+            "bad.rules:10: decision already given on line 9",
+        ),
     ],
 )
 def test_bad_files_are_input_errors(tmp_path, name, content, hint):

@@ -21,7 +21,7 @@ from policytree.correction import (
     integrate,
     project,
 )
-from policytree.dtree import build_tree, check_relevant, tree_to_rules
+from policytree.dtree import check_relevant, tree_to_rules
 from policytree.interop import check_interoperable, detect_inter, extend_schema, union_schema
 from policytree.intra import detect_intra, is_relevant_ruleset
 from policytree.model import AttributeDef, ComponentKind, Rule, RuleSet, Schema, SchemaError
@@ -29,7 +29,7 @@ from policytree.rdt import ConflictPolicy, build_rdt
 from policytree.ruleio import parse_value
 from policytree.values import ANY, AttrKind, COMPLEMENT_LABEL, intervals, labels
 
-from _corpus import random_component_pair
+from _corpus import build_tree, random_component_pair
 
 # ---------------------------------------------------------------------------
 # helpers

@@ -1,4 +1,4 @@
-"""Plain decision trees: construction, relevancy checking, evaluation.
+"""Plain decision trees (``_corpus.build_tree``): flattening, relevancy, evaluation.
 
 The exhaustive referees here enumerate whole (small) domains, so the
 assertions are about packet behaviour, not tree shape — except where the
@@ -14,7 +14,6 @@ from hypothesis import given, strategies as st
 
 from policytree.dtree import (
     branches,
-    build_tree,
     check_relevant,
     copy_node,
     dump_tree,
@@ -25,7 +24,7 @@ from policytree.model import Rule, RuleSet, SchemaError
 from policytree.oracle import Semantics, evaluate
 from policytree.values import ANY, intervals
 
-from _corpus import interval_schema, random_ruleset
+from _corpus import build_tree, interval_schema, random_ruleset
 
 SCHEMA1 = interval_schema(1, (40,))
 SCHEMA2 = interval_schema(2, (40, 15))

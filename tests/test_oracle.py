@@ -9,12 +9,11 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, strategies as st
 
-from policytree.dtree import build_tree, copy_node, evaluate_tree
+from policytree.dtree import copy_node, evaluate_tree
 from policytree.model import AttributeDef, Rule, RuleSet, Schema, SchemaError
 from policytree.oracle import (
     DomainSpace,
     Semantics,
-    check_reliability,
     endpoint_space,
     equivalence,
     evaluate,
@@ -23,9 +22,9 @@ from policytree.oracle import (
 )
 from policytree.rdt import ConflictPolicy, build_rdt
 from policytree.ruleio import parse_point
-from policytree.values import ANY, AttrKind, enumerate_points, intervals
+from policytree.values import ANY, AttrKind, intervals
 
-from _corpus import interval_schema, random_ruleset
+from _corpus import build_tree, enumerate_points, interval_schema, random_ruleset
 
 SCHEMA1 = interval_schema(1, (40,))
 
@@ -122,23 +121,8 @@ def test_endpoint_space_input_checks(fw, ids):
 
 
 # ---------------------------------------------------------------------------
-# coverage and equivalence over the grid
+# equivalence over the grid
 # ---------------------------------------------------------------------------
-
-
-def test_uncovered_packets_are_reported(fw):
-    space = endpoint_space(fw)
-    holes = check_reliability(fw, space)
-    assert holes  # ICMP and UDP traffic has no rule at all
-    for pkt in holes[:5]:
-        assert evaluate(fw, pkt, Semantics.FIRST_MATCH) is None
-    # the corrected tree covers exactly the same ground
-    assert check_reliability(build_rdt(fw).tree, space) == holes
-
-
-def test_full_domain_rule_leaves_no_holes():
-    rs = _rs1((None, "accept"))
-    assert check_reliability(rs, endpoint_space(rs)) == []
 
 
 def test_equivalence_agrees_per_semantics(fw):

@@ -2,8 +2,9 @@
 
 The firewall fixture's corrected region list is written out literally; the
 values were derived by hand-simulating the insertion order and are held in
-place by ``verify_rdt``'s packet-grid equivalence check, which replays the
-original rules under the matching reference semantics.
+place by :func:`_verify`: the tree must be relevant, its flattening free of
+anomalies, and its decisions equal, on the packet grid, to the original
+rules replayed under the semantics that match the policy.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from policytree.dtree import (
     branches,
-    build_tree,
     check_relevant,
     copy_node,
     evaluate_tree,
     tree_to_rules,
 )
+from policytree.intra import detect_intra
 from policytree.model import ComponentKind, Rule, RuleSet
 from policytree.oracle import Semantics, endpoint_space, equivalence, evaluate
 from policytree.rdt import (
@@ -28,12 +29,11 @@ from policytree.rdt import (
     _Inserter,
     build_rdt,
     normalize,
-    verify_rdt,
 )
 from policytree.ruleio import load_ruleset, parse_point, parse_value
 from policytree.values import ANY, intervals
 
-from _corpus import interval_schema, mixed_rulesets, mixed_schemas, random_ruleset
+from _corpus import build_tree, interval_schema, mixed_rulesets, mixed_schemas, random_ruleset
 
 SCHEMA1 = interval_schema(1, (40,))
 
@@ -48,6 +48,24 @@ def _rs1(*rows: tuple[tuple[tuple[int, int], ...] | None, str]) -> RuleSet:
 
 def _regions(rdt: RelevantDecisionTree) -> list[tuple[dict, str]]:
     return [(r.condition, r.action) for r in tree_to_rules(rdt.tree).rules]
+
+
+def _verify(rdt: RelevantDecisionTree, rs: RuleSet) -> tuple[list, list, list]:
+    """Overlapping sibling labels, anomalies of the flattening, and packet mismatches.
+
+    The mismatches replay ``rs`` under first match for the first-match
+    policy and under owner capture for the specificity policy.
+    """
+    semantics = (
+        Semantics.FIRST_MATCH
+        if rdt.policy is ConflictPolicy.FIRST_MATCH
+        else Semantics.OWNER_CAPTURE
+    )
+    return (
+        check_relevant(rdt.tree),
+        detect_intra(tree_to_rules(rdt.tree)),
+        equivalence(rdt.tree, rs, semantics, endpoint_space(rs)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +216,7 @@ def test_firewall_corrected_regions(fw):
         (_fw_cond(fw, "140.192.10.20-140.192.10.50", "129.170.20.71-129.170.20.100"), "deny"),
         (_fw_cond(fw, "140.192.10.61-140.192.10.100", "129.170.20.30-129.170.20.100"), "accept"),
     ]
-    assert verify_rdt(rdt, fw).ok
+    assert _verify(rdt, fw) == ([], [], [])
 
 
 def test_firewall_first_match_collapses_to_rule_one(fw):
@@ -207,7 +225,7 @@ def test_firewall_first_match_collapses_to_rule_one(fw):
     assert len(got.rules) == 1
     assert got.rules[0].condition == fw.rules[0].condition
     assert got.rules[0].action == "deny"
-    assert verify_rdt(rdt, fw).ok
+    assert _verify(rdt, fw) == ([], [], [])
 
 
 def test_policies_disagree_inside_the_specific_rule(fw):
@@ -233,7 +251,7 @@ def test_empty_ruleset(cases_dir):
     rdt = build_rdt(rs)
     assert rdt.tree.root.edges == []
     assert tree_to_rules(rdt.tree).rules == ()
-    assert verify_rdt(rdt, rs).ok
+    assert _verify(rdt, rs) == ([], [], [])
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +261,10 @@ def test_empty_ruleset(cases_dir):
 
 def test_verify_rejects_a_plain_overlapping_tree(fw):
     fake = RelevantDecisionTree(tree=build_tree(fw), policy=ConflictPolicy.SPECIFICITY)
-    v = verify_rdt(fake, fw)
-    assert not v.ok
-    assert v.relevancy_violations
-    assert v.anomalies
-    assert v.mismatches  # first-match tree vs owner-capture reference
+    relevancy_violations, anomalies, mismatches = _verify(fake, fw)
+    assert relevancy_violations
+    assert anomalies
+    assert mismatches  # first-match tree vs owner-capture reference
 
 
 @given(st.integers(0, 10_000), st.sampled_from(list(ConflictPolicy)))
@@ -255,8 +272,7 @@ def test_random_rulesets_verify_clean(seed, policy):
     rs = random_ruleset(random.Random(seed), max_rules=8)
     rdt = build_rdt(rs, policy)
     assert rdt.policy is policy
-    v = verify_rdt(rdt, rs)
-    assert v.ok, (v.relevancy_violations, v.anomalies, v.mismatches[:3])
+    assert _verify(rdt, rs) == ([], [], [])
 
 
 @settings(max_examples=150, derandomize=True)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _corpus import interval_schema, random_ruleset, random_value
+from _corpus import enumerate_points, interval_schema, random_ruleset, random_value
 from _corpus import mixed_rulesets as _rulesets
 from _corpus import mixed_schemas as _schemas
 from policytree.interop import InterAnomaly, InterKind, detect_inter
@@ -31,7 +31,7 @@ from policytree.relations import (
     relate,
     relation_matrix,
 )
-from policytree.values import ANY, enumerate_points, intervals
+from policytree.values import ANY, intervals
 
 SCHEMA = interval_schema(2)  # f0 in 0..39, f1 in 0..14
 F0 = SCHEMA.attribute("f0")

@@ -1,12 +1,13 @@
 """Rule-file parsing, serialization, and their round-trip guarantees."""
 
+import ipaddress
 import json
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from policytree.model import AttributeDef
+from policytree.model import AttributeDef, Rule, RuleSet, Schema, SchemaError
 from policytree.ruleio import (
     RuleFileError,
     format_value,
@@ -102,6 +103,38 @@ def test_ipv4_forms():
         parse_value("10.*.0.0", ipv4)  # wildcard octets must be a suffix
     with pytest.raises(ValueError):
         parse_value("1.2.3", ipv4)
+
+
+@pytest.mark.parametrize("n", [0, 255, 256, 2**32 - 1, (140 << 24) + (192 << 16) + (10 << 8) + 7])
+def test_ipv4_bounds_format_as_dotted_quads(n):
+    assert format_value(intervals(((n, n),)), ipv4) == str(ipaddress.IPv4Address(n))
+
+
+def test_ipv4_domain_must_fit_32_bits():
+    for spans in (((0, 2**32),), ((0, 2**33),), ((-1, 5),)):
+        with pytest.raises(SchemaError, match="outside the IPv4 range"):
+            AttributeDef("ip", AttrKind.IPV4_RANGE, intervals(spans))
+    # only addresses have that bound
+    AttributeDef("n", AttrKind.INTEGER_RANGE, intervals(((0, 2**33),)))
+
+
+def test_shared_out_of_domain_value_names_its_first_rule():
+    port = AttributeDef("port", AttrKind.PORT_RANGE, intervals(((0, 99),)))
+    size = AttributeDef("size", AttrKind.INTEGER_RANGE, intervals(((0, 9),)))
+    decision = AttributeDef("action", AttrKind.LABEL_ENUM, labels("accept"))
+    small, large = intervals(((0, 9),)), intervals(((50, 150),))
+    ports = [small, large, small, small, large]
+    rules = tuple(Rule(i, {"port": v}, "accept") for i, v in enumerate(ports, start=1))
+    with pytest.raises(SchemaError, match=r"^rule 2: value for 'port' falls outside its domain$"):
+        RuleSet(Schema((port,), decision), rules)
+    # a value set inside one attribute's domain is checked again on another
+    medium = intervals(((50, 60),))
+    rules = (
+        Rule(1, {"port": medium, "size": ANY}, "accept"),
+        Rule(2, {"port": ANY, "size": medium}, "accept"),
+    )
+    with pytest.raises(SchemaError, match=r"^rule 2: value for 'size' falls outside its domain$"):
+        RuleSet(Schema((port, size), decision), rules)
 
 
 def test_wildcard_tokens():

@@ -6,34 +6,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _corpus import mixed_rulesets, mixed_schemas
+from _corpus import enumerate_points, mixed_rulesets, mixed_schemas
 from policytree.values import (
     ANY,
-    EMPTY_INTERVALS,
-    EMPTY_LABELS,
     Cells,
     ValueSet,
     ValueSetError,
     contains_point,
-    enumerate_points,
     intervals,
     labels,
-    point,
     vs_compare,
-    vs_difference,
     vs_equal,
     vs_intersect,
     vs_is_empty,
     vs_subset,
-    vs_union,
 )
 
 DOM = intervals(((0, 30),))
 LDOM = labels("a", "b", "c", "d")
+EMPTY_INTERVALS = ValueSet(intervals=())
+EMPTY_LABELS = ValueSet(labels=frozenset())
 
 
 def pts(v: ValueSet, dom: ValueSet = DOM) -> set:
     return set(enumerate_points(v, dom))
+
+
+def from_points(points: set, dom: ValueSet) -> ValueSet:
+    """The canonical value set holding exactly ``points``: the wildcard for all of ``dom``."""
+    if points == pts(dom, dom):
+        return ANY
+    if dom.labels is not None:
+        return ValueSet(labels=frozenset(points))
+    return intervals((x, x) for x in points)
 
 
 span = st.tuples(st.integers(0, 30), st.integers(0, 30)).map(
@@ -70,20 +75,6 @@ def test_intersection_matches_set_semantics(a, b):
     assert_canonical(out)
 
 
-@given(operand, operand)
-def test_union_matches_set_semantics(a, b):
-    out = vs_union(a, b, DOM)
-    assert pts(out) == pts(a) | pts(b)
-    assert_canonical(out)
-
-
-@given(operand, operand)
-def test_difference_matches_set_semantics(a, b):
-    out = vs_difference(a, b, DOM)
-    assert pts(out) == pts(a) - pts(b)
-    assert_canonical(out)
-
-
 @given(same_shape)
 def test_relations_match_set_semantics(operands):
     a, b, dom = operands
@@ -93,11 +84,6 @@ def test_relations_match_set_semantics(operands):
     assert vs_compare(a, b, dom) == (pa <= pb, pb <= pa, bool(pa & pb))
 
 
-@given(operand)
-def test_difference_from_wildcard_complements(v):
-    assert pts(vs_difference(ANY, v, DOM)) == pts(ANY) - pts(v)
-
-
 @given(st.integers(0, 30), operand)
 def test_contains_point_matches_enumeration(x, v):
     assert contains_point(v, x, DOM) == (x in pts(v))
@@ -105,7 +91,7 @@ def test_contains_point_matches_enumeration(x, v):
 
 def test_wildcard_vs_explicit_domain():
     assert vs_equal(ANY, DOM, DOM)
-    assert vs_union(intervals(((0, 10),)), intervals(((11, 30),)), DOM) == ANY
+    assert vs_intersect(intervals(((0, 30),)), ANY, DOM) == ANY
     assert vs_intersect(ANY, ANY, DOM) == ANY
 
 
@@ -121,16 +107,12 @@ def test_canonical_construction():
     assert intervals(((10, 15), (7, 9))) == intervals(((7, 15),))
     assert intervals(((3, 5), (5, 8))) == intervals(((3, 8),))
     assert intervals(((9, 2),)) == EMPTY_INTERVALS  # inverted pairs drop out
-    assert point(7) == intervals(((7, 7),))
 
 
 def test_label_algebra():
     ab, bc = labels("a", "b"), labels("b", "c")
     assert vs_intersect(ab, bc, LDOM) == labels("b")
-    assert vs_union(ab, bc, LDOM) == labels("a", "b", "c")
-    assert vs_difference(ab, bc, LDOM) == labels("a")
-    assert vs_difference(ANY, labels("a"), LDOM) == labels("b", "c", "d")
-    assert vs_union(labels("a", "b"), labels("c", "d"), LDOM) == ANY
+    assert vs_intersect(ANY, labels("a", "b", "c", "d"), LDOM) == ANY
     assert vs_subset(labels("a"), ab, LDOM)
     assert not vs_subset(ab, labels("a"), LDOM)
 
@@ -144,7 +126,7 @@ def test_shape_mismatch_raises():
 
 def test_wildcard_domain_rejected():
     with pytest.raises(ValueSetError):
-        vs_union(ANY, ANY, ANY)
+        vs_intersect(ANY, ANY, ANY)
 
 
 def test_string_point_in_interval_set_raises():
@@ -172,9 +154,10 @@ def test_cells_are_exact_on_every_attribute_kind(data):
             assert cells.value(cells.mask(v)) == (ANY if vs_equal(v, dom, dom) else v)
         for a, b in itertools.product(values, repeat=2):
             ma, mb = cells.mask(a), cells.mask(b)
+            pa, pb = pts(a, dom), pts(b, dom)
             assert cells.value(ma & mb) == vs_intersect(a, b, dom)
-            assert cells.value(ma & ~mb) == vs_difference(a, b, dom)
-            assert cells.value(ma | mb) == vs_union(a, b, dom)
+            assert cells.value(ma & ~mb) == from_points(pa - pb, dom)
+            assert cells.value(ma | mb) == from_points(pa | pb, dom)
 
 
 def test_cells_over_a_domain_with_a_hole():
