@@ -10,6 +10,7 @@ relevant input is required).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -121,6 +122,28 @@ def _save(ctx: click.Context, path: Path, rs: RuleSet) -> None:
         _fail(ctx, str(exc))
 
 
+def _save_all(ctx: click.Context, outputs: list[tuple[Path, RuleSet]]) -> None:
+    """Write every ``(path, rules)`` pair, or on an ``OSError`` leave none.
+
+    Each file goes to a temporary beside its destination first; the
+    temporaries are renamed into place once all of them are written.
+    """
+    staged = [(dest.with_name(f".{dest.name}.tmp"), dest, rs) for dest, rs in outputs]
+    done: list[Path] = []
+    try:
+        for tmp, _, rs in staged:
+            done.append(tmp)
+            save_ruleset(tmp, rs)
+        for tmp, dest, _ in staged:
+            tmp.replace(dest)
+            done.append(dest)
+    except OSError as exc:
+        for path in done:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        _fail(ctx, str(exc))
+
+
 def _load(ctx: click.Context, path: str) -> tuple[RuleSet, dict]:
     p = Path(path)
     data = _read(ctx, p)
@@ -177,7 +200,13 @@ def _intra_findings(rs: RuleSet) -> list[dict]:
     ]
 
 
-def _inter_findings(preceding: RuleSet, following: RuleSet) -> list[dict]:
+def _inter_findings(ctx: click.Context, preceding: RuleSet, following: RuleSet) -> list[dict]:
+    """Cross-component findings, with both sets first extended to their shared schema."""
+    try:
+        target = union_schema(preceding.schema, following.schema)
+        anomalies = detect_inter(extend_schema(preceding, target), extend_schema(following, target))
+    except _INPUT_ERRORS as exc:
+        _fail(ctx, str(exc))
     return [
         {
             "kind": a.kind.value,
@@ -185,7 +214,7 @@ def _inter_findings(preceding: RuleSet, following: RuleSet) -> list[dict]:
             "preceding": f"{preceding.component_name}:r{a.preceding_rule}",
             "following": f"{following.component_name}:r{a.following_rule}",
         }
-        for a in detect_inter(preceding, following)
+        for a in anomalies
     ]
 
 
@@ -245,13 +274,7 @@ def check_interop(ctx: click.Context, preceding_file: str, following_file: str):
     report = Report(
         command="check-interop", policy=opts.policy.value, inputs=[p_entry, f_entry]
     )
-    try:
-        target = union_schema(preceding.schema, following.schema)
-        p_ext = extend_schema(preceding, target)
-        f_ext = extend_schema(following, target)
-    except _INPUT_ERRORS as exc:
-        _fail(ctx, str(exc))
-    report.findings = _inter_findings(p_ext, f_ext)
+    report.findings = _inter_findings(ctx, preceding, following)
     report.verdict = "interoperable" if not report.findings else (
         f"not interoperable ({_verdict(report.findings)})"
     )
@@ -279,6 +302,12 @@ def fix_interop(ctx: click.Context, preceding_file: str, following_file: str, ou
     opts: Options = ctx.obj
     preceding, p_entry = _load(ctx, preceding_file)
     following, f_entry = _load(ctx, following_file)
+    if preceding.component_name == following.component_name:
+        _fail(
+            ctx,
+            f"both components are named {preceding.component_name!r}; "
+            "their corrected files would share one name",
+        )
     report = Report(
         command="fix-interop", policy=opts.policy.value, inputs=[p_entry, f_entry]
     )
@@ -294,24 +323,19 @@ def fix_interop(ctx: click.Context, preceding_file: str, following_file: str, ou
             )
     p_c = preceding if is_relevant_ruleset(preceding) else correct_ruleset(preceding, opts.policy)
     f_c = following if is_relevant_ruleset(following) else correct_ruleset(following, opts.policy)
-    try:
-        target = union_schema(p_c.schema, f_c.schema)
-        report.findings.extend(
-            _inter_findings(extend_schema(p_c, target), extend_schema(f_c, target))
-        )
-        pair = correct_pair(p_c, f_c, opts.policy)
-    except _INPUT_ERRORS as exc:
-        _fail(ctx, str(exc))
+    report.findings.extend(_inter_findings(ctx, p_c, f_c))
+    pair = correct_pair(p_c, f_c, opts.policy)
     out = Path(output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         _fail(ctx, str(exc))
+    written = []
     for corrected, source in ((pair.preceding, preceding_file), (pair.following, following_file)):
         suffix = Path(source).suffix or ".rules"
-        dest = out / f"{corrected.component_name}-corrected{suffix}"
-        _save(ctx, dest, corrected)
-        report.outputs.append({"path": str(dest), "rules": len(corrected.rules)})
+        written.append((out / f"{corrected.component_name}-corrected{suffix}", corrected))
+    _save_all(ctx, written)
+    report.outputs = [{"path": str(dest), "rules": len(rs.rules)} for dest, rs in written]
     report.verdict = (
         "already interoperable" if not report.findings else _verdict(report.findings)
     )
@@ -350,6 +374,12 @@ def check_topology(ctx: click.Context, topology_file: str):
             continue
         rules_path = p.parent / comp.rules_path
         rs, entry = _load(ctx, str(rules_path))
+        if rs.component_kind is not comp.kind:
+            _fail(
+                ctx,
+                f"{rules_path} declares kind {rs.component_kind.value},"
+                f" but {p} gives component {name!r} kind {comp.kind.value}",
+            )
         report.inputs.append(entry)
         if not opts.assume_relevant and not is_relevant_ruleset(rs):
             report.add_finding(
@@ -362,14 +392,7 @@ def check_topology(ctx: click.Context, topology_file: str):
             p_rs, f_rs = loaded.get(left), loaded.get(right)
             if p_rs is None or f_rs is None:
                 continue
-            try:
-                target = union_schema(p_rs.schema, f_rs.schema)
-                findings = _inter_findings(
-                    extend_schema(p_rs, target), extend_schema(f_rs, target)
-                )
-            except _INPUT_ERRORS as exc:
-                _fail(ctx, str(exc))
-            for f in findings:
+            for f in _inter_findings(ctx, p_rs, f_rs):
                 report.add_finding(
                     f["kind"],
                     f["severity"],

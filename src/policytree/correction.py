@@ -67,7 +67,6 @@ class ProjectionMode(str, Enum):
 class CorrectedPair:
     preceding: RuleSet
     following: RuleSet
-    global_rules: GlobalRuleSet
     rdt: RelevantDecisionTree
     preceding_tree: DecisionTree
     following_tree: DecisionTree
@@ -226,7 +225,7 @@ def correct_pair(
     """Repair a preceding/following pair against each other.
 
     Returns both corrected rule sets (each over its own attributes), plus
-    the intermediate global set and trees.  Every output rule's origin
+    the global tree and its two projections.  Every output rule's origin
     names the input rule that won its region, as ``component:rN``.
     """
     target = union_schema(preceding.schema, following.schema)
@@ -259,7 +258,6 @@ def correct_pair(
     return CorrectedPair(
         preceding=tree_to_rules(p_tree, origin_map),
         following=tree_to_rules(f_tree, origin_map),
-        global_rules=g,
         rdt=rdt,
         preceding_tree=p_tree,
         following_tree=f_tree,

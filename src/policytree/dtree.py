@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .model import ComponentKind, Rule, RuleSet, Schema, SchemaError
 from .ruleio import format_value
-from .values import ValueSet, contains_point, vs_intersect, vs_is_empty
+from .values import ValueSet, contains_point, vs_compare
 
 __all__ = [
     "Edge",
@@ -63,12 +63,8 @@ class DecisionTree:
     component_kind: ComponentKind = ComponentKind.FILTERING
 
     @property
-    def n_condition(self) -> int:
-        return len(self.schema.condition_attributes)
-
-    @property
     def action_level(self) -> int:
-        return self.n_condition + 1
+        return len(self.schema.condition_attributes) + 1
 
     def attribute_at(self, level: int):
         return self.schema.condition_attributes[level - 1]
@@ -138,34 +134,15 @@ def check_relevant(t: DecisionTree) -> list[RelevancyViolation]:
     out: list[RelevancyViolation] = []
 
     def walk(node: Node, path: tuple[ValueSet, ...]) -> None:
-        if node.level == t.action_level:
-            for i in range(len(node.edges)):
-                for j in range(i + 1, len(node.edges)):
-                    if node.edges[i].label == node.edges[j].label:
-                        out.append(
-                            RelevancyViolation(
-                                attribute=t.schema.decision_attribute.name,
-                                path=path,
-                                label_a=node.edges[i].label,
-                                label_b=node.edges[j].label,
-                            )
-                        )
-            return
-        attr = t.attribute_at(node.level)
-        for i in range(len(node.edges)):
-            for j in range(i + 1, len(node.edges)):
-                inter = vs_intersect(node.edges[i].label, node.edges[j].label, attr.domain)
-                if not vs_is_empty(inter):
-                    out.append(
-                        RelevancyViolation(
-                            attribute=attr.name,
-                            path=path,
-                            label_a=node.edges[i].label,
-                            label_b=node.edges[j].label,
-                        )
-                    )
-        for e in node.edges:
-            walk(e.child, path + (e.label,))
+        at_action = node.level == t.action_level
+        attr = t.schema.decision_attribute if at_action else t.attribute_at(node.level)
+        for i, a in enumerate(node.edges):
+            for b in node.edges[i + 1 :]:
+                if vs_compare(a.label, b.label, attr.domain)[2]:
+                    out.append(RelevancyViolation(attr.name, path, a.label, b.label))
+        if not at_action:
+            for e in node.edges:
+                walk(e.child, path + (e.label,))
 
     walk(t.root, ())
     return out

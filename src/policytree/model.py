@@ -181,9 +181,6 @@ class RuleSet:
                 )
             _validate_rule(rule, self.schema, inside)
 
-    def __len__(self) -> int:
-        return len(self.rules)
-
     def rule(self, rule_id: int) -> Rule:
         return self.rules[rule_id - 1]
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .dtree import DecisionTree, tree_to_rules
 from .model import AttributeDef, Rule, RuleSet, Schema, SchemaError
-from .values import ValueSet, contains_point, vs_equal, vs_subset
+from .values import ValueSet, contains_point, vs_compare
 
 __all__ = [
     "Packet",
@@ -73,12 +73,10 @@ def _strictly_inside(a: Rule, b: Rule, schema: Schema) -> bool:
     """Every field of ``a`` within ``b``'s, at least one properly."""
     strict = False
     for attr in schema.condition_attributes:
-        va = a.condition[attr.name]
-        vb = b.condition[attr.name]
-        if not vs_subset(va, vb, attr.domain):
+        inside, covers, _ = vs_compare(a.condition[attr.name], b.condition[attr.name], attr.domain)
+        if not inside:
             return False
-        if not vs_equal(va, vb, attr.domain):
-            strict = True
+        strict = strict or not covers
     return strict
 
 

@@ -14,9 +14,10 @@ Interval unions are kept canonical: sorted, non-overlapping, and with no
 two adjacent intervals (``[7,9]`` and ``[10,15]`` coalesce to ``[7,15]``).
 The empty set is representable and is distinct from the wildcard.
 
-All binary operations take the attribute's domain so that wildcards can be
-expanded, and results equal to the whole domain are re-compressed back to
-the wildcard.
+Comparisons take the attribute's domain so that wildcards can be expanded;
+one pass, :func:`vs_compare`, gives containment both ways and overlap.
+Boolean combinations go through :class:`Cells`, whose results equal to the
+whole domain come back as the wildcard.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ __all__ = [
     "COMPLEMENT_LABEL",
     "labels",
     "intervals",
-    "vs_intersect",
     "vs_is_empty",
-    "vs_equal",
     "vs_subset",
     "vs_compare",
     "Cells",
@@ -156,21 +155,6 @@ def _pair(a: ValueSet, b: ValueSet, domain: ValueSet) -> tuple[ValueSet, ValueSe
     return ea, eb
 
 
-def _compress(v: ValueSet, domain: ValueSet) -> ValueSet:
-    if v == domain:
-        return ANY
-    return v
-
-
-def vs_intersect(a: ValueSet, b: ValueSet, domain: ValueSet) -> ValueSet:
-    ea, eb = _pair(a, b, domain)
-    if ea.labels is not None:
-        out = ValueSet(labels=ea.labels & eb.labels)
-    else:
-        out = ValueSet(intervals=_ivals_intersect(ea.intervals, eb.intervals))
-    return _compress(out, domain)
-
-
 def vs_is_empty(v: ValueSet) -> bool:
     if v.is_wildcard:
         return False
@@ -179,20 +163,9 @@ def vs_is_empty(v: ValueSet) -> bool:
     return not v.intervals
 
 
-def vs_equal(a: ValueSet, b: ValueSet, domain: ValueSet) -> bool:
-    ea, eb = _pair(a, b, domain)
-    return ea == eb
-
-
 def vs_subset(a: ValueSet, b: ValueSet, domain: ValueSet) -> bool:
     """True when every value of ``a`` also belongs to ``b``."""
-    ea, eb = _pair(a, b, domain)
-    if ea.labels is not None:
-        return ea.labels <= eb.labels
-    for lo, hi in ea.intervals:
-        if not any(blo <= lo and hi <= bhi for blo, bhi in eb.intervals):
-            return False
-    return True
+    return vs_compare(a, b, domain)[0]
 
 
 def vs_compare(a: ValueSet, b: ValueSet, domain: ValueSet) -> tuple[bool, bool, bool]:

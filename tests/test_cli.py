@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import copy
 import gc
+import hashlib
 import json
+import shutil
 
 import pytest
 from click.testing import CliRunner
@@ -96,6 +98,21 @@ def test_repeated_runs_keep_no_objects(fw_path):
         run("lint", fw_path)
     gc.collect()
     assert len(gc.get_objects()) - before < 50
+
+
+#: sha256 of ``policytree --help`` and each subcommand's ``--help``, in name order.
+HELP_DIGEST = "638f7133d14a2dc4e2a17d6f59a6f50187f17358602e292d5043711bc260f99f"
+
+
+def test_help_keeps_its_bytes():
+    digest = hashlib.sha256()
+    for command in ([], *([name] for name in sorted(main.commands))):
+        result = runner.invoke(
+            main, [*command, "--help"], prog_name="policytree", terminal_width=80
+        )
+        assert result.exit_code == 0
+        digest.update(result.output.encode())
+    assert digest.hexdigest() == HELP_DIGEST
 
 
 def test_dump_tree_flag(fw_path):
@@ -223,6 +240,31 @@ def test_fix_interop_is_idempotent_and_deterministic(fw_path, ids_path, tmp_path
     assert "verdict: already interoperable" in result.output
 
 
+def _one_error_line(result) -> None:
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ")
+    assert result.output.count("\n") == 1
+
+
+def test_fix_interop_rejects_two_components_of_one_name(ids_path, tmp_path):
+    renamed = tmp_path / "fw.rules"
+    renamed.write_text(
+        (CASES / "fw.rules").read_text().replace("component FW", "component IDS")
+    )
+    out = tmp_path / "out"
+    result = run("fix-interop", str(renamed), ids_path, "-o", str(out))
+    _one_error_line(result)
+    assert "'IDS'" in result.output
+    assert not out.exists()
+
+
+def test_fix_interop_leaves_no_file_when_a_write_fails(fw_path, ids_path, tmp_path):
+    (tmp_path / "IDS-corrected.rules").mkdir()  # the second output cannot be written
+    result = run("fix-interop", fw_path, ids_path, "-o", str(tmp_path))
+    _one_error_line(result)
+    assert [p.name for p in tmp_path.iterdir()] == ["IDS-corrected.rules"]
+
+
 # ---------------------------------------------------------------------------
 # check-topology
 # ---------------------------------------------------------------------------
@@ -261,6 +303,21 @@ def test_topology_clean_after_repair(fw_path, ids_path, tmp_path):
     result = run("check-topology", str(topo))
     assert result.exit_code == 0
     assert "verdict: clean" in result.output
+
+
+def test_topology_rejects_a_kind_its_rule_file_contradicts(tmp_path):
+    shutil.copy(CASES / "fw.rules", tmp_path / "fw.rules")  # declares kind filtering
+    topo = tmp_path / "site.topo"
+    topo.write_text("component FW alerting fw.rules\n")
+    result = run("check-topology", str(topo))
+    _one_error_line(result)
+    assert "filtering" in result.output and "alerting" in result.output
+
+    # two components may share one rule file under other names
+    topo.write_text("component A filtering fw.rules\ncomponent B filtering fw.rules\n")
+    result = run("check-topology", str(topo))
+    assert result.exit_code == 1
+    assert "finding: component-not-relevant component=A [error]" in result.output
 
 
 def test_topology_parse_error(tmp_path):

@@ -16,8 +16,6 @@ from policytree.values import (
     intervals,
     labels,
     vs_compare,
-    vs_equal,
-    vs_intersect,
     vs_is_empty,
     vs_subset,
 )
@@ -56,30 +54,10 @@ same_shape = st.one_of(
 )
 
 
-def assert_canonical(v: ValueSet) -> None:
-    if v.is_wildcard:
-        return
-    prev_hi = None
-    for lo, hi in v.intervals:
-        assert lo <= hi
-        if prev_hi is not None:
-            assert lo > prev_hi + 1, "adjacent intervals must coalesce"
-        prev_hi = hi
-    assert pts(v) != pts(ANY), "full-domain results must compress to the wildcard"
-
-
-@given(operand, operand)
-def test_intersection_matches_set_semantics(a, b):
-    out = vs_intersect(a, b, DOM)
-    assert pts(out) == pts(a) & pts(b)
-    assert_canonical(out)
-
-
 @given(same_shape)
 def test_relations_match_set_semantics(operands):
     a, b, dom = operands
     pa, pb = pts(a, dom), pts(b, dom)
-    assert vs_equal(a, b, dom) == (pa == pb)
     assert vs_subset(a, b, dom) == (pa <= pb)
     assert vs_compare(a, b, dom) == (pa <= pb, pb <= pa, bool(pa & pb))
 
@@ -90,9 +68,10 @@ def test_contains_point_matches_enumeration(x, v):
 
 
 def test_wildcard_vs_explicit_domain():
-    assert vs_equal(ANY, DOM, DOM)
-    assert vs_intersect(intervals(((0, 30),)), ANY, DOM) == ANY
-    assert vs_intersect(ANY, ANY, DOM) == ANY
+    assert vs_compare(ANY, DOM, DOM) == (True, True, True)
+    cells = Cells(DOM)
+    assert cells.value(cells.mask(intervals(((0, 30),))) & cells.mask(ANY)) == ANY
+    assert cells.value(cells.mask(ANY) & cells.mask(ANY)) == ANY
 
 
 def test_empty_is_not_wildcard():
@@ -100,7 +79,9 @@ def test_empty_is_not_wildcard():
     assert vs_is_empty(EMPTY_LABELS)
     assert not vs_is_empty(ANY)
     assert EMPTY_INTERVALS != ANY
-    assert vs_is_empty(vs_intersect(intervals(((0, 4),)), intervals(((6, 9),)), DOM))
+    a, b = intervals(((0, 4),)), intervals(((6, 9),))
+    cells = Cells(DOM, [a, b])
+    assert vs_is_empty(cells.value(cells.mask(a) & cells.mask(b)))
 
 
 def test_canonical_construction():
@@ -111,22 +92,25 @@ def test_canonical_construction():
 
 def test_label_algebra():
     ab, bc = labels("a", "b"), labels("b", "c")
-    assert vs_intersect(ab, bc, LDOM) == labels("b")
-    assert vs_intersect(ANY, labels("a", "b", "c", "d"), LDOM) == ANY
+    cells = Cells(LDOM)
+    assert cells.value(cells.mask(ab) & cells.mask(bc)) == labels("b")
+    assert cells.value(cells.mask(ANY) & cells.mask(labels("a", "b", "c", "d"))) == ANY
     assert vs_subset(labels("a"), ab, LDOM)
     assert not vs_subset(ab, labels("a"), LDOM)
 
 
 def test_shape_mismatch_raises():
     with pytest.raises(ValueSetError):
-        vs_intersect(labels("a"), intervals(((0, 1),)), DOM)
+        vs_compare(labels("a"), intervals(((0, 1),)), DOM)
     with pytest.raises(ValueSetError):
         ValueSet(labels=frozenset({"a"}), intervals=((0, 1),))
 
 
 def test_wildcard_domain_rejected():
     with pytest.raises(ValueSetError):
-        vs_intersect(ANY, ANY, ANY)
+        vs_compare(ANY, ANY, ANY)
+    with pytest.raises(ValueSetError):
+        Cells(ANY)
 
 
 def test_string_point_in_interval_set_raises():
@@ -151,11 +135,11 @@ def test_cells_are_exact_on_every_attribute_kind(data):
         cells = Cells(dom, values)
         assert cells.mask(ANY) == cells.mask(dom) == cells.full
         for v in values:
-            assert cells.value(cells.mask(v)) == (ANY if vs_equal(v, dom, dom) else v)
+            assert cells.value(cells.mask(v)) == (ANY if pts(v, dom) == pts(dom, dom) else v)
         for a, b in itertools.product(values, repeat=2):
             ma, mb = cells.mask(a), cells.mask(b)
             pa, pb = pts(a, dom), pts(b, dom)
-            assert cells.value(ma & mb) == vs_intersect(a, b, dom)
+            assert cells.value(ma & mb) == from_points(pa & pb, dom)
             assert cells.value(ma & ~mb) == from_points(pa - pb, dom)
             assert cells.value(ma | mb) == from_points(pa | pb, dom)
 
