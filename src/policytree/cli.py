@@ -115,32 +115,20 @@ def _read(ctx: click.Context, path: Path) -> bytes:
         _fail(ctx, f"{str(path)!r}: {exc}")
 
 
-def _save(ctx: click.Context, path: Path, rs: RuleSet) -> None:
+def _save(ctx: click.Context, outputs: list[tuple[Path, RuleSet]]) -> None:
+    """Write every ``(path, rules)`` pair; on an ``OSError`` remove the
+    regular files this call opened, so a failed run leaves none of its
+    outputs behind."""
+    opened: list[Path] = []
     try:
-        save_ruleset(path, rs)
+        for path, rs in outputs:
+            opened.append(path)
+            save_ruleset(path, rs)
     except OSError as exc:
-        _fail(ctx, str(exc))
-
-
-def _save_all(ctx: click.Context, outputs: list[tuple[Path, RuleSet]]) -> None:
-    """Write every ``(path, rules)`` pair, or on an ``OSError`` leave none.
-
-    Each file goes to a temporary beside its destination first; the
-    temporaries are renamed into place once all of them are written.
-    """
-    staged = [(dest.with_name(f".{dest.name}.tmp"), dest, rs) for dest, rs in outputs]
-    done: list[Path] = []
-    try:
-        for tmp, _, rs in staged:
-            done.append(tmp)
-            save_ruleset(tmp, rs)
-        for tmp, dest, _ in staged:
-            tmp.replace(dest)
-            done.append(dest)
-    except OSError as exc:
-        for path in done:
-            with contextlib.suppress(OSError):
-                path.unlink()
+        for path in opened:
+            if path.is_file():
+                with contextlib.suppress(OSError):
+                    path.unlink()
         _fail(ctx, str(exc))
 
 
@@ -250,7 +238,7 @@ def correct(ctx: click.Context, rules_file: str, output: str | None):
     if output is None:
         _write(serialize_ruleset(corrected))
         ctx.exit(1 if detect_intra(rs) else 0)
-    _save(ctx, Path(output), corrected)
+    _save(ctx, [(Path(output), corrected)])
     report = Report(command="correct", policy=opts.policy.value, inputs=[entry])
     report.findings = _intra_findings(rs)
     report.verdict = _verdict(report.findings)
@@ -334,7 +322,7 @@ def fix_interop(ctx: click.Context, preceding_file: str, following_file: str, ou
     for corrected, source in ((pair.preceding, preceding_file), (pair.following, following_file)):
         suffix = Path(source).suffix or ".rules"
         written.append((out / f"{corrected.component_name}-corrected{suffix}", corrected))
-    _save_all(ctx, written)
+    _save(ctx, written)
     report.outputs = [{"path": str(dest), "rules": len(rs.rules)} for dest, rs in written]
     report.verdict = (
         "already interoperable" if not report.findings else _verdict(report.findings)

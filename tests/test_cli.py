@@ -265,6 +265,21 @@ def test_fix_interop_leaves_no_file_when_a_write_fails(fw_path, ids_path, tmp_pa
     assert [p.name for p in tmp_path.iterdir()] == ["IDS-corrected.rules"]
 
 
+def test_fix_interop_writes_json_for_json_inputs(fw, ids, tmp_path):
+    inputs = []
+    for rs, name in ((fw, "fw.json"), (ids, "ids.json")):
+        inputs.append(tmp_path / name)
+        inputs[-1].write_text(json.dumps(ruleset_to_dict(rs)))
+    out = tmp_path / "out"
+    result = run("fix-interop", *map(str, inputs), "-o", str(out))
+    assert result.exit_code == 1
+    written = sorted(p.name for p in out.iterdir())
+    assert written == ["FW-corrected.json", "IDS-corrected.json"]
+    for name in written:
+        json.loads((out / name).read_text())
+        assert load_ruleset(out / name).rules
+
+
 # ---------------------------------------------------------------------------
 # check-topology
 # ---------------------------------------------------------------------------
