@@ -11,7 +11,7 @@ relevant input is required).
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import click
@@ -356,25 +356,27 @@ def check_topology(ctx: click.Context, topology_file: str):
             filtering=v.filtering,
         )
 
+    # a shared rule file is read, parsed and gated once, then named per component
+    by_file: dict[Path, tuple[RuleSet, bool]] = {}
     loaded: dict[str, RuleSet | None] = {}
     for name, comp in sorted(topo.components.items()):
         if comp.rules_path is None:
             continue
         rules_path = p.parent / comp.rules_path
-        rs, entry = _load(ctx, str(rules_path))
+        if rules_path not in by_file:
+            rs, entry = _load(ctx, str(rules_path))
+            report.inputs.append(entry)
+            by_file[rules_path] = (rs, opts.assume_relevant or is_relevant_ruleset(rs))
+        rs, relevant = by_file[rules_path]
         if rs.component_kind is not comp.kind:
             _fail(
                 ctx,
                 f"{rules_path} declares kind {rs.component_kind.value},"
                 f" but {p} gives component {name!r} kind {comp.kind.value}",
             )
-        report.inputs.append(entry)
-        if not opts.assume_relevant and not is_relevant_ruleset(rs):
-            report.add_finding(
-                "component-not-relevant", Severity.ERROR.value, component=name
-            )
-            rs = None
-        loaded[name] = rs
+        if not relevant:
+            report.add_finding("component-not-relevant", Severity.ERROR.value, component=name)
+        loaded[name] = replace(rs, component_name=name) if relevant else None
     for path_name, members in topo.paths:
         for left, right in zip(members, members[1:]):
             p_rs, f_rs = loaded.get(left), loaded.get(right)

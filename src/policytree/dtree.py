@@ -148,30 +148,23 @@ def check_relevant(t: DecisionTree) -> list[RelevancyViolation]:
     return out
 
 
-def _vs_key(v: ValueSet) -> str:
-    if v.is_wildcard:
-        return "*"
-    if v.labels is not None:
-        return "L{" + ",".join(sorted(v.labels)) + "}"
-    return "I" + ";".join(f"{lo}-{hi}" for lo, hi in v.intervals or ())
-
-
 # ---------------------------------------------------------------------------
 # extraction and evaluation
 # ---------------------------------------------------------------------------
 
 
-def _branch_sort_key(b: Branch) -> tuple:
-    region = []
-    for v in b.labels:
-        if v.is_wildcard:
-            region.append((0, "", 0, ""))
-        elif v.intervals is not None:
-            lo = v.intervals[0][0] if v.intervals else -1
-            region.append((1, "", lo, _vs_key(v)))
-        else:
-            region.append((2, ",".join(sorted(v.labels or ())), 0, ""))
-    return (b.owner, tuple(region))
+def _region_key(v: ValueSet) -> tuple:
+    if v.is_wildcard:
+        return (0, "", 0, "")
+    if v.intervals is not None:
+        lo = v.intervals[0][0] if v.intervals else -1
+        return (1, "", lo, "I" + ";".join(f"{a}-{b}" for a, b in v.intervals))
+    return (2, ",".join(sorted(v.labels or ())), 0, "")
+
+
+def _branch_sort_key(b: Branch, keys: dict[ValueSet, tuple]) -> tuple:
+    """The owner, then the region; ``keys`` memoizes each label's region key."""
+    return (b.owner, tuple(keys.get(v) or keys.setdefault(v, _region_key(v)) for v in b.labels))
 
 
 def tree_to_rules(t: DecisionTree, origin_map: dict[int, str] | None = None) -> RuleSet:
@@ -182,7 +175,8 @@ def tree_to_rules(t: DecisionTree, origin_map: dict[int, str] | None = None) -> 
     """
     names = t.schema.condition_names
     rules = []
-    ordered = sorted(branches(t), key=_branch_sort_key)
+    keys: dict[ValueSet, tuple] = {}
+    ordered = sorted(branches(t), key=lambda b: _branch_sort_key(b, keys))
     for new_id, b in enumerate(ordered, start=1):
         origin = (origin_map or {}).get(b.owner, t.component_name)
         rules.append(
@@ -218,7 +212,7 @@ def evaluate_tree(t: DecisionTree, packet: dict) -> str | None:
         for b in branches(t)
         if all(contains_point(v, packet[a.name], a.domain) for v, a in zip(b.labels, attrs))
     ]
-    return min(hits, key=_branch_sort_key).action if hits else None
+    return min(hits, key=lambda b: _branch_sort_key(b, {})).action if hits else None
 
 
 def dump_tree(t: DecisionTree) -> str:

@@ -140,8 +140,7 @@ class Rule:
     origin: str = ""
 
 
-def _validate_rule(rule: Rule, schema: Schema, inside: set[tuple[str, ValueSet]]) -> None:
-    expected = set(schema.condition_names)
+def _validate_rule(rule: Rule, schema: Schema, expected: set[str], inside: set) -> None:
     got = set(rule.condition)
     if expected != got:
         missing = expected - got
@@ -173,13 +172,14 @@ class RuleSet:
     component_name: str = ""
 
     def __post_init__(self) -> None:
+        expected = set(self.schema.condition_names)
         inside: set[tuple[str, ValueSet]] = set()  # (attribute, value set) pairs in domain
         for pos, rule in enumerate(self.rules, start=1):
             if rule.id != pos:
                 raise SchemaError(
                     f"rule ids must be consecutive from 1; found {rule.id} at position {pos}"
                 )
-            _validate_rule(rule, self.schema, inside)
+            _validate_rule(rule, self.schema, expected, inside)
 
     def rule(self, rule_id: int) -> Rule:
         return self.rules[rule_id - 1]

@@ -17,12 +17,14 @@ or none of it, so checking one point per cell is exact.  A tree decides a
 packet as its :func:`~policytree.dtree.tree_to_rules` flattening does under
 first match; the comparison of a tree against a rule set also cuts at the
 tree's own label bounds, so it stays exact for any tree.  "No decision" is
-a first class outcome throughout (``None`` scalar, ``-1`` in grids).
+a first class outcome throughout (``None``).
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
+from operator import xor
 from dataclasses import dataclass
 from enum import Enum
 from math import prod
@@ -167,66 +169,37 @@ def _cut_by(space: DomainSpace, rs: RuleSet) -> DomainSpace:
 
 
 # ---------------------------------------------------------------------------
-# grid evaluation (whole space at once)
+# equivalence over match-set classes
 # ---------------------------------------------------------------------------
 
 
-class _Grid:
-    def __init__(self, schema: Schema, space: DomainSpace):
-        self.schema = schema
-        self.names = schema.condition_names
-        self.shape = tuple(len(space.points[n]) for n in self.names)
-        self.space = space
-        self._axis_cache: dict[tuple[str, ValueSet], np.ndarray] = {}
-        codes = sorted(schema.decision_attribute.domain.labels or ())
-        self.code_of = {label: i for i, label in enumerate(codes)}
-        self.label_of = dict(enumerate(codes))
+def _axis_classes(attr: AttributeDef, points: tuple, rules) -> tuple[np.ndarray, list[int]]:
+    """Phase 0 on one attribute: each point's class, and each class's set of matching rules.
 
-    def axis_mask(self, axis: int, v: ValueSet) -> np.ndarray:
-        attr = self.schema.condition_attributes[axis]
-        key = (attr.name, v)
-        mask = self._axis_cache.get(key)
-        if mask is None:
-            pts = self.space.points[attr.name]
-            mask = np.fromiter(
-                (contains_point(v, p, attr.domain) for p in pts), dtype=bool, count=len(pts)
-            )
-            self._axis_cache[key] = mask
-        shape = tuple(self.shape[k] if k == axis else 1 for k in range(len(self.shape)))
-        return mask.reshape(shape)
-
-    def rule_mask(self, rule: Rule) -> np.ndarray:
-        mask = np.ones(self.shape, dtype=bool)
-        for axis, name in enumerate(self.names):
-            mask = mask & self.axis_mask(axis, rule.condition[name])
-        return mask
-
-    def packet_at(self, index: tuple[int, ...]) -> Packet:
-        return {
-            name: self.space.points[name][i] for name, i in zip(self.names, index)
-        }
+    Bit ``k`` of a set is ``rules[k]``.  Each distinct value set is located
+    once; as they hold disjoint bits, their point ranges sweep in as XOR deltas.
+    """
+    groups: dict[ValueSet, int] = {}
+    for k, rule in enumerate(rules):
+        v = rule.condition[attr.name]
+        groups[v] = groups.get(v, 0) | 1 << k
+    delta = [0] * (len(points) + 1)
+    for v, bits in groups.items():
+        v = attr.domain if v.is_wildcard else v
+        if v.intervals is not None:
+            spans = [(bisect_left(points, lo), bisect_right(points, hi)) for lo, hi in v.intervals]
+        else:
+            spans = [(i, i + 1) for i, p in enumerate(points) if p in v.labels]
+        for start, end in spans:
+            delta[start] ^= bits
+            delta[end] ^= bits
+    ids: dict[int, int] = {}
+    classes = [ids.setdefault(bits, len(ids)) for bits in itertools.accumulate(delta[:-1], xor)]
+    return np.array(classes, dtype=np.intp), list(ids)
 
 
-def _grid_rules(grid: _Grid, rs: RuleSet, semantics: Semantics) -> np.ndarray:
-    decisions = np.full(grid.shape, -1, dtype=np.int16)
-    if semantics is Semantics.FIRST_MATCH:
-        for rule in rs.rules:
-            todo = grid.rule_mask(rule) & (decisions == -1)
-            decisions[todo] = grid.code_of[rule.action]
-        return decisions
-
-    owner = np.full(grid.shape, -1, dtype=np.int16)
-    rules = rs.rules
-    for idx, rule in enumerate(rules):
-        mask = grid.rule_mask(rule)
-        capturable = [o for o in range(idx) if _strictly_inside(rule, rules[o], rs.schema)]
-        takeover = np.isin(owner, capturable) if capturable else np.zeros(grid.shape, dtype=bool)
-        claim = mask & ((owner == -1) | takeover)
-        owner[claim] = idx
-    action_codes = np.array(
-        [-1] + [grid.code_of[r.action] for r in rules], dtype=np.int16
-    )
-    return action_codes[owner + 1]
+def _lowest(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
 
 
 def equivalence(
@@ -237,22 +210,52 @@ def equivalence(
     Returns ``(packet, tree decision, rule decision)`` triples in point
     order; empty means the tree reproduces the reference semantics on
     every packet of ``space`` cut further at the tree's own label bounds.
+
+    By recursive flow classification: bits ``0..n-1`` of a match set are
+    the ``n`` input rules, the bits above the tree's flattened regions.
+    Attributes are combined one at a time by AND, each distinct final set
+    is decided once, and only mismatching classes expand to packets.
     """
     if tree.schema != rs.schema:
         raise SchemaError("tree and rule set must share a schema")
     flat = tree_to_rules(tree)
     space = _cut_by(space, flat)
-    grid = _Grid(rs.schema, space)
-    by_tree = _grid_rules(grid, flat, Semantics.FIRST_MATCH)
-    by_rules = _grid_rules(grid, rs, semantics)
-    out = []
-    for idx in np.argwhere(by_tree != by_rules):
-        index = tuple(idx)
-        out.append(
-            (
-                grid.packet_at(index),
-                grid.label_of.get(int(by_tree[index])),
-                grid.label_of.get(int(by_rules[index])),
-            )
-        )
-    return out
+    rules, n = rs.rules + flat.rules, len(rs.rules)
+    attrs = rs.schema.condition_attributes
+    axes = [_axis_classes(a, space.points[a.name], rules) for a in attrs]
+    tables, sets = [], axes[0][1]
+    for _, axis_sets in axes[1:]:  # a later phase: (previous class, axis class) -> class
+        ids: dict[int, int] = {}
+        table = [ids.setdefault(s & t, len(ids)) for s in sets for t in axis_sets]
+        tables.append(np.array(table, dtype=np.intp).reshape(len(sets), len(axis_sets)))
+        sets = list(ids)
+    rule_bits = (1 << n) - 1
+    inside: dict[tuple[int, int], bool] = {}  # _strictly_inside, for the pairs a fold meets
+    decided: dict[int, str | None] = {0: None}
+
+    def by_rules(bits: int) -> str | None:
+        """The lowest rule under first match; owner-capture folds over the rules in order."""
+        if bits not in decided:
+            owner, rest = _lowest(bits), bits & (bits - 1)
+            while rest and semantics is not Semantics.FIRST_MATCH:
+                k, rest = _lowest(rest), rest & (rest - 1)
+                if (k, owner) not in inside:
+                    inside[k, owner] = _strictly_inside(rules[k], rules[owner], rs.schema)
+                owner = k if inside[k, owner] else owner
+            decided[bits] = rules[owner].action
+        return decided[bits]
+
+    verdicts = [
+        (rules[n + _lowest(bits >> n)].action if bits >> n else None, by_rules(bits & rule_bits))
+        for bits in sets
+    ]
+    bad = np.array([by_tree != by_rule for by_tree, by_rule in verdicts], dtype=bool)
+    if not bad.any():
+        return []
+    grid = axes[0][0]
+    for table, (classes, _) in zip(tables, axes[1:]):
+        grid = table[grid[..., None], classes]
+    return [
+        ({a.name: space.points[a.name][i] for a, i in zip(attrs, index)}, *verdicts[grid[tuple(index)]])
+        for index in np.argwhere(bad[grid])
+    ]

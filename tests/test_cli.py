@@ -335,6 +335,21 @@ def test_topology_rejects_a_kind_its_rule_file_contradicts(tmp_path):
     assert "finding: component-not-relevant component=A [error]" in result.output
 
 
+def test_topology_names_findings_by_component_and_reads_a_shared_file_once(tmp_path):
+    shutil.copy(CASES / "fw.rules", tmp_path / "fw.rules")  # declares component FW
+    topo = tmp_path / "site.topo"
+    topo.write_text(
+        "component A filtering fw.rules\ncomponent B filtering fw.rules\npath p A B\n"
+    )
+    result = run("--assume-relevant", "check-topology", str(topo))
+    assert result.exit_code == 1
+    findings = [line for line in result.output.splitlines() if line.startswith("finding:")]
+    assert findings
+    assert all("preceding=A:r" in line and "following=B:r" in line for line in findings)
+    assert "FW:r" not in result.output
+    assert result.output.count("fw.rules sha256=") == 1
+
+
 def test_topology_parse_error(tmp_path):
     bad = tmp_path / "bad.topo"
     bad.write_text("component X router\n")

@@ -7,9 +7,9 @@ from dataclasses import replace
 from itertools import islice
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from policytree.dtree import copy_node, evaluate_tree
+from policytree.dtree import copy_node, evaluate_tree, tree_to_rules
 from policytree.model import AttributeDef, Rule, RuleSet, Schema, SchemaError
 from policytree.oracle import (
     DomainSpace,
@@ -218,3 +218,45 @@ def test_cells_decide_as_every_point_does(seed):
             by_cells = equivalence(tree, rs, semantics, cells)
             by_points = equivalence(tree, rs, semantics, full)
             assert bool(by_cells) == bool(by_points)
+
+
+def _scalar_mismatches(tree, rs, space):
+    """The referee's answer under each semantics, one packet at a time."""
+    packets = list(space.iter_packets())
+    by_tree = [evaluate_tree(tree, pkt) for pkt in packets]
+    return {
+        semantics: [
+            (pkt, t, r)
+            for pkt, t in zip(packets, by_tree)
+            if t != (r := evaluate(rs, pkt, semantics))
+        ]
+        for semantics in Semantics
+    }
+
+
+@settings(max_examples=12)
+@given(st.integers(0, 10_000))
+@example(2)
+def test_equivalence_lists_what_every_point_decides(seed):
+    """The exact mismatch list, order included, against scalar evaluation."""
+    rng = random.Random(seed)
+    n_attrs = rng.randint(1, 3)
+    rs = random_ruleset(rng, max_rules=6, n_attrs=n_attrs)
+    other = random_ruleset(rng, max_rules=6, n_attrs=n_attrs)
+    full = _every_point(rs.schema)
+    for tree in (build_tree(other), build_rdt(other).tree):
+        for semantics, expected in _scalar_mismatches(tree, rs, full).items():
+            assert equivalence(tree, rs, semantics, full) == expected
+
+
+def test_equivalence_lists_label_and_address_mismatches(fw):
+    # labels, IPv4 ranges and ports, on the cells of the rules and of the tree
+    for policy, semantics in (
+        (ConflictPolicy.SPECIFICITY, Semantics.OWNER_CAPTURE),
+        (ConflictPolicy.FIRST_MATCH, Semantics.FIRST_MATCH),
+    ):
+        tree = build_rdt(fw, policy).tree
+        space = endpoint_space(fw, tree_to_rules(tree))
+        for other, expected in _scalar_mismatches(tree, fw, space).items():
+            assert bool(expected) == (other is not semantics)
+            assert equivalence(tree, fw, other, space) == expected
