@@ -141,8 +141,8 @@ class Rule:
 
 
 def _validate_rule(rule: Rule, schema: Schema, expected: set[str], inside: set) -> None:
-    got = set(rule.condition)
-    if expected != got:
+    if rule.condition.keys() != expected:
+        got = set(rule.condition)
         missing = expected - got
         extra = got - expected
         parts = []

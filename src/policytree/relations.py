@@ -131,7 +131,7 @@ def field_relation(a, b, attr) -> FieldRel:
 def _check_schema(rules, schema: Schema) -> None:
     names = set(schema.condition_names)
     for rule in rules:
-        if set(rule.condition) != names:
+        if rule.condition.keys() != names:
             raise SchemaError(f"rule {rule.id} does not match the schema")
 
 

@@ -229,17 +229,25 @@ def _format_domain(attr: AttributeDef) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _name(text: str, what: str, line: int | None, source: str) -> str:
-    """``text``, unless it holds a control character (see :func:`control_char`)."""
+# separates the columns of a rule line, so a name written into one cannot hold it
+_COLUMN = "|"
+
+
+def _name(text: str, what: str, line: int | None, source: str, forbidden: str = "") -> str:
+    """``text``, unless it holds a control character (see :func:`control_char`)
+    or a character of ``forbidden``."""
     bad = control_char(text)
     if bad is not None:
         raise RuleFileError(f"{what} {text!r} holds control character {bad!r}", line, source)
+    bad = next((c for c in text if c in forbidden), None)
+    if bad is not None:
+        raise RuleFileError(f"{what} {text!r} holds {bad!r}", line, source)
     return text
 
 
-def _labels(text: str, what: str, line: int, source: str) -> frozenset[str]:
+def _labels(text: str, what: str, line: int, source: str, forbidden: str = "") -> frozenset[str]:
     """The comma-separated names of a label domain."""
-    return frozenset(_name(p.strip(), what, line, source) for p in text.split(","))
+    return frozenset(_name(p.strip(), what, line, source, forbidden) for p in text.split(","))
 
 
 def _parse_attr_decl(rest: str, line: int, source: str) -> AttributeDef:
@@ -258,7 +266,7 @@ def _parse_attr_decl(rest: str, line: int, source: str) -> AttributeDef:
         except ValueError as exc:
             raise RuleFileError(f"bad domain for {name!r}: {exc}", line, source) from None
     else:
-        names = _labels(domain_s, f"label of {name!r}", line, source)
+        names = _labels(domain_s, f"label of {name!r}", line, source, _COLUMN)
         if "" in names:
             raise RuleFileError(f"bad domain for {name!r}: empty label", line, source)
         if COMPLEMENT_LABEL in names:
@@ -306,6 +314,7 @@ def _parse_text(text: str, source: str) -> RuleSet:
     rules: list[Rule] = []
     in_rules = False
     header_at: dict[str, int] = {}  # component/kind/decision -> its line
+    values: dict[tuple[str, str], ValueSet] = {}  # see _read_value
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -313,7 +322,9 @@ def _parse_text(text: str, source: str) -> RuleSet:
             continue
         if in_rules:
             rules.append(
-                _parse_rule_line(line, line_no, source, attrs, decision, component, len(rules) + 1)
+                _parse_rule_line(
+                    line, line_no, source, attrs, decision, component, len(rules) + 1, values
+                )
             )
             continue
         head, _, rest = line.partition(" ")
@@ -325,7 +336,7 @@ def _parse_text(text: str, source: str) -> RuleSet:
         if head == "component":
             if not rest:
                 raise RuleFileError("component needs a name", line_no, source)
-            component = _name(rest, "component", line_no, source)
+            component = _name(rest, "component", line_no, source, _COLUMN)
         elif head == "kind":
             try:
                 kind = ComponentKind(rest)
@@ -384,6 +395,7 @@ def _parse_rule_line(
     decision: AttributeDef,
     component: str,
     expected_id: int,
+    values: dict[tuple[str, str], ValueSet],
 ) -> Rule:
     cells = [c.strip() for c in line.split("|")]
     n = len(attrs)
@@ -406,7 +418,7 @@ def _parse_rule_line(
     condition = {}
     for attr, cell in zip(attrs, cells[1 : n + 1]):
         try:
-            condition[attr.name] = parse_value(cell, attr)
+            condition[attr.name] = _read_value(values, cell, attr)
         except ValueError as exc:
             raise RuleFileError(str(exc), line_no, source) from None
     action = cells[n + 1]
@@ -418,6 +430,42 @@ def _parse_rule_line(
     return Rule(id=rule_id, condition=condition, action=action, origin=origin)
 
 
+def _read_value(
+    table: dict[tuple[str, str], ValueSet], cell: str, attr: AttributeDef
+) -> ValueSet:
+    """``parse_value(cell, attr)``, parsed once per distinct (attribute, cell) in ``table``.
+
+    Rule files draw their values from small pools, so most cells repeat one
+    already read.  Only a parsed value is stored, so a bad cell fails where
+    it first appears, with the message ``parse_value`` gives.
+    """
+    key = (attr.name, cell)
+    v = table.get(key)
+    if v is None:
+        v = table[key] = parse_value(cell, attr)
+    return v
+
+
+def _formatted_rules(rs: RuleSet):
+    """Each rule, with its condition values in rule-file syntax in schema order.
+
+    Each distinct value of an attribute is formatted once per call.
+    """
+    columns = []
+    for attr in rs.schema.condition_attributes:
+        texts: dict[tuple, str] = {}  # keyed by the value set's fields, quicker to hash
+        column = []
+        for rule in rs.rules:
+            v = rule.condition[attr.name]
+            key = v.labels, v.intervals
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = format_value(v, attr)
+            column.append(text)
+        columns.append(column)
+    return zip(rs.rules, zip(*columns))
+
+
 def serialize_ruleset(rs: RuleSet) -> str:
     lines = [f"component {rs.component_name}", f"kind {rs.component_kind.value}"]
     for attr in rs.schema.condition_attributes:
@@ -425,12 +473,8 @@ def serialize_ruleset(rs: RuleSet) -> str:
     dec = rs.schema.decision_attribute
     lines.append(f"decision {dec.name} {','.join(sorted(dec.domain.labels or ()))}")
     lines.append("rules")
-    for rule in rs.rules:
-        cells = [str(rule.id)]
-        cells.extend(
-            format_value(rule.condition[a.name], a) for a in rs.schema.condition_attributes
-        )
-        cells.append(rule.action)
+    for rule, values in _formatted_rules(rs):
+        cells = [str(rule.id), *values, rule.action]
         if rule.origin and rule.origin != rs.component_name:
             cells.append(rule.origin)
         lines.append(" | ".join(cells))
@@ -443,6 +487,7 @@ def serialize_ruleset(rs: RuleSet) -> str:
 
 
 def ruleset_to_dict(rs: RuleSet) -> dict:
+    names = rs.schema.condition_names
     return {
         "component": rs.component_name,
         "kind": rs.component_kind.value,
@@ -457,14 +502,11 @@ def ruleset_to_dict(rs: RuleSet) -> dict:
         "rules": [
             {
                 "id": r.id,
-                "values": {
-                    a.name: format_value(r.condition[a.name], a)
-                    for a in rs.schema.condition_attributes
-                },
+                "values": dict(zip(names, values)),
                 "action": r.action,
                 "origin": r.origin,
             }
-            for r in rs.rules
+            for r, values in _formatted_rules(rs)
         ],
     }
 
@@ -500,15 +542,16 @@ def _from_dict(d: dict, source: str) -> RuleSet:
     lines.append("rules")
     base = _parse_text("\n".join(lines) + "\n", source)
     attrs = base.schema.condition_attributes
+    values: dict[tuple[str, str], ValueSet] = {}  # see _read_value
     rules = []
     for entry in d["rules"]:
         rule_id, origin = entry["id"], entry.get("origin", base.component_name)
         if type(rule_id) is not int or not isinstance(origin, str):
             raise ValueError(f"rule {rule_id!r}: id must be an integer and origin a string")
-        _name(origin, f"rule {rule_id} origin", None, source)
+        _name(origin, f"rule {rule_id} origin", None, source, _NOT_IN_HEADER + _COLUMN)
         condition = {}
         for attr in attrs:
-            condition[attr.name] = parse_value(str(entry["values"][attr.name]), attr)
+            condition[attr.name] = _read_value(values, str(entry["values"][attr.name]), attr)
         rules.append(Rule(id=rule_id, condition=condition, action=entry["action"], origin=origin))
     return RuleSet(
         schema=base.schema,

@@ -136,12 +136,6 @@ def _ivals_intersect(a, b):
     return tuple(out)
 
 
-def _expand(v: ValueSet, domain: ValueSet) -> ValueSet:
-    if v.is_wildcard:
-        return domain
-    return v
-
-
 def _check_domain(domain: ValueSet) -> None:
     if domain.is_wildcard:
         raise ValueSetError("attribute domains must be concrete, not wildcard")
@@ -149,7 +143,8 @@ def _check_domain(domain: ValueSet) -> None:
 
 def _pair(a: ValueSet, b: ValueSet, domain: ValueSet) -> tuple[ValueSet, ValueSet]:
     _check_domain(domain)
-    ea, eb = _expand(a, domain), _expand(b, domain)
+    ea = domain if a.labels is None and a.intervals is None else a
+    eb = domain if b.labels is None and b.intervals is None else b
     if (ea.labels is None) != (eb.labels is None):
         raise ValueSetError("cannot combine a label set with an interval set")
     return ea, eb
@@ -171,13 +166,17 @@ def vs_subset(a: ValueSet, b: ValueSet, domain: ValueSet) -> bool:
 def vs_compare(a: ValueSet, b: ValueSet, domain: ValueSet) -> tuple[bool, bool, bool]:
     """``(a ⊆ b, b ⊆ a, a ∩ b ≠ ∅)`` from one pass over both value sets.
 
-    Canonical forms make containment an equality test: ``a ⊆ b`` exactly
-    when ``a ∩ b`` is ``a`` itself.
+    Two single intervals compare by their ends.  Otherwise canonical forms
+    make containment an equality test: ``a ⊆ b`` exactly when ``a ∩ b`` is
+    ``a`` itself.
     """
     ea, eb = _pair(a, b, domain)
     if ea.labels is not None:
         la, lb = ea.labels, eb.labels
         return la <= lb, lb <= la, not la.isdisjoint(lb)
+    if len(ea.intervals) == 1 == len(eb.intervals):
+        ((alo, ahi),), ((blo, bhi),) = ea.intervals, eb.intervals
+        return blo <= alo and ahi <= bhi, alo <= blo and bhi <= ahi, alo <= bhi and blo <= ahi
     common = _ivals_intersect(ea.intervals, eb.intervals)
     return common == ea.intervals, common == eb.intervals, bool(common)
 
@@ -251,7 +250,7 @@ class Cells:
 
 
 def contains_point(v: ValueSet, value: int | str, domain: ValueSet) -> bool:
-    ev = _expand(v, domain)
+    ev = domain if v.is_wildcard else v
     if ev.labels is not None:
         return value in ev.labels
     if isinstance(value, str):

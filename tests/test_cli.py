@@ -280,6 +280,52 @@ def test_fix_interop_writes_json_for_json_inputs(fw, ids, tmp_path):
         assert load_ruleset(out / name).rules
 
 
+def _ids_dict(component: str = "IDS", origin: str | None = None) -> dict:
+    """cases/ids.rules with rule 1 open to every attack class, so that its
+    regions reach the firewall's corrected file."""
+    d = ruleset_to_dict(load_ruleset(CASES / "ids.rules"))
+    d["component"] = component
+    d["rules"][0]["values"]["attack_class"] = "any"
+    for rule in d["rules"]:
+        rule["origin"] = component if origin is None else origin
+    return d
+
+
+_LABEL_WITH_COLUMN = b"""component X
+kind filtering
+attr app label-enum x|y,z
+decision action accept,deny
+rules
+1 | z | deny
+2 | any | accept
+"""
+
+
+# Each of these names would be written into a rule line, where '|' ends a
+# column, '#' starts a comment and a line break ends the line.
+@pytest.mark.parametrize(
+    "name, content, hint",
+    [
+        ("in.rules", _LABEL_WITH_COLUMN, "label of 'app' 'x|y' holds '|'"),
+        ("in.json", _ids_dict(component="A|B"), "component 'A|B' holds '|'"),
+        ("in.json", _ids_dict(origin="up | accept"), "rule 1 origin 'up | accept' holds '|'"),
+        ("in.json", _ids_dict(origin="up2 # c"), "rule 1 origin 'up2 # c' holds '#'"),
+        ("in.json", _ids_dict(origin="up\u2028x"), "rule 1 origin 'up\\u2028x' holds '\\u2028'"),
+    ],
+)
+def test_names_a_rule_line_cannot_hold_are_input_errors(fixed_fw, tmp_path, name, content, hint):
+    path = tmp_path / name
+    path.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+    out = tmp_path / "out"
+    if name.endswith(".json"):
+        result = run("fix-interop", fixed_fw, str(path), "-o", str(out))
+    else:
+        result = run("correct", str(path), "-o", str(out))
+    _one_error_line(result)
+    assert hint in result.output
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # check-topology
 # ---------------------------------------------------------------------------

@@ -250,3 +250,70 @@ def test_dict_header_strings_keep_their_meaning(fw):
         for text in ("FW\r", "FW\u2028x", 5):
             with pytest.raises(RuleFileError, match=key):
                 ruleset_from_dict({**ruleset_to_dict(fw), key: text})
+
+
+
+# two attributes that read a bare number, so one cell text can be good
+# under one and bad under the other
+PORT_AND_LEVEL = """component X
+kind filtering
+attr port port-range 0-65535
+attr level integer-range 0-10
+decision action accept,deny
+rules
+"""
+
+
+def _port_and_level(*cells: tuple[str, str]) -> str:
+    """PORT_AND_LEVEL with one rule per (port, level) pair, from line 7 on."""
+    rows = (f"{i} | {port} | {level} | accept" for i, (port, level) in enumerate(cells, start=1))
+    return PORT_AND_LEVEL + "\n".join(rows) + "\n"
+
+
+def _port_and_level_json(*cells: tuple[str, str]) -> str:
+    """The JSON mirror of ``_port_and_level(*cells)``, cells as written."""
+    d = ruleset_to_dict(parse_ruleset(PORT_AND_LEVEL))
+    d["rules"] = [
+        {"id": i, "values": {"port": port, "level": level}, "action": "accept"}
+        for i, (port, level) in enumerate(cells, start=1)
+    ]
+    return json.dumps(d)
+
+
+def test_each_distinct_cell_is_parsed_once(monkeypatch):
+    calls = []
+
+    def counted(token, attr):
+        calls.append((attr.name, token))
+        return parse_value(token, attr)
+
+    monkeypatch.setattr("policytree.ruleio.parse_value", counted)
+    cells = (("80", "5"), ("80", "5"), ("any", "5"), ("80", "any"))
+    rs = parse_ruleset(_port_and_level(*cells))
+    assert sorted(calls) == [("level", "5"), ("level", "any"), ("port", "80"), ("port", "any")]
+    assert rs.rules[0].condition["port"] is rs.rules[3].condition["port"]
+    calls.clear()
+    assert parse_ruleset(_port_and_level_json(*cells), source="t.json") == rs
+    assert len(calls) == 4
+
+
+def test_a_repeated_bad_cell_fails_where_it_first_appears():
+    cells = (("8_0", "5"), ("80", "5"), ("8_0", "5"))  # lines 7 to 9
+    with pytest.raises(RuleFileError, match=r"^t\.rules:7: port: bad number '8_0'$"):
+        parse_ruleset(_port_and_level(*cells), source="t.rules")
+    with pytest.raises(RuleFileError, match=r"^t\.json: bad JSON rule file: port: bad number"):
+        parse_ruleset(_port_and_level_json(*cells), source="t.json")
+
+
+def test_one_cell_text_is_read_per_attribute():
+    # 80 is inside port's 0-65535, and outside level's 0-10
+    good = (("80", "5"), ("80", "10"))
+    rs = parse_ruleset(_port_and_level(*good))
+    assert rs.rules[1].condition["port"] == intervals(((80, 80),))
+    assert parse_ruleset(_port_and_level_json(*good), source="t.json") == rs
+    bad = (("80", "5"), ("80", "80"))
+    message = "level: value '80' outside the declared domain"
+    with pytest.raises(RuleFileError, match=rf"^t\.rules:8: {message}$"):
+        parse_ruleset(_port_and_level(*bad), source="t.rules")
+    with pytest.raises(RuleFileError, match=rf"^t\.json: bad JSON rule file: {message}$"):
+        parse_ruleset(_port_and_level_json(*bad), source="t.json")

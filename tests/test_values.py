@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _corpus import enumerate_points, mixed_rulesets, mixed_schemas
@@ -54,7 +54,27 @@ same_shape = st.one_of(
 )
 
 
+def _one(lo: int, hi: int) -> ValueSet:
+    return intervals(((lo, hi),))
+
+
 @given(same_shape)
+# single intervals, which vs_compare answers from their ends
+@example((_one(2, 5), _one(5, 8), DOM))  # touching ends
+@example((_one(5, 8), _one(2, 5), DOM))
+@example((_one(2, 4), _one(5, 8), DOM))  # adjacent, disjoint
+@example((_one(5, 8), _one(2, 4), DOM))
+@example((_one(3, 6), _one(3, 6), DOM))  # equal
+@example((_one(4, 4), _one(4, 4), DOM))
+@example((_one(3, 3), _one(3, 7), DOM))  # shared single ends
+@example((_one(7, 7), _one(3, 7), DOM))
+@example((_one(3, 7), _one(3, 3), DOM))
+@example((_one(3, 5), _one(3, 8), DOM))
+@example((_one(1, 8), _one(4, 8), DOM))
+@example((_one(0, 30), ANY, DOM))  # the whole domain against the wildcard
+@example((ANY, _one(0, 30), DOM))
+@example((ANY, _one(0, 29), DOM))
+@example((_one(1, 30), ANY, DOM))
 def test_relations_match_set_semantics(operands):
     a, b, dom = operands
     pa, pb = pts(a, dom), pts(b, dom)
