@@ -118,7 +118,8 @@ def main() -> int:
     )
     mismatches = equivalence(pair.rdt.tree, merged.ruleset, semantics, space)
     elapsed = time.perf_counter() - started
-    print(f"packet space: {space.size():,} elementary cells ({elapsed:.1f}s)")
+    print(f"packet space: {space.size():,} elementary cells")
+    print(f"referee wall time: {elapsed:.1f}s", file=sys.stderr)
     print(f"tree vs ordered-rules referee ({semantics.value}): {len(mismatches)} mismatches")
     print(f"relevancy violations in the global tree: {len(check_relevant(pair.rdt.tree))}")
 

@@ -26,10 +26,10 @@ __all__ = [
     "RelevancyViolation",
     "branches",
     "check_relevant",
+    "flattened",
     "tree_to_rules",
     "evaluate_tree",
     "dump_tree",
-    "copy_node",
     "action_label",
 ]
 
@@ -82,13 +82,6 @@ class Branch:
 def action_label(edge: Edge) -> str:
     (label,) = tuple(edge.label.labels or ())
     return label
-
-
-def copy_node(node: Node) -> Node:
-    return Node(
-        level=node.level,
-        edges=[Edge(e.label, copy_node(e.child) if e.child else None, e.owner) for e in node.edges],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -162,22 +155,26 @@ def _region_key(v: ValueSet) -> tuple:
     return (2, ",".join(sorted(v.labels or ())), 0, "")
 
 
-def _branch_sort_key(b: Branch, keys: dict[ValueSet, tuple]) -> tuple:
-    """The owner, then the region; ``keys`` memoizes each label's region key."""
-    return (b.owner, tuple(keys.get(v) or keys.setdefault(v, _region_key(v)) for v in b.labels))
+def _branch_sort_key(b: Branch, keys: dict[int, tuple]) -> tuple:
+    """The owner, then the region; ``keys`` memoizes each label's region key by identity."""
+    region = [keys.get(id(v)) or keys.setdefault(id(v), _region_key(v)) for v in b.labels]
+    return (b.owner, tuple(region))
+
+
+def flattened(t: DecisionTree) -> list[Branch]:
+    """The branches in flattening order: by owning rule id, then by region."""
+    keys: dict[int, tuple] = {}
+    return sorted(branches(t), key=lambda b: _branch_sort_key(b, keys))
 
 
 def tree_to_rules(t: DecisionTree, origin_map: dict[int, str] | None = None) -> RuleSet:
-    """Read the branches back as an ordered rule set.
+    """Read the branches back as an ordered rule set, in :func:`flattened` order.
 
-    Branches sort by owning rule id, then by region; ids are renumbered
-    consecutively.
+    Ids are renumbered consecutively.
     """
     names = t.schema.condition_names
     rules = []
-    keys: dict[ValueSet, tuple] = {}
-    ordered = sorted(branches(t), key=lambda b: _branch_sort_key(b, keys))
-    for new_id, b in enumerate(ordered, start=1):
+    for new_id, b in enumerate(flattened(t), start=1):
         origin = (origin_map or {}).get(b.owner, t.component_name)
         rules.append(
             Rule(
@@ -198,7 +195,7 @@ def tree_to_rules(t: DecisionTree, origin_map: dict[int, str] | None = None) -> 
 def evaluate_tree(t: DecisionTree, packet: dict) -> str | None:
     """Decision for one packet; ``None`` when no branch matches.
 
-    The first branch, in :func:`tree_to_rules` order, whose labels hold the
+    The first branch, in :func:`flattened` order, whose labels hold the
     packet decides, so a tree decides as its flattening does under first
     match.  Several branches can match only on a non-relevant tree; then
     the smallest owner wins.

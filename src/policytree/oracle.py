@@ -14,8 +14,8 @@ It also cuts each numeric domain into elementary cells, the maximal
 intervals on which no rule value changes, and keeps one packet per cell
 (label domains are enumerated in full).  Every rule matches all of a cell
 or none of it, so checking one point per cell is exact.  A tree decides a
-packet as its :func:`~policytree.dtree.tree_to_rules` flattening does under
-first match; the comparison of a tree against a rule set also cuts at the
+packet as its :func:`~policytree.dtree.flattened` regions do under first
+match; the comparison of a tree against a rule set also cuts at the
 tree's own label bounds, so it stays exact for any tree.  "No decision" is
 a first class outcome throughout (``None``).
 """
@@ -31,9 +31,9 @@ from math import prod
 
 import numpy as np
 
-from .dtree import DecisionTree, tree_to_rules
+from .dtree import DecisionTree, flattened
 from .model import AttributeDef, Rule, RuleSet, Schema, SchemaError
-from .values import ValueSet, contains_point, vs_compare
+from .values import contains_point, vs_compare, vs_subset
 
 __all__ = [
     "Packet",
@@ -158,12 +158,11 @@ def endpoint_space(*rulesets: RuleSet) -> DomainSpace:
     return DomainSpace(schema=schema, points=points)
 
 
-def _cut_by(space: DomainSpace, rs: RuleSet) -> DomainSpace:
-    """``space`` with the cell starts of ``rs``'s own values added."""
+def _cut_by(space: DomainSpace, values: list) -> DomainSpace:
+    """``space`` with the cell starts of more values added, one collection per attribute."""
     points = dict(space.points)
-    for attr in rs.schema.condition_attributes:
+    for attr, vals in zip(space.schema.condition_attributes, values):
         if attr.kind.is_numeric:
-            vals = [r.condition[attr.name] for r in rs.rules]
             points[attr.name] = tuple(sorted(_cell_starts(attr, vals).union(points[attr.name])))
     return DomainSpace(schema=space.schema, points=points)
 
@@ -173,18 +172,17 @@ def _cut_by(space: DomainSpace, rs: RuleSet) -> DomainSpace:
 # ---------------------------------------------------------------------------
 
 
-def _axis_classes(attr: AttributeDef, points: tuple, rules) -> tuple[np.ndarray, list[int]]:
-    """Phase 0 on one attribute: each point's class, and each class's set of matching rules.
+def _axis_classes(attr: AttributeDef, points: tuple, column) -> tuple[np.ndarray, list[int]]:
+    """Phase 0 on one attribute: each point's class, and each class's set of matching rows.
 
-    Bit ``k`` of a set is ``rules[k]``.  Each distinct value set is located
+    Bit ``k`` of a set is ``column[k]``.  Each distinct value set is located
     once; as they hold disjoint bits, their point ranges sweep in as XOR deltas.
     """
-    groups: dict[ValueSet, int] = {}
-    for k, rule in enumerate(rules):
-        v = rule.condition[attr.name]
-        groups[v] = groups.get(v, 0) | 1 << k
+    groups: dict[int, list] = {}  # by identity, to skip hashing: equal sets are mostly one object
+    for k, v in enumerate(column):
+        groups.setdefault(id(v), [v, 0])[1] |= 1 << k
     delta = [0] * (len(points) + 1)
-    for v, bits in groups.items():
+    for v, bits in groups.values():
         v = attr.domain if v.is_wildcard else v
         if v.intervals is not None:
             spans = [(bisect_left(points, lo), bisect_right(points, hi)) for lo, hi in v.intervals]
@@ -218,11 +216,22 @@ def equivalence(
     """
     if tree.schema != rs.schema:
         raise SchemaError("tree and rule set must share a schema")
-    flat = tree_to_rules(tree)
-    space = _cut_by(space, flat)
-    rules, n = rs.rules + flat.rules, len(rs.rules)
+    rules, n, regions = rs.rules, len(rs.rules), flattened(tree)
     attrs = rs.schema.condition_attributes
-    axes = [_axis_classes(a, space.points[a.name], rules) for a in attrs]
+    columns = [
+        [r.condition[a.name] for r in rules] + [b.labels[i] for b in regions]
+        for i, a in enumerate(attrs)
+    ]
+    tree_values = [{id(v): v for v in column[n:]}.values() for column in columns]  # by identity
+    for a, vals in zip(attrs, tree_values):  # what a flattened rule set checks, once per label
+        if not all(vs_subset(v, a.domain, a.domain) for v in vals):
+            raise SchemaError(f"tree region: value for {a.name!r} falls outside its domain")
+    tree_actions = [b.action for b in regions]
+    stray = set(tree_actions) - (rs.schema.decision_attribute.domain.labels or frozenset())
+    if stray:
+        raise SchemaError(f"tree region: action {min(stray)!r} not in decision domain")
+    space = _cut_by(space, tree_values)
+    axes = [_axis_classes(a, space.points[a.name], column) for a, column in zip(attrs, columns)]
     tables, sets = [], axes[0][1]
     for _, axis_sets in axes[1:]:  # a later phase: (previous class, axis class) -> class
         ids: dict[int, int] = {}
@@ -246,7 +255,7 @@ def equivalence(
         return decided[bits]
 
     verdicts = [
-        (rules[n + _lowest(bits >> n)].action if bits >> n else None, by_rules(bits & rule_bits))
+        (tree_actions[_lowest(bits >> n)] if bits >> n else None, by_rules(bits & rule_bits))
         for bits in sets
     ]
     bad = np.array([by_tree != by_rule for by_tree, by_rule in verdicts], dtype=bool)

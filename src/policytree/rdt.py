@@ -1,11 +1,12 @@
 """Building relevant decision trees from ordered rule sets.
 
-Rules are inserted in order.  At each node the incoming value set is
-decomposed against the sibling edges: the part covered by an existing edge
-descends into (a copy of) that subtree, splitting the edge when the overlap
-is proper, and whatever remains becomes a fresh edge carrying the rest of
-the rule.  When an insertion reaches an action leaf, the region already has
-an owner and the conflict policy decides who keeps it:
+The tree reads as if the rules were inserted in order.  At each node the
+incoming value set is decomposed against the sibling edges: the part
+covered by an existing edge descends into that subtree, splitting the edge
+when the overlap is proper, and whatever remains becomes a fresh edge
+carrying the rest of the rule.  Each distinct subtree is built once (see
+:func:`_build`).  Where several rules reach a region, the first owns it
+and the conflict policy decides whether a later one takes it:
 
 * ``specificity-then-order`` (default): the incoming rule captures the
   region only when its original condition fits strictly inside the owner's
@@ -30,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .dtree import DecisionTree, Edge, Node, copy_node
-from .model import Rule, RuleSet
+from .dtree import DecisionTree, Edge, Node
+from .model import RuleSet
 from .relations import RelationKind, relate
 from .values import Cells, labels
 
@@ -63,67 +64,75 @@ class _MaskTree:
     cells: tuple[Cells, ...]  # one codec per condition level
 
 
-class _Inserter:
-    def __init__(self, rs: RuleSet, policy: ConflictPolicy):
-        self.rs = rs
-        self.policy = policy
-        self.action_level = len(rs.schema.condition_attributes) + 1
-        cells = tuple(
-            Cells(attr.domain, [r.condition[attr.name] for r in rs.rules])
-            for attr in rs.schema.condition_attributes
-        )
-        self.tree = _MaskTree(root=Node(level=1), cells=cells)
-        self._capture_cache: dict[tuple[int, int], bool] = {}
+def _build(rs: RuleSet, policy: ConflictPolicy) -> _MaskTree:
+    """The tree of ``rs`` before merging, with each distinct subtree built once.
 
-    def _captures(self, incoming: Rule, owner_id: int) -> bool:
-        if self.policy is ConflictPolicy.FIRST_MATCH:
-            return False
-        key = (incoming.id, owner_id)
-        if key not in self._capture_cache:
-            rel = relate(incoming, self.rs.rule(owner_id), self.rs.schema)
-            self._capture_cache[key] = rel.kind is RelationKind.FORWARD
-        return self._capture_cache[key]
+    The subtree below a node depends only on its level and on the rules that
+    reach it, an int with bit ``k`` set for ``rs.rules[k]``.  So ``build`` is
+    memoized on the pair, and parents that reach the same rules share one
+    node: a decision diagram (Gouda & Liu, ICDCS 2004) whose paths read as
+    in the tree that inserts the rules one by one.
+    """
+    attrs, rules = rs.schema.condition_attributes, rs.rules
+    cells = tuple(Cells(a.domain, [r.condition[a.name] for r in rules]) for a in attrs)
+    masks = [[c.mask(r.condition[a.name]) for r in rules] for c, a in zip(cells, attrs)]
+    built: dict[tuple[int, int], Node] = {}
+    captures: dict[tuple[int, int], bool] = {}
 
-    def _chain(self, rule: Rule, masks: tuple[int, ...], level: int) -> Node:
-        if level == self.action_level:
-            return Node(level=level, edges=[Edge(labels(rule.action), child=None, owner=rule.id)])
-        child = self._chain(rule, masks, level + 1)
-        return Node(level=level, edges=[Edge(masks[level - 1], child)])
+    def owner(members: int) -> int:
+        """The first member owns the region, unless a later one captures it."""
+        owner = (members & -members).bit_length() - 1
+        while policy is not ConflictPolicy.FIRST_MATCH and (members := members & (members - 1)):
+            k = (members & -members).bit_length() - 1
+            if (k, owner) not in captures:
+                rel = relate(rules[k], rules[owner], rs.schema)
+                captures[k, owner] = rel.kind is RelationKind.FORWARD
+            owner = k if captures[k, owner] else owner
+        return owner
 
-    def insert(self, rule: Rule) -> None:
-        masks = tuple(
-            cells.mask(rule.condition[attr.name])
-            for cells, attr in zip(self.tree.cells, self.rs.schema.condition_attributes)
-        )
-        self._insert(self.tree.root, rule, masks)
+    def split(level: int, members: int) -> list[list[int]]:
+        """The sibling edges as ``[label, members]``, replaying the members in rule order.
 
-    def _insert(self, node: Node, rule: Rule, masks: tuple[int, ...]) -> None:
-        if node.level == self.action_level:
-            incumbent = node.edges[0]
-            if incumbent.owner is not None and self._captures(rule, incumbent.owner):
-                node.edges[0] = Edge(labels(rule.action), child=None, owner=rule.id)
-            return
+        An edge that a rule covers in part keeps its remainder in place, the
+        intersection follows it at the end, and the rule's cells that no
+        edge holds come last.  Below the root, the first rule's edge stays
+        even when its value set is empty, as a chain of that rule alone.
+        """
+        parts: list[list[int]] = []
+        level_masks = masks[level - 1]
+        while members:
+            bit = members & -members
+            members ^= bit
+            v = level_masks[bit.bit_length() - 1]
+            for i in range(len(parts)):
+                if not v:
+                    break
+                part = parts[i]
+                inter = v & part[0]
+                if not inter:
+                    continue
+                if inter == part[0]:
+                    part[1] |= bit
+                else:
+                    part[0] &= ~inter
+                    parts.append([inter, part[1] | bit])
+                v &= ~inter
+            if v or not parts and level > 1:
+                parts.append([v, bit])
+        return parts
 
-        v = masks[node.level - 1]
-        for edge in list(node.edges):
-            if not v:
-                break
-            inter = v & edge.label
-            if not inter:
-                continue
-            if inter == edge.label:
-                # the whole edge lies inside the incoming value: descend
-                self._insert(edge.child, rule, masks)
+    def build(level: int, members: int) -> Node:
+        node = built.get((level, members))
+        if node is None:
+            if level > len(attrs):
+                rule = rules[owner(members)]
+                edges = [Edge(labels(rule.action), child=None, owner=rule.id)]
             else:
-                # proper overlap: the untouched remainder keeps the subtree,
-                # the intersection continues with a private copy
-                edge.label &= ~inter
-                carved = Edge(inter, copy_node(edge.child))
-                node.edges.append(carved)
-                self._insert(carved.child, rule, masks)
-            v &= ~inter
-        if v:
-            node.edges.append(Edge(v, self._chain(rule, masks, node.level + 1)))
+                edges = [Edge(m, build(level + 1, ms)) for m, ms in split(level, members)]
+            node = built[level, members] = Node(level=level, edges=edges)
+        return node
+
+    return _MaskTree(root=build(1, (1 << len(rules)) - 1), cells=cells)
 
 
 def normalize(t: _MaskTree) -> _MaskTree:
@@ -133,13 +142,17 @@ def normalize(t: _MaskTree) -> _MaskTree:
     owners may differ.  Merged labels are ORed, so a merge that covers the
     whole domain is the full mask, which reads back as the wildcard.  The
     merged edge keeps the subtree with the earliest owner (the first such
-    one in edge order).  Packet decisions are unchanged.
+    one in edge order).  Packet decisions are unchanged.  A node shared by
+    several parents is merged once.
     """
     shapes: dict = {}  # a subtree's labels and actions -> a small id
+    merged: dict[int, tuple[int, int]] = {}  # id(node) -> its shape id and earliest owner
     action_level = len(t.cells) + 1
 
     def merge(node: Node) -> tuple[int, int]:
         """Merge below ``node``; return its shape id and its earliest owner."""
+        if id(node) in merged:
+            return merged[id(node)]
         if node.level == action_level:
             (edge,) = node.edges
             return shapes.setdefault(edge.label, len(shapes)), edge.owner
@@ -155,28 +168,29 @@ def normalize(t: _MaskTree) -> _MaskTree:
             node.edges.append(kept)
             owners.append(owner)
         key = frozenset(zip((e.label for e in node.edges), groups))
-        return shapes.setdefault(key, len(shapes)), min(owners, default=0)
+        merged[id(node)] = shapes.setdefault(key, len(shapes)), min(owners, default=0)
+        return merged[id(node)]
 
     merge(t.root)
     return t
 
 
 def _decode(node: Node, cells: tuple[Cells, ...]) -> None:
-    """Replace every condition mask below ``node`` by its value set."""
-    if node.level > len(cells):
-        return
+    """Replace every condition mask below ``node`` by its value set.
+
+    A shared node is decoded once: after that, its first label is no mask.
+    """
     codec = cells[node.level - 1]
     for edge in node.edges:
         edge.label = codec.value(edge.label)
-        _decode(edge.child, cells)
+        child = edge.child
+        if child.level <= len(cells) and isinstance(child.edges[0].label, int):
+            _decode(child, cells)
 
 
 def build_rdt(rs: RuleSet, policy: ConflictPolicy = ConflictPolicy.SPECIFICITY) -> RelevantDecisionTree:
-    """Insert every rule in order, normalize, and read the labels back as value sets."""
-    inserter = _Inserter(rs, policy)
-    for rule in rs.rules:
-        inserter.insert(rule)
-    built = normalize(inserter.tree)
+    """Build the diagram of every rule, normalize, and read the labels back as value sets."""
+    built = normalize(_build(rs, policy))
     _decode(built.root, built.cells)
     tree = DecisionTree(
         schema=rs.schema,
@@ -185,4 +199,3 @@ def build_rdt(rs: RuleSet, policy: ConflictPolicy = ConflictPolicy.SPECIFICITY) 
         component_kind=rs.component_kind,
     )
     return RelevantDecisionTree(tree=tree, policy=policy)
-

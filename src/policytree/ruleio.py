@@ -549,9 +549,10 @@ def _from_dict(d: dict, source: str) -> RuleSet:
         if type(rule_id) is not int or not isinstance(origin, str):
             raise ValueError(f"rule {rule_id!r}: id must be an integer and origin a string")
         _name(origin, f"rule {rule_id} origin", None, source, _NOT_IN_HEADER + _COLUMN)
-        condition = {}
-        for attr in attrs:
-            condition[attr.name] = _read_value(values, str(entry["values"][attr.name]), attr)
+        try:
+            condition = {a.name: _read_value(values, str(entry["values"][a.name]), a) for a in attrs}
+        except ValueError as exc:
+            raise ValueError(f"rule {rule_id}: {exc}") from None
         rules.append(Rule(id=rule_id, condition=condition, action=entry["action"], origin=origin))
     return RuleSet(
         schema=base.schema,

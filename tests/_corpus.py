@@ -12,6 +12,7 @@ import random
 
 from hypothesis import strategies as st
 
+from policytree import rdt
 from policytree.correction import correct_ruleset
 from policytree.dtree import DecisionTree, Edge, Node
 from policytree.model import (
@@ -22,7 +23,8 @@ from policytree.model import (
     Schema,
     complete_label_domain,
 )
-from policytree.values import ANY, AttrKind, ValueSet, intervals, labels
+from policytree.relations import RelationKind, relate
+from policytree.values import ANY, AttrKind, Cells, ValueSet, intervals, labels
 
 
 def enumerate_points(v: ValueSet, domain: ValueSet) -> list:
@@ -51,6 +53,77 @@ def build_tree(rs: RuleSet) -> DecisionTree:
                 node.edges.append(edge)
             node = edge.child
         node.edges.append(Edge(label=labels(rule.action), child=None, owner=rule.id))
+    return DecisionTree(
+        schema=rs.schema,
+        root=root,
+        component_name=rs.component_name,
+        component_kind=rs.component_kind,
+    )
+
+
+def copy_node(node: Node) -> Node:
+    """A deep copy: no node of the copy is shared with the original."""
+    return Node(
+        level=node.level,
+        edges=[Edge(e.label, copy_node(e.child) if e.child else None, e.owner) for e in node.edges],
+    )
+
+
+def reference_rdt(rs: RuleSet, policy: rdt.ConflictPolicy) -> DecisionTree:
+    """The relevant tree built by plain sequential insertion, as an independent reference.
+
+    Each rule is inserted in order.  At a proper overlap the edge keeps its
+    remainder, and the intersection follows with a private copy of the
+    subtree; the rule's cells that no edge holds become a fresh chain.  At
+    an action leaf the incoming rule takes the region only when the policy
+    lets it capture the owner.  Then :func:`policytree.rdt.normalize`, and
+    the masks read back as value sets.
+    """
+    attrs = rs.schema.condition_attributes
+    action_level = len(attrs) + 1
+    cells = tuple(Cells(a.domain, [r.condition[a.name] for r in rs.rules]) for a in attrs)
+
+    def captures(incoming: Rule, owner: int) -> bool:
+        if policy is rdt.ConflictPolicy.FIRST_MATCH:
+            return False
+        return relate(incoming, rs.rule(owner), rs.schema).kind is RelationKind.FORWARD
+
+    def chain(rule: Rule, masks: tuple[int, ...], level: int) -> Node:
+        if level == action_level:
+            return Node(level, [Edge(labels(rule.action), None, owner=rule.id)])
+        return Node(level, [Edge(masks[level - 1], chain(rule, masks, level + 1))])
+
+    def insert(node: Node, rule: Rule, masks: tuple[int, ...]) -> None:
+        if node.level == action_level:
+            if captures(rule, node.edges[0].owner):
+                node.edges[0] = Edge(labels(rule.action), None, owner=rule.id)
+            return
+        v = masks[node.level - 1]
+        for edge in list(node.edges):
+            inter = v & edge.label
+            if not inter:
+                continue
+            if inter != edge.label:
+                edge.label &= ~inter
+                edge = Edge(inter, copy_node(edge.child))
+                node.edges.append(edge)
+            insert(edge.child, rule, masks)
+            v &= ~inter
+        if v:
+            node.edges.append(Edge(v, chain(rule, masks, node.level + 1)))
+
+    root = Node(level=1)
+    for rule in rs.rules:
+        insert(root, rule, tuple(c.mask(rule.condition[a.name]) for c, a in zip(cells, attrs)))
+    rdt.normalize(rdt._MaskTree(root=root, cells=cells))
+
+    def decode(node: Node) -> None:
+        if node.level < action_level:
+            for edge in node.edges:
+                edge.label = cells[node.level - 1].value(edge.label)
+                decode(edge.child)
+
+    decode(root)
     return DecisionTree(
         schema=rs.schema,
         root=root,

@@ -552,6 +552,12 @@ _FW_TEXT = (CASES / "fw.rules").read_bytes()
             "outside the declared domain",
         ),
         ("bad.json", _first_rule(lambda r: r.update(id="one")), "id must be an integer"),
+        # a bad value names its rule, as a bad action does
+        (
+            "fw.json",
+            _edited(lambda d: d["rules"][2]["values"].update(src_port="8_0")),
+            "fw.json: bad JSON rule file: rule 3: src_port: bad number '8_0'",
+        ),
         # a port or rule id that int() would read: 1_0 is not 10, an Arabic-Indic 1 is not 1
         ("bad.rules", _FW_TEXT.replace(b"| any | deny", b"| 8_0 | deny", 1), "bad number '8_0'"),
         ("bad.rules", _FW_TEXT.replace(b"\n1 |", "\n\u0661 |".encode()), "bad rule id"),

@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 from policytree.dtree import (
     branches,
     check_relevant,
-    copy_node,
     dump_tree,
     evaluate_tree,
     tree_to_rules,
@@ -24,7 +23,7 @@ from policytree.model import Rule, RuleSet, SchemaError
 from policytree.oracle import Semantics, evaluate
 from policytree.values import ANY, intervals
 
-from _corpus import build_tree, interval_schema, random_ruleset
+from _corpus import build_tree, copy_node, interval_schema, random_ruleset
 
 SCHEMA1 = interval_schema(1, (40,))
 SCHEMA2 = interval_schema(2, (40, 15))

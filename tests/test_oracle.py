@@ -9,7 +9,7 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from policytree.dtree import copy_node, evaluate_tree, tree_to_rules
+from policytree.dtree import evaluate_tree, tree_to_rules
 from policytree.model import AttributeDef, Rule, RuleSet, Schema, SchemaError
 from policytree.oracle import (
     DomainSpace,
@@ -22,9 +22,9 @@ from policytree.oracle import (
 )
 from policytree.rdt import ConflictPolicy, build_rdt
 from policytree.ruleio import parse_point
-from policytree.values import ANY, AttrKind, intervals
+from policytree.values import ANY, AttrKind, ValueSet, intervals
 
-from _corpus import build_tree, enumerate_points, interval_schema, random_ruleset
+from _corpus import build_tree, copy_node, enumerate_points, interval_schema, random_ruleset
 
 SCHEMA1 = interval_schema(1, (40,))
 
@@ -142,6 +142,23 @@ def test_equivalence_agrees_per_semantics(fw):
 def test_equivalence_requires_one_schema(fw, ids):
     with pytest.raises(SchemaError, match="share a schema"):
         equivalence(build_rdt(fw).tree, ids, Semantics.FIRST_MATCH, endpoint_space(fw))
+
+
+def test_equivalence_rejects_a_region_outside_the_domain(fw):
+    # an interval past the domain's end, an unknown protocol, an unknown action
+    rs = _rs1((((5, 10),), "accept"), (((0, 39),), "deny"))
+    for source, label in ((rs, intervals(((20, 50),))), (fw, ValueSet(labels=frozenset({"GRE"})))):
+        tree = build_rdt(source).tree
+        mutant = copy_node(tree.root)
+        mutant.edges[0].label = label
+        with pytest.raises(SchemaError, match="falls outside its domain"):
+            space = endpoint_space(source)
+            equivalence(replace(tree, root=mutant), source, Semantics.OWNER_CAPTURE, space)
+    tree = build_rdt(rs).tree
+    mutant = copy_node(tree.root)
+    mutant.edges[0].child.edges[0].label = ValueSet(labels=frozenset({"drop"}))
+    with pytest.raises(SchemaError, match="not in decision domain"):
+        equivalence(replace(tree, root=mutant), rs, Semantics.OWNER_CAPTURE, endpoint_space(rs))
 
 
 def test_no_decision_counts_as_agreement():

@@ -13,10 +13,11 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from policytree.correction import ProjectionMode, project
 from policytree.dtree import (
     branches,
     check_relevant,
-    copy_node,
+    dump_tree,
     evaluate_tree,
     tree_to_rules,
 )
@@ -26,14 +27,23 @@ from policytree.oracle import Semantics, endpoint_space, equivalence, evaluate
 from policytree.rdt import (
     ConflictPolicy,
     RelevantDecisionTree,
-    _Inserter,
+    _build,
     build_rdt,
     normalize,
 )
-from policytree.ruleio import load_ruleset, parse_point, parse_value
+from policytree.ruleio import load_ruleset, parse_point, parse_value, serialize_ruleset
 from policytree.values import ANY, intervals
 
-from _corpus import build_tree, interval_schema, mixed_rulesets, mixed_schemas, random_ruleset
+from _corpus import (
+    build_tree,
+    copy_node,
+    interval_schema,
+    mixed_rulesets,
+    mixed_schemas,
+    random_ruleset,
+    random_value,
+    reference_rdt,
+)
 
 SCHEMA1 = interval_schema(1, (40,))
 
@@ -176,12 +186,80 @@ def test_merge_keeps_decisions_on_relevant_sets(seed):
 @given(st.integers(0, 10_000), st.sampled_from(list(ConflictPolicy)))
 def test_merge_is_idempotent(seed, policy):
     rs = random_ruleset(random.Random(seed), max_rules=10)
-    inserter = _Inserter(rs, policy)
-    for rule in rs.rules:
-        inserter.insert(rule)
-    once = normalize(inserter.tree)
+    once = normalize(_build(rs, policy))
     merged = copy_node(once.root)
     assert normalize(once).root == merged
+
+
+# ---------------------------------------------------------------------------
+# shared subtrees
+# ---------------------------------------------------------------------------
+
+
+def _node_counts(root) -> tuple[int, int]:
+    """Distinct nodes, and nodes on the tree that expands every shared one."""
+    distinct, expanded, todo = set(), 0, [root]
+    while todo:
+        node = todo.pop()
+        distinct.add(id(node))
+        expanded += 1
+        todo.extend(e.child for e in node.edges if e.child is not None)
+    return len(distinct), expanded
+
+
+def _texts(t) -> tuple[str, str]:
+    return dump_tree(t), serialize_ruleset(tree_to_rules(t))
+
+
+@given(st.integers(0, 10_000), st.sampled_from(list(ConflictPolicy)))
+def test_diagram_reads_as_sequential_insertion(seed, policy):
+    rs = random_ruleset(random.Random(seed), max_rules=25)
+    assert _texts(build_rdt(rs, policy).tree) == _texts(reference_rdt(rs, policy))
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.data())
+def test_diagram_over_every_attribute_kind_reads_as_sequential_insertion(data):
+    rs = data.draw(mixed_rulesets(data.draw(mixed_schemas()), "R"))
+    for policy in ConflictPolicy:
+        assert _texts(build_rdt(rs, policy).tree) == _texts(reference_rdt(rs, policy))
+
+
+def _sixty_rules() -> RuleSet:
+    rng = random.Random(60)
+    schema = interval_schema(4)
+    rules = tuple(
+        Rule(
+            i,
+            {a.name: random_value(rng, a) for a in schema.condition_attributes},
+            rng.choice(("accept", "deny")),
+        )
+        for i in range(1, 61)
+    )
+    return RuleSet(schema=schema, rules=rules, component_name="S60")
+
+
+def test_a_subtree_reached_through_two_parents_is_built_once():
+    for policy in ConflictPolicy:
+        distinct, expanded = _node_counts(build_rdt(_sixty_rules(), policy).tree.root)
+        assert distinct < expanded
+
+
+def test_reading_a_shared_tree_leaves_it_unchanged():
+    rs = _sixty_rules()
+    for policy, semantics in (
+        (ConflictPolicy.SPECIFICITY, Semantics.OWNER_CAPTURE),
+        (ConflictPolicy.FIRST_MATCH, Semantics.FIRST_MATCH),
+    ):
+        t = build_rdt(rs, policy).tree
+        before = dump_tree(t), _node_counts(t.root)
+        branches(t)
+        tree_to_rules(t)
+        check_relevant(t)
+        evaluate_tree(t, {name: 3 for name in rs.schema.condition_names})
+        project(t, rs.schema.condition_names[:2], ProjectionMode.DROP_SPECIFIC)
+        equivalence(t, rs, semantics, endpoint_space(rs))
+        assert (dump_tree(t), _node_counts(t.root)) == before
 
 
 # ---------------------------------------------------------------------------

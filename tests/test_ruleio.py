@@ -301,7 +301,8 @@ def test_a_repeated_bad_cell_fails_where_it_first_appears():
     cells = (("8_0", "5"), ("80", "5"), ("8_0", "5"))  # lines 7 to 9
     with pytest.raises(RuleFileError, match=r"^t\.rules:7: port: bad number '8_0'$"):
         parse_ruleset(_port_and_level(*cells), source="t.rules")
-    with pytest.raises(RuleFileError, match=r"^t\.json: bad JSON rule file: port: bad number"):
+    json_message = r"^t\.json: bad JSON rule file: rule 1: port: bad number '8_0'$"
+    with pytest.raises(RuleFileError, match=json_message):
         parse_ruleset(_port_and_level_json(*cells), source="t.json")
 
 
@@ -315,5 +316,5 @@ def test_one_cell_text_is_read_per_attribute():
     message = "level: value '80' outside the declared domain"
     with pytest.raises(RuleFileError, match=rf"^t\.rules:8: {message}$"):
         parse_ruleset(_port_and_level(*bad), source="t.rules")
-    with pytest.raises(RuleFileError, match=rf"^t\.json: bad JSON rule file: {message}$"):
+    with pytest.raises(RuleFileError, match=rf"^t\.json: bad JSON rule file: rule 2: {message}$"):
         parse_ruleset(_port_and_level_json(*bad), source="t.json")
