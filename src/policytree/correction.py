@@ -7,17 +7,18 @@ The repair pipeline for a preceding/following pair is:
 3. build the relevant decision tree of that global set, and
 4. project the tree back onto each component's own attributes.
 
-The preceding (filtering) component keeps the branches that do not depend
-on attributes it cannot see (*drop-specific*): any branch pinned to a
-specific value of a foreign attribute is delegated downstream.  The
-following (alerting) component keeps exactly the branches that are
-specific in its designated attribute, e.g. the attack class
-(*keep-specific*); everything else is traffic it has no opinion on.
+The preceding (filtering) component keeps the regions that do not depend
+on attributes it cannot see (*drop-specific*): a foreign level keeps only
+its wildcard edge, and any region pinned to a specific value of a foreign
+attribute is delegated downstream.  The following (alerting) component
+keeps exactly the edges that are specific in its designated attribute,
+e.g. the attack class (*keep-specific*); everything else is traffic it has
+no opinion on.
 
 Projection deliberately leaves sibling regions un-merged: a region split
 caused by the other component's rules is meaningful output (it shows where
-responsibility was divided), so only the branch filter and level removal
-are applied.
+responsibility was divided), so only the edge filter and level removal are
+applied.
 """
 
 from __future__ import annotations
@@ -26,14 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .dtree import (
-    Branch,
-    DecisionTree,
-    Edge,
-    Node,
-    branches,
-    tree_to_rules,
-)
+from .dtree import DecisionTree, Edge, Node, tree_to_rules
 from .interop import extend_schema, union_schema
 from .model import ComponentKind, Rule, RuleSet, Schema, SchemaError
 from .rdt import ConflictPolicy, RelevantDecisionTree, build_rdt
@@ -134,17 +128,6 @@ def _is_specific(label: ValueSet) -> bool:
     return True
 
 
-def _keep_branch(
-    b: Branch, mode: ProjectionMode, foreign_idx: list[int], designated_idx: int | None
-) -> bool:
-    if any(not b.labels[i].is_wildcard for i in foreign_idx):
-        return False
-    if mode is ProjectionMode.KEEP_SPECIFIC:
-        assert designated_idx is not None
-        return _is_specific(b.labels[designated_idx])
-    return True
-
-
 def project(
     tree: DecisionTree,
     attributes: Sequence[str],
@@ -156,7 +139,12 @@ def project(
 
     ``attributes`` keeps its schema order from the source tree.  With
     ``KEEP_SPECIFIC`` the ``designated`` attribute (one of the kept ones)
-    selects the branches to retain.
+    selects the edges to retain.
+
+    Each distinct source node is projected once, so the result shares nodes
+    as the source does.  A foreign level keeps only its wildcard edge and
+    splices in that child; a kept level keeps its edges in source order; a
+    node with no surviving edge is dropped.
     """
     if isinstance(tree, RelevantDecisionTree):
         tree = tree.tree
@@ -168,43 +156,50 @@ def project(
     if not wanted:
         raise SchemaError("projection must keep at least one attribute")
     keep_idx = [i for i, n in enumerate(names) if n in wanted]
-    foreign_idx = [i for i, n in enumerate(names) if n not in wanted]
-    designated_idx: int | None = None
+    designated_level = None
     if mode is ProjectionMode.KEEP_SPECIFIC:
         if designated is None or designated not in wanted:
             raise SchemaError("keep-specific projection needs a designated kept attribute")
-        designated_idx = names.index(designated)
+        designated_level = names.index(designated) + 1
+    # source level -> projected level; foreign levels are absent
+    new_level = {i + 1: level for level, i in enumerate(keep_idx, start=1)}
+    new_level[tree.action_level] = len(keep_idx) + 1
+    done: dict[int, Node | None] = {}
 
-    new_schema = Schema(
-        condition_attributes=tuple(tree.schema.condition_attributes[i] for i in keep_idx),
-        decision_attribute=tree.schema.decision_attribute,
-    )
-    root = Node(level=1)
-    out = DecisionTree(
-        schema=new_schema,
-        root=root,
+    def walk(node: Node) -> Node | None:
+        if id(node) in done:
+            return done[id(node)]
+        level = new_level.get(node.level)
+        edges = node.edges
+        if level is None:
+            edges = [e for e in edges if e.label.is_wildcard]
+        elif node.level == designated_level:
+            edges = [e for e in edges if _is_specific(e.label)]
+        # a foreign or action level keeps one edge at most, a kept level
+        # distinct labels: more would reach one projected region twice, which
+        # cannot happen when the source tree is relevant
+        one = level is None or node.level == tree.action_level
+        if len(edges) > (1 if one else len({e.label for e in edges})):
+            raise ValueError("projection collapsed two distinct regions")
+        if level is None:
+            out = walk(edges[0].child) if edges else None
+        elif node.level == tree.action_level:
+            out = Node(level, [Edge(e.label, None, e.owner) for e in edges]) if edges else None
+        else:
+            kept = [Edge(e.label, child) for e in edges if (child := walk(e.child)) is not None]
+            out = Node(level, kept) if kept else None
+        done[id(node)] = out
+        return out
+
+    return DecisionTree(
+        schema=Schema(
+            condition_attributes=tuple(tree.schema.condition_attributes[i] for i in keep_idx),
+            decision_attribute=tree.schema.decision_attribute,
+        ),
+        root=walk(tree.root) or Node(level=1),
         component_name=tree.component_name,
         component_kind=tree.component_kind,
     )
-    for b in branches(tree):
-        if not _keep_branch(b, mode, foreign_idx, designated_idx):
-            continue
-        node = root
-        for level, i in enumerate(keep_idx, start=1):
-            label = b.labels[i]
-            edge = next((e for e in node.edges if e.label == label), None)
-            if edge is None:
-                edge = Edge(label=label, child=Node(level=level + 1))
-                node.edges.append(edge)
-            node = edge.child
-        if node.edges:
-            # same projected region decided twice: cannot happen when the
-            # source tree is relevant and foreign levels are wildcard
-            raise ValueError("projection collapsed two distinct regions")
-        node.edges.append(
-            Edge(label=ValueSet(labels=frozenset({b.action})), child=None, owner=b.owner)
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

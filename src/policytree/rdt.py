@@ -95,8 +95,7 @@ def _build(rs: RuleSet, policy: ConflictPolicy) -> _MaskTree:
 
         An edge that a rule covers in part keeps its remainder in place, the
         intersection follows it at the end, and the rule's cells that no
-        edge holds come last.  Below the root, the first rule's edge stays
-        even when its value set is empty, as a chain of that rule alone.
+        edge holds come last.
         """
         parts: list[list[int]] = []
         level_masks = masks[level - 1]
@@ -117,7 +116,7 @@ def _build(rs: RuleSet, policy: ConflictPolicy) -> _MaskTree:
                     part[0] &= ~inter
                     parts.append([inter, part[1] | bit])
                 v &= ~inter
-            if v or not parts and level > 1:
+            if v:
                 parts.append([v, bit])
         return parts
 
@@ -132,7 +131,9 @@ def _build(rs: RuleSet, policy: ConflictPolicy) -> _MaskTree:
             node = built[level, members] = Node(level=level, edges=edges)
         return node
 
-    return _MaskTree(root=build(1, (1 << len(rules)) - 1), cells=cells)
+    # a rule with an empty value set matches no packet, so it owns no region
+    members = sum(1 << k for k in range(len(rules)) if all(m[k] for m in masks))
+    return _MaskTree(root=build(1, members), cells=cells)
 
 
 def normalize(t: _MaskTree) -> _MaskTree:

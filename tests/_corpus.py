@@ -9,12 +9,13 @@ with a space that lists every point (see :func:`enumerate_points`).
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from hypothesis import strategies as st
 
 from policytree import rdt
-from policytree.correction import correct_ruleset
-from policytree.dtree import DecisionTree, Edge, Node
+from policytree.correction import ProjectionMode, _is_specific, correct_ruleset
+from policytree.dtree import DecisionTree, Edge, Node, branches, dump_tree, tree_to_rules
 from policytree.model import (
     AttributeDef,
     ComponentKind,
@@ -24,6 +25,7 @@ from policytree.model import (
     complete_label_domain,
 )
 from policytree.relations import RelationKind, relate
+from policytree.ruleio import serialize_ruleset
 from policytree.values import ANY, AttrKind, Cells, ValueSet, intervals, labels
 
 
@@ -69,6 +71,22 @@ def copy_node(node: Node) -> Node:
     )
 
 
+def node_counts(root: Node) -> tuple[int, int]:
+    """Distinct nodes, and nodes on the tree that expands every shared one."""
+    distinct, expanded, todo = set(), 0, [root]
+    while todo:
+        node = todo.pop()
+        distinct.add(id(node))
+        expanded += 1
+        todo.extend(e.child for e in node.edges if e.child is not None)
+    return len(distinct), expanded
+
+
+def texts(t: DecisionTree) -> tuple[str, str]:
+    """The tree's dump and its flattened rule file: the bytes a tree is compared by."""
+    return dump_tree(t), serialize_ruleset(tree_to_rules(t))
+
+
 def reference_rdt(rs: RuleSet, policy: rdt.ConflictPolicy) -> DecisionTree:
     """The relevant tree built by plain sequential insertion, as an independent reference.
 
@@ -76,8 +94,9 @@ def reference_rdt(rs: RuleSet, policy: rdt.ConflictPolicy) -> DecisionTree:
     remainder, and the intersection follows with a private copy of the
     subtree; the rule's cells that no edge holds become a fresh chain.  At
     an action leaf the incoming rule takes the region only when the policy
-    lets it capture the owner.  Then :func:`policytree.rdt.normalize`, and
-    the masks read back as value sets.
+    lets it capture the owner.  A rule with an empty value set is skipped.
+    Then :func:`policytree.rdt.normalize`, and the masks read back as value
+    sets.
     """
     attrs = rs.schema.condition_attributes
     action_level = len(attrs) + 1
@@ -114,7 +133,9 @@ def reference_rdt(rs: RuleSet, policy: rdt.ConflictPolicy) -> DecisionTree:
 
     root = Node(level=1)
     for rule in rs.rules:
-        insert(root, rule, tuple(c.mask(rule.condition[a.name]) for c, a in zip(cells, attrs)))
+        masks = tuple(c.mask(rule.condition[a.name]) for c, a in zip(cells, attrs))
+        if all(masks):  # a rule with an empty value set matches no packet
+            insert(root, rule, masks)
     rdt.normalize(rdt._MaskTree(root=root, cells=cells))
 
     def decode(node: Node) -> None:
@@ -129,6 +150,57 @@ def reference_rdt(rs: RuleSet, policy: rdt.ConflictPolicy) -> DecisionTree:
         root=root,
         component_name=rs.component_name,
         component_kind=rs.component_kind,
+    )
+
+
+def reference_project(
+    tree: DecisionTree,
+    attributes: Sequence[str],
+    mode: ProjectionMode,
+    *,
+    designated: str | None = None,
+) -> DecisionTree:
+    """Projection branch by branch, as an independent reference.
+
+    Every branch of the expanded tree whose foreign labels are all wildcards
+    (and, under ``KEEP_SPECIFIC``, whose designated label is specific) is
+    re-inserted along its kept labels, sharing a prefix where a label is
+    equal.  Two branches that reach one projected region raise.
+    """
+    if isinstance(tree, rdt.RelevantDecisionTree):
+        tree = tree.tree
+    names = list(tree.schema.condition_names)
+    keep_idx = [i for i, n in enumerate(names) if n in attributes]
+    foreign_idx = [i for i, n in enumerate(names) if n not in attributes]
+    designated_idx = names.index(designated) if mode is ProjectionMode.KEEP_SPECIFIC else None
+    schema = Schema(
+        condition_attributes=tuple(tree.schema.condition_attributes[i] for i in keep_idx),
+        decision_attribute=tree.schema.decision_attribute,
+    )
+    root = Node(level=1)
+    for b in branches(tree):
+        if any(not b.labels[i].is_wildcard for i in foreign_idx):
+            continue
+        if designated_idx is not None and not _is_specific(b.labels[designated_idx]):
+            continue
+        node = root
+        for level, i in enumerate(keep_idx, start=1):
+            label = b.labels[i]
+            edge = next((e for e in node.edges if e.label == label), None)
+            if edge is None:
+                edge = Edge(label=label, child=Node(level=level + 1))
+                node.edges.append(edge)
+            node = edge.child
+        if node.edges:
+            raise ValueError("projection collapsed two distinct regions")
+        node.edges.append(
+            Edge(label=ValueSet(labels=frozenset({b.action})), child=None, owner=b.owner)
+        )
+    return DecisionTree(
+        schema=schema,
+        root=root,
+        component_name=tree.component_name,
+        component_kind=tree.component_kind,
     )
 
 

@@ -21,15 +21,23 @@ from policytree.correction import (
     integrate,
     project,
 )
-from policytree.dtree import check_relevant, tree_to_rules
+from policytree.dtree import DecisionTree, Edge, Node, check_relevant, dump_tree, tree_to_rules
 from policytree.interop import check_interoperable, detect_inter, extend_schema, union_schema
 from policytree.intra import detect_intra, is_relevant_ruleset
 from policytree.model import AttributeDef, ComponentKind, Rule, RuleSet, Schema, SchemaError
+from policytree.oracle import Semantics, endpoint_space, equivalence
 from policytree.rdt import ConflictPolicy, build_rdt
-from policytree.ruleio import parse_value
-from policytree.values import ANY, AttrKind, COMPLEMENT_LABEL, intervals, labels
+from policytree.ruleio import parse_ruleset, parse_value, serialize_ruleset
+from policytree.values import ANY, AttrKind, COMPLEMENT_LABEL, ValueSet, intervals, labels
 
-from _corpus import build_tree, random_component_pair
+from _corpus import (
+    build_tree,
+    interval_schema,
+    node_counts,
+    random_component_pair,
+    reference_project,
+    texts,
+)
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -115,6 +123,28 @@ def test_integrate_requires_matching_schemas(fw, ids):
         integrate(fw, ids)
 
 
+def test_a_rule_with_an_empty_value_set_owns_no_region():
+    # rule files cannot hold an empty value, but a rule set built in code can
+    rs = RuleSet(
+        schema=interval_schema(2),
+        rules=(
+            Rule(1, {"f0": intervals(((0, 4),)), "f1": ValueSet(intervals=())}, "accept"),
+            Rule(2, {"f0": ANY, "f1": ANY}, "deny"),
+        ),
+        component_name="E",
+    )
+    for policy, semantics in (
+        (ConflictPolicy.SPECIFICITY, Semantics.OWNER_CAPTURE),
+        (ConflictPolicy.FIRST_MATCH, Semantics.FIRST_MATCH),
+    ):
+        back = parse_ruleset(serialize_ruleset(correct_ruleset(rs, policy)))
+        assert [(r.condition, r.action, r.origin) for r in back.rules] == [
+            ({"f0": ANY, "f1": ANY}, "deny", "E:r2")
+        ]
+        tree = build_rdt(back, policy).tree
+        assert equivalence(tree, rs, semantics, endpoint_space(rs, back)) == []
+
+
 # ---------------------------------------------------------------------------
 # projection
 # ---------------------------------------------------------------------------
@@ -187,10 +217,69 @@ def test_projection_input_validation():
         project(rdt, ["x"], ProjectionMode.KEEP_SPECIFIC)
 
 
+def _px_tree(*edges: Edge) -> DecisionTree:
+    return DecisionTree(schema=_PX, root=Node(1, list(edges)), component_name="PX")
+
+
+def _px_leaf(action: str, owner: int) -> Node:
+    return Node(3, [Edge(labels(action), None, owner)])
+
+
 def test_projection_refuses_to_merge_colliding_regions():
     clash = build_tree(_px_rules((((0, 9),), None, "deny"), (((0, 9),), None, "accept")))
-    with pytest.raises(ValueError, match="collapsed two distinct regions"):
-        project(clash, ["x"], ProjectionMode.DROP_SPECIFIC)
+    x = intervals(((0, 9),))
+    # the foreign tag level holds two wildcard edges
+    two_wildcards = _px_tree(
+        Edge(x, Node(2, [Edge(ANY, _px_leaf("deny", 1)), Edge(ANY, _px_leaf("accept", 2))]))
+    )
+    # the kept x level holds two equal labels
+    twin_labels = _px_tree(
+        Edge(x, Node(2, [Edge(labels("a"), _px_leaf("deny", 1))])),
+        Edge(x, Node(2, [Edge(labels("b"), _px_leaf("accept", 2))])),
+    )
+    for tree, kept in ((clash, ["x"]), (two_wildcards, ["x"]), (twin_labels, ["x", "tag"])):
+        with pytest.raises(ValueError, match="collapsed two distinct regions"):
+            project(tree, kept, ProjectionMode.DROP_SPECIFIC)
+
+
+def _assert_projects_as_the_branch_walk(
+    preceding: RuleSet, following: RuleSet, policy: ConflictPolicy
+) -> None:
+    """Every projection of the pair's global tree, in both modes, against the reference."""
+    u = union_schema(preceding.schema, following.schema)
+    g = integrate(extend_schema(preceding, u), extend_schema(following, u))
+    tree = build_rdt(g.ruleset, policy).tree
+    shared = set(preceding.schema.condition_names)
+    f_names = following.schema.condition_names
+    designated = [n for n in f_names if n not in shared][-1]
+    for kept, mode, kwargs in (
+        (preceding.schema.condition_names, ProjectionMode.DROP_SPECIFIC, {}),
+        (f_names, ProjectionMode.DROP_SPECIFIC, {}),
+        (f_names, ProjectionMode.KEEP_SPECIFIC, {"designated": designated}),
+    ):
+        got = project(tree, kept, mode, **kwargs)
+        assert texts(got) == texts(reference_project(tree, kept, mode, **kwargs))
+
+
+@given(st.integers(0, 10_000), st.sampled_from(list(ConflictPolicy)))
+def test_projection_reads_as_the_branch_walk(seed, policy):
+    _assert_projects_as_the_branch_walk(*random_component_pair(random.Random(seed)), policy)
+
+
+def test_the_case_pair_projects_as_the_branch_walk(fw, ids):
+    for policy in ConflictPolicy:
+        _assert_projects_as_the_branch_walk(correct_ruleset(fw, policy), ids, policy)
+
+
+def test_a_projection_shares_nodes_and_reading_it_leaves_it_unchanged(fw, ids):
+    t = correct_pair(correct_ruleset(fw), ids).preceding_tree
+    distinct, expanded = node_counts(t.root)
+    assert distinct < expanded
+    before = dump_tree(t)
+    tree_to_rules(t)
+    check_relevant(t)
+    assert dump_tree(t) == before
+    assert node_counts(t.root) == (distinct, expanded)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from policytree.rdt import (
     build_rdt,
     normalize,
 )
-from policytree.ruleio import load_ruleset, parse_point, parse_value, serialize_ruleset
+from policytree.ruleio import load_ruleset, parse_point, parse_value
 from policytree.values import ANY, intervals
 
 from _corpus import (
@@ -40,9 +40,11 @@ from _corpus import (
     interval_schema,
     mixed_rulesets,
     mixed_schemas,
+    node_counts,
     random_ruleset,
     random_value,
     reference_rdt,
+    texts,
 )
 
 SCHEMA1 = interval_schema(1, (40,))
@@ -196,25 +198,10 @@ def test_merge_is_idempotent(seed, policy):
 # ---------------------------------------------------------------------------
 
 
-def _node_counts(root) -> tuple[int, int]:
-    """Distinct nodes, and nodes on the tree that expands every shared one."""
-    distinct, expanded, todo = set(), 0, [root]
-    while todo:
-        node = todo.pop()
-        distinct.add(id(node))
-        expanded += 1
-        todo.extend(e.child for e in node.edges if e.child is not None)
-    return len(distinct), expanded
-
-
-def _texts(t) -> tuple[str, str]:
-    return dump_tree(t), serialize_ruleset(tree_to_rules(t))
-
-
 @given(st.integers(0, 10_000), st.sampled_from(list(ConflictPolicy)))
 def test_diagram_reads_as_sequential_insertion(seed, policy):
     rs = random_ruleset(random.Random(seed), max_rules=25)
-    assert _texts(build_rdt(rs, policy).tree) == _texts(reference_rdt(rs, policy))
+    assert texts(build_rdt(rs, policy).tree) == texts(reference_rdt(rs, policy))
 
 
 @settings(max_examples=100, derandomize=True)
@@ -222,7 +209,7 @@ def test_diagram_reads_as_sequential_insertion(seed, policy):
 def test_diagram_over_every_attribute_kind_reads_as_sequential_insertion(data):
     rs = data.draw(mixed_rulesets(data.draw(mixed_schemas()), "R"))
     for policy in ConflictPolicy:
-        assert _texts(build_rdt(rs, policy).tree) == _texts(reference_rdt(rs, policy))
+        assert texts(build_rdt(rs, policy).tree) == texts(reference_rdt(rs, policy))
 
 
 def _sixty_rules() -> RuleSet:
@@ -241,7 +228,7 @@ def _sixty_rules() -> RuleSet:
 
 def test_a_subtree_reached_through_two_parents_is_built_once():
     for policy in ConflictPolicy:
-        distinct, expanded = _node_counts(build_rdt(_sixty_rules(), policy).tree.root)
+        distinct, expanded = node_counts(build_rdt(_sixty_rules(), policy).tree.root)
         assert distinct < expanded
 
 
@@ -252,14 +239,14 @@ def test_reading_a_shared_tree_leaves_it_unchanged():
         (ConflictPolicy.FIRST_MATCH, Semantics.FIRST_MATCH),
     ):
         t = build_rdt(rs, policy).tree
-        before = dump_tree(t), _node_counts(t.root)
+        before = dump_tree(t), node_counts(t.root)
         branches(t)
         tree_to_rules(t)
         check_relevant(t)
         evaluate_tree(t, {name: 3 for name in rs.schema.condition_names})
         project(t, rs.schema.condition_names[:2], ProjectionMode.DROP_SPECIFIC)
         equivalence(t, rs, semantics, endpoint_space(rs))
-        assert (dump_tree(t), _node_counts(t.root)) == before
+        assert (dump_tree(t), node_counts(t.root)) == before
 
 
 # ---------------------------------------------------------------------------
