@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import ComponentKind, Rule, RuleSet, Schema, SchemaError
+from .model import ComponentKind, Rule, RuleSet, Schema
 from .ruleio import format_value
-from .values import ValueSet, contains_point, vs_compare
+from .values import ValueSet, vs_compare
 
 __all__ = [
     "Edge",
@@ -28,7 +28,6 @@ __all__ = [
     "check_relevant",
     "flattened",
     "tree_to_rules",
-    "evaluate_tree",
     "dump_tree",
     "action_label",
 ]
@@ -142,7 +141,7 @@ def check_relevant(t: DecisionTree) -> list[RelevancyViolation]:
 
 
 # ---------------------------------------------------------------------------
-# extraction and evaluation
+# extraction
 # ---------------------------------------------------------------------------
 
 
@@ -190,26 +189,6 @@ def tree_to_rules(t: DecisionTree, origin_map: dict[int, str] | None = None) -> 
         component_kind=t.component_kind,
         component_name=t.component_name,
     )
-
-
-def evaluate_tree(t: DecisionTree, packet: dict) -> str | None:
-    """Decision for one packet; ``None`` when no branch matches.
-
-    The first branch, in :func:`flattened` order, whose labels hold the
-    packet decides, so a tree decides as its flattening does under first
-    match.  Several branches can match only on a non-relevant tree; then
-    the smallest owner wins.
-    """
-    missing = set(t.schema.condition_names) - set(packet)
-    if missing:
-        raise SchemaError("packet is missing " + ", ".join(sorted(missing)))
-    attrs = t.schema.condition_attributes
-    hits = [
-        b
-        for b in branches(t)
-        if all(contains_point(v, packet[a.name], a.domain) for v, a in zip(b.labels, attrs))
-    ]
-    return min(hits, key=lambda b: _branch_sort_key(b, {})).action if hits else None
 
 
 def dump_tree(t: DecisionTree) -> str:

@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .model import (
     ActionClass,
     AttributeDef,
@@ -40,17 +38,15 @@ from .model import (
     action_class,
     control_char,
 )
-from .relations import KINDS, RelationKind, RuleRelation, is_correlated, relate, relation_matrix
+from .relations import RelationKind, RuleRelation, indices, is_correlated, relate, relation_sets
 from .values import ValueSet, intervals, vs_subset
 
 __all__ = [
     "InterKind",
     "InterAnomaly",
-    "InteropVerdict",
     "union_schema",
     "extend_schema",
     "detect_inter",
-    "check_interoperable",
     "Topology",
     "TopologyComponent",
     "TopologyError",
@@ -84,12 +80,6 @@ class InterAnomaly:
     following_rule: int
     evidence: RuleRelation
     severity: Severity
-
-
-@dataclass(frozen=True)
-class InteropVerdict:
-    interoperable: bool
-    anomalies: tuple[InterAnomaly, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -201,47 +191,41 @@ def _classify(kind: RelationKind, p_class: ActionClass, f_class: ActionClass) ->
     return None
 
 
-_CLASSES = tuple(ActionClass)
-# whether a pair is reported, by relation code and both action-class codes
-_REPORTED = np.array(
-    [[[_classify(k, p, f) is not None for f in _CLASSES] for p in _CLASSES] for k in KINDS]
-)
-
-
-def _class_codes(rs: RuleSet) -> np.ndarray:
-    return np.array([_CLASSES.index(action_class(r.action)) for r in rs.rules], dtype=np.intp)
-
-
 def detect_inter(preceding: RuleSet, following: RuleSet) -> list[InterAnomaly]:
-    """All anomalous cross pairs.  Both sets must share one (union) schema."""
+    """All anomalous cross pairs.  Both sets must share one (union) schema.
+
+    An empty list means the two components interoperate.
+    """
     if preceding.schema != following.schema:
         raise SchemaError("extend both components to the shared schema first")
-    codes = relation_matrix(preceding.rules, following.rules, preceding.schema)
-    reported = _REPORTED[
-        codes, _class_codes(preceding)[:, None], _class_codes(following)[None, :]
-    ]
+    meets, covers, inside = relation_sets(preceding.rules, following.rules, preceding.schema)
+    permits = sum(
+        1 << i for i, r in enumerate(preceding.rules) if action_class(r.action) is ActionClass.PERMIT
+    )
+    blocks = ((1 << len(preceding.rules)) - 1) & ~permits
     found: list[InterAnomaly] = []
-    rows, cols = np.nonzero(reported)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        p, f = preceding.rules[i], following.rules[j]
-        rel = relate(p, f, preceding.schema)
-        kind = _classify(rel.kind, action_class(p.action), action_class(f.action))
-        found.append(
-            InterAnomaly(
-                kind=kind,
-                preceding_rule=p.id,
-                following_rule=f.id,
-                evidence=rel,
-                severity=_SEVERITY[kind],
+    for j, f in enumerate(following.rules):
+        f_class = action_class(f.action)
+        f_permits = f_class is ActionClass.PERMIT
+        # what _classify reports: a covering rule unless permit follows permit,
+        # and a correlated one of the other class
+        covering = covers[j] & blocks if f_permits else covers[j]
+        correlated = meets[j] & ~covers[j] & ~inside[j]
+        for i in indices(covering | correlated & (blocks if f_permits else permits)):
+            p = preceding.rules[i]
+            rel = relate(p, f, preceding.schema)
+            kind = _classify(rel.kind, action_class(p.action), f_class)
+            found.append(
+                InterAnomaly(
+                    kind=kind,
+                    preceding_rule=p.id,
+                    following_rule=f.id,
+                    evidence=rel,
+                    severity=_SEVERITY[kind],
+                )
             )
-        )
     found.sort(key=lambda a: (a.preceding_rule, a.following_rule, _KIND_ORDER[a.kind]))
     return found
-
-
-def check_interoperable(preceding: RuleSet, following: RuleSet) -> InteropVerdict:
-    anomalies = tuple(detect_inter(preceding, following))
-    return InteropVerdict(interoperable=not anomalies, anomalies=anomalies)
 
 
 # ---------------------------------------------------------------------------

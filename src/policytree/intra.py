@@ -20,10 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .model import ActionClass, RuleSet, Severity, action_class
-from .relations import KINDS, RelationKind, RuleRelation, is_correlated, relate, relation_matrix
+from .relations import RelationKind, RuleRelation, indices, is_correlated, relate, relation_sets
 
 __all__ = ["IntraKind", "IntraAnomaly", "detect_intra", "is_relevant_ruleset"]
 
@@ -65,38 +63,37 @@ def _classify(kind: RelationKind, same_class: bool) -> IntraKind | None:
     return None
 
 
-# whether a pair is reported, by relation code and by "same action class"
-_REPORTED = np.array(
-    [[_classify(k, same) is not None for same in (False, True)] for k in KINDS]
-)
-_DISJOINT = KINDS.index(RelationKind.DISJOINT)
-
-
 def detect_intra(rs: RuleSet) -> list[IntraAnomaly]:
     """All anomalous pairs, sorted by earlier id, later id, then kind."""
     rules = rs.rules
-    permits = np.array([action_class(r.action) is ActionClass.PERMIT for r in rules], dtype=bool)
-    same = permits[:, None] == permits[None, :]
-    reported = _REPORTED[relation_matrix(rules, rules, rs.schema), same.astype(np.intp)]
+    meets, covers, _ = relation_sets(rules, rules, rs.schema)
+    permits = sum(
+        1 << i for i, r in enumerate(rules) if action_class(r.action) is ActionClass.PERMIT
+    )
+    blocks = ((1 << len(rules)) - 1) & ~permits
     found: list[IntraAnomaly] = []
-    earlier, later = np.nonzero(np.triu(reported, k=1))
-    for i, j in zip(earlier.tolist(), later.tolist()):
-        rel = relate(rules[i], rules[j], rs.schema)
-        kind = _classify(rel.kind, bool(same[i, j]))
-        found.append(
-            IntraAnomaly(
-                kind=kind,
-                earlier=rules[i].id,
-                later=rules[j].id,
-                evidence=rel,
-                severity=_SEVERITY[kind],
+    for j, later in enumerate(rules):
+        other = blocks if permits >> j & 1 else permits
+        # what _classify reports: a covering earlier rule, or any meeting one of the other class
+        reported = (covers[j] | meets[j] & other) & ((1 << j) - 1)
+        for i in indices(reported):
+            earlier = rules[i]
+            rel = relate(earlier, later, rs.schema)
+            kind = _classify(rel.kind, not other >> i & 1)
+            found.append(
+                IntraAnomaly(
+                    kind=kind,
+                    earlier=earlier.id,
+                    later=later.id,
+                    evidence=rel,
+                    severity=_SEVERITY[kind],
+                )
             )
-        )
     found.sort(key=lambda a: (a.earlier, a.later, _KIND_ORDER[a.kind]))
     return found
 
 
 def is_relevant_ruleset(rs: RuleSet) -> bool:
     """True when no packet can match two rules (all pairs disjoint)."""
-    codes = relation_matrix(rs.rules, rs.rules, rs.schema)
-    return not np.triu(codes != _DISJOINT, k=1).any()
+    meets, _, _ = relation_sets(rs.rules, rs.rules, rs.schema)
+    return not any(meet & ((1 << j) - 1) for j, meet in enumerate(meets))

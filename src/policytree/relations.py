@@ -16,19 +16,20 @@ verdicts roll up into exactly one relation kind:
   partially but no field is empty.  It behaves like ``correlated`` for
   anomaly purposes.
 
-:func:`relate` classifies one pair and keeps the per-field evidence;
-:func:`relation_matrix` classifies every pair of two rule lists at once.
-Both roll field relations up to a kind through the same 32-entry table,
-indexed by the set of ``FieldRel`` values seen across the fields.
+:func:`relate` classifies one pair and keeps the per-field evidence; it
+rolls field relations up to a kind through a 32-entry table, indexed by
+the set of ``FieldRel`` values seen across the fields.
+:func:`relation_sets` screens every pair of two rule lists at once.  For
+each rule it gives three int bitsets over the other list: the rules it is
+not disjoint from, the rules that hold it, and the rules it holds.  An
+empty value set is a proper subset of every value, so a rule with an empty
+field is inside, never disjoint from, a rule that matches the rest.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .model import Rule, Schema, SchemaError
 from .values import Cells, vs_compare
@@ -38,10 +39,10 @@ __all__ = [
     "FieldRelation",
     "RelationKind",
     "RuleRelation",
-    "KINDS",
     "field_relation",
     "relate",
-    "relation_matrix",
+    "relation_sets",
+    "indices",
     "is_correlated",
 ]
 
@@ -75,9 +76,6 @@ class RuleRelation:
     evidence: tuple[FieldRelation, ...]
 
 
-#: The kinds in code order: ``relation_matrix`` writes ``KINDS.index(kind)``.
-KINDS = tuple(RelationKind)
-
 _BIT = {rel: 1 << i for i, rel in enumerate(FieldRel)}
 
 
@@ -108,15 +106,7 @@ def _kind_of(mask: int) -> RelationKind:
     return RelationKind.CORRELATED_GENERAL
 
 
-# FieldRel bit by (a ⊆ b, b ⊆ a, a ∩ b ≠ ∅)
-_BIT_OF = {
-    triple: _BIT[_field_rel(*triple)] for triple in itertools.product((False, True), repeat=3)
-}
 _KIND_OF_MASK = tuple(_kind_of(mask) for mask in range(1 << len(FieldRel)))
-_CODE_OF_MASK = np.array([KINDS.index(kind) for kind in _KIND_OF_MASK], dtype=np.int8)
-
-# rows classified per step of relation_matrix; bounds its scratch arrays
-_BLOCK_ROWS = 256
 
 
 def is_correlated(kind: RelationKind) -> bool:
@@ -152,42 +142,65 @@ def relate(r_i: Rule, r_j: Rule, schema: Schema) -> RuleRelation:
     return RuleRelation(kind=_KIND_OF_MASK[mask], evidence=evidence)
 
 
-def _vocabulary(values) -> tuple[list, np.ndarray]:
-    """The distinct values in first-seen order, and each value's index."""
-    index: dict = {}
-    ids = [index.setdefault(v, len(index)) for v in values]
-    return list(index), np.array(ids, dtype=np.intp)
+def relation_sets(a_rules, b_rules, schema: Schema) -> tuple[list[int], list[int], list[int]]:
+    """Three bitsets over ``a_rules`` for each rule of ``b_rules``.
 
-
-def relation_matrix(a_rules, b_rules, schema: Schema) -> np.ndarray:
-    """``relate(a, b, schema).kind`` for every pair, as ``KINDS`` codes.
-
-    Returns an ``int8`` array of shape ``(len(a_rules), len(b_rules))``.
-    Rules use few distinct values per attribute, so each attribute's
-    relation is computed once per pair of distinct values, from their
-    :class:`~policytree.values.Cells` masks, and gathered to the rule pairs.
+    Bit ``i`` of ``meets[j]``, ``covers[j]`` and ``inside[j]`` says that
+    ``a_rules[i]`` and ``b_rules[j]`` are not ``DISJOINT``, that
+    ``a_rules[i]`` holds ``b_rules[j]`` in every field (``EXACT`` or
+    ``BACKWARD``), and that ``b_rules[j]`` holds ``a_rules[i]`` in every
+    field (``EXACT`` or ``FORWARD``).  Per attribute, rules with the same
+    :class:`~policytree.values.Cells` mask share one bitset, each pair of
+    distinct masks is compared once, and the per-attribute sets are ANDed.
     """
     _check_schema(a_rules, schema)
     _check_schema(b_rules, schema)
-    tables = []  # per attribute: FieldRel bits by value index, and the indices
+    everything = (1 << len(a_rules)) - 1
+    meets = [everything] * len(b_rules)
+    covers = list(meets)
+    inside = list(meets)
     for attr in schema.condition_attributes:
-        a_vocab, a_ids = _vocabulary(r.condition[attr.name] for r in a_rules)
-        b_vocab, b_ids = _vocabulary(r.condition[attr.name] for r in b_rules)
-        cells = Cells(attr.domain, a_vocab + b_vocab)
-        b_masks = [cells.mask(b) for b in b_vocab]
-        bits = np.array(
-            [
-                [_BIT_OF[not a & ~b, not b & ~a, a & b != 0] for b in b_masks]
-                for a in map(cells.mask, a_vocab)
-            ],
-            dtype=np.uint8,
-        ).reshape(len(a_vocab), len(b_vocab))  # a 2-D shape even when a list is empty
-        tables.append((bits, a_ids, b_ids))
-    out = np.empty((len(a_rules), len(b_rules)), dtype=np.int8)
-    for start in range(0, len(a_rules), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        mask = np.zeros_like(out[rows], dtype=np.uint8)
-        for bits, a_ids, b_ids in tables:
-            mask |= bits[a_ids[rows, None], b_ids[None, :]]
-        out[rows] = _CODE_OF_MASK[mask]
-    return out
+        a_values = [r.condition[attr.name] for r in a_rules]
+        b_values = [r.condition[attr.name] for r in b_rules]
+        cells = Cells(attr.domain, dict.fromkeys(a_values + b_values))
+        holders: dict[int, int] = {}  # mask -> the a rules with that value
+        for i, v in enumerate(a_values):
+            a = cells.mask(v)
+            holders[a] = holders.get(a, 0) | 1 << i
+        rows: dict[int, tuple[int, int, int]] = {}  # b mask -> its three sets
+        for j, v in enumerate(b_values):
+            b = cells.mask(v)
+            row = rows.get(b)
+            if row is None:
+                row = rows[b] = _field_sets(b, holders)
+            meets[j] &= row[0]
+            covers[j] &= row[1]
+            inside[j] &= row[2]
+    return meets, covers, inside
+
+
+def _field_sets(b: int, holders: dict[int, int]) -> tuple[int, int, int]:
+    """The rules whose field meets, holds and lies inside mask ``b``.
+
+    A field meets when either side holds the other, not only when the two
+    share a cell: ``relate`` reads an empty value set as a proper subset of
+    every value, never as disjoint.
+    """
+    meet = cover = inner = 0
+    for a, rules in holders.items():
+        sub, sup = not a & ~b, not b & ~a
+        if sub:
+            inner |= rules
+        if sup:
+            cover |= rules
+        if sub or sup or a & b:
+            meet |= rules
+    return meet, cover, inner
+
+
+def indices(bits: int):
+    """The indices of the set bits of ``bits``, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low

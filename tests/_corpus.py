@@ -15,18 +15,27 @@ from hypothesis import strategies as st
 
 from policytree import rdt
 from policytree.correction import ProjectionMode, _is_specific, correct_ruleset
-from policytree.dtree import DecisionTree, Edge, Node, branches, dump_tree, tree_to_rules
+from policytree.dtree import (
+    DecisionTree,
+    Edge,
+    Node,
+    branches,
+    dump_tree,
+    flattened,
+    tree_to_rules,
+)
 from policytree.model import (
     AttributeDef,
     ComponentKind,
     Rule,
     RuleSet,
     Schema,
+    SchemaError,
     complete_label_domain,
 )
 from policytree.relations import RelationKind, relate
 from policytree.ruleio import serialize_ruleset
-from policytree.values import ANY, AttrKind, Cells, ValueSet, intervals, labels
+from policytree.values import ANY, AttrKind, Cells, ValueSet, contains_point, intervals, labels
 
 
 def enumerate_points(v: ValueSet, domain: ValueSet) -> list:
@@ -61,6 +70,23 @@ def build_tree(rs: RuleSet) -> DecisionTree:
         component_name=rs.component_name,
         component_kind=rs.component_kind,
     )
+
+
+def evaluate_tree(t: DecisionTree, packet: dict) -> str | None:
+    """Decision for one packet; ``None`` when no branch matches.
+
+    The first branch, in :func:`~policytree.dtree.flattened` order, whose
+    labels hold the packet decides, so a tree decides as its flattening
+    does under first match.
+    """
+    missing = set(t.schema.condition_names) - set(packet)
+    if missing:
+        raise SchemaError("packet is missing " + ", ".join(sorted(missing)))
+    attrs = t.schema.condition_attributes
+    for b in flattened(t):
+        if all(contains_point(v, packet[a.name], a.domain) for v, a in zip(b.labels, attrs)):
+            return b.action
+    return None
 
 
 def copy_node(node: Node) -> Node:

@@ -22,7 +22,7 @@ from policytree.correction import (
     project,
 )
 from policytree.dtree import DecisionTree, Edge, Node, check_relevant, dump_tree, tree_to_rules
-from policytree.interop import check_interoperable, detect_inter, extend_schema, union_schema
+from policytree.interop import detect_inter, extend_schema, union_schema
 from policytree.intra import detect_intra, is_relevant_ruleset
 from policytree.model import AttributeDef, ComponentKind, Rule, RuleSet, Schema, SchemaError
 from policytree.oracle import Semantics, endpoint_space, equivalence
@@ -338,8 +338,7 @@ def test_pair_repair_outputs_are_clean_and_interoperable(fw, ids):
     assert check_relevant(cp.following_tree) == []
 
     u = union_schema(cp.preceding.schema, cp.following.schema)
-    verdict = check_interoperable(extend_schema(cp.preceding, u), extend_schema(cp.following, u))
-    assert verdict.interoperable
+    assert detect_inter(extend_schema(cp.preceding, u), extend_schema(cp.following, u)) == []
 
     assert cp.preceding.component_kind is ComponentKind.FILTERING
     assert cp.following.component_kind is ComponentKind.ALERTING
@@ -354,9 +353,7 @@ def test_pair_repair_under_first_match(fw, ids):
                       ConflictPolicy.FIRST_MATCH)
     assert check_relevant(cp.rdt.tree) == []
     u = union_schema(cp.preceding.schema, cp.following.schema)
-    assert check_interoperable(
-        extend_schema(cp.preceding, u), extend_schema(cp.following, u)
-    ).interoperable
+    assert detect_inter(extend_schema(cp.preceding, u), extend_schema(cp.following, u)) == []
 
 
 def test_already_interoperable_pair_round_trips():

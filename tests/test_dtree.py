@@ -16,14 +16,13 @@ from policytree.dtree import (
     branches,
     check_relevant,
     dump_tree,
-    evaluate_tree,
     tree_to_rules,
 )
 from policytree.model import Rule, RuleSet, SchemaError
 from policytree.oracle import Semantics, evaluate
 from policytree.values import ANY, intervals
 
-from _corpus import build_tree, copy_node, interval_schema, random_ruleset
+from _corpus import build_tree, copy_node, evaluate_tree, interval_schema, random_ruleset
 
 SCHEMA1 = interval_schema(1, (40,))
 SCHEMA2 = interval_schema(2, (40, 15))

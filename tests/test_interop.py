@@ -9,7 +9,6 @@ from policytree.interop import (
     InterKind,
     PositioningViolation,
     TopologyError,
-    check_interoperable,
     check_positioning,
     detect_inter,
     extend_schema,
@@ -187,7 +186,6 @@ def test_partial_overlap_flags_only_class_conflicts():
 def test_disjoint_pairs_are_quiet():
     p, f = _pair([(((0, 9),), "deny")], [(((20, 30),), "pass")])
     assert detect_inter(p, f) == []
-    assert check_interoperable(p, f).interoperable
 
 
 def test_detect_inter_requires_the_shared_schema(fw, ids):
@@ -198,9 +196,8 @@ def test_detect_inter_requires_the_shared_schema(fw, ids):
 def test_firewall_ids_pair_findings(fw, ids):
     corrected = tree_to_rules(build_rdt(fw).tree)
     u = union_schema(corrected.schema, ids.schema)
-    verdict = check_interoperable(extend_schema(corrected, u), extend_schema(ids, u))
-    assert not verdict.interoperable
-    assert [(a.kind, a.preceding_rule, a.following_rule) for a in verdict.anomalies] == [
+    found = detect_inter(extend_schema(corrected, u), extend_schema(ids, u))
+    assert [(a.kind, a.preceding_rule, a.following_rule) for a in found] == [
         (InterKind.CORRELATION, 2, 1),
         (InterKind.SPURIOUSNESS, 5, 2),
     ]

@@ -9,7 +9,7 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from policytree.dtree import evaluate_tree, tree_to_rules
+from policytree.dtree import tree_to_rules
 from policytree.model import AttributeDef, Rule, RuleSet, Schema, SchemaError
 from policytree.oracle import (
     DomainSpace,
@@ -24,7 +24,14 @@ from policytree.rdt import ConflictPolicy, build_rdt
 from policytree.ruleio import parse_point
 from policytree.values import ANY, AttrKind, ValueSet, intervals
 
-from _corpus import build_tree, copy_node, enumerate_points, interval_schema, random_ruleset
+from _corpus import (
+    build_tree,
+    copy_node,
+    enumerate_points,
+    evaluate_tree,
+    interval_schema,
+    random_ruleset,
+)
 
 SCHEMA1 = interval_schema(1, (40,))
 

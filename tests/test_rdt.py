@@ -18,7 +18,6 @@ from policytree.dtree import (
     branches,
     check_relevant,
     dump_tree,
-    evaluate_tree,
     tree_to_rules,
 )
 from policytree.intra import detect_intra
@@ -37,6 +36,7 @@ from policytree.values import ANY, intervals
 from _corpus import (
     build_tree,
     copy_node,
+    evaluate_tree,
     interval_schema,
     mixed_rulesets,
     mixed_schemas,

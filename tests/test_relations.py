@@ -3,7 +3,6 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,14 +21,12 @@ from policytree.model import (
     action_class,
 )
 from policytree.relations import (
-    _BLOCK_ROWS,
-    KINDS,
     FieldRel,
     RelationKind,
     field_relation,
     is_correlated,
     relate,
-    relation_matrix,
+    relation_sets,
 )
 from policytree.values import ANY, intervals
 
@@ -72,6 +69,11 @@ def test_kind_examples():
     assert relate(a, slid, SCHEMA).kind is RelationKind.CORRELATED_GENERAL
     apart = rule(intervals(((30, 39),)), ANY)
     assert relate(a, apart, SCHEMA).kind is RelationKind.DISJOINT
+    # an empty value set lies inside every value, so this rule is inside a
+    hollow = rule(intervals(()), intervals(((3, 5),)))
+    assert relate(hollow, a, SCHEMA).kind is RelationKind.FORWARD
+    both = [hollow, a]
+    assert _set_bits(both, both, SCHEMA) == _scalar_bits(both, both, SCHEMA)
 
 
 def test_disjoint_wins_over_partial_overlap():
@@ -133,7 +135,7 @@ def test_case_study_relations(fw):
 
 
 # ---------------------------------------------------------------------------
-# the vectorized kernel against the scalar relation
+# the bitset kernel against the scalar relation
 # ---------------------------------------------------------------------------
 
 def _scalar_intra(rs: RuleSet) -> list[IntraAnomaly]:
@@ -188,8 +190,30 @@ def _scalar_relevant(rs: RuleSet) -> bool:
     )
 
 
-def _scalar_codes(a_rules, b_rules, schema) -> list[list[int]]:
-    return [[KINDS.index(relate(a, b, schema).kind) for b in b_rules] for a in a_rules]
+# (meets, covers, inside) of a pair by the kind of relate(a, b)
+_BITS = {
+    RelationKind.EXACT: (1, 1, 1),
+    RelationKind.BACKWARD: (1, 1, 0),
+    RelationKind.FORWARD: (1, 0, 1),
+    RelationKind.CORRELATED: (1, 0, 0),
+    RelationKind.CORRELATED_GENERAL: (1, 0, 0),
+    RelationKind.DISJOINT: (0, 0, 0),
+}
+
+
+def _scalar_bits(a_rules, b_rules, schema) -> list[list[tuple[int, int, int]]]:
+    return [[_BITS[relate(a, b, schema).kind] for b in b_rules] for a in a_rules]
+
+
+def _set_bits(a_rules, b_rules, schema) -> list[list[tuple[int, int, int]]]:
+    sets = relation_sets(a_rules, b_rules, schema)
+    for bitsets in sets:
+        assert len(bitsets) == len(b_rules)
+        assert all(0 <= s < 1 << len(a_rules) for s in bitsets)
+    return [
+        [tuple(bitsets[j] >> i & 1 for bitsets in sets) for j in range(len(b_rules))]
+        for i in range(len(a_rules))
+    ]
 
 
 @settings(max_examples=300, derandomize=True)
@@ -199,24 +223,21 @@ def test_kernel_agrees_with_scalar_relate(data):
     a = data.draw(_rulesets(schema, "A"))
     b = data.draw(_rulesets(schema, "B"))
     for left, right in ((a.rules, a.rules), (a.rules, b.rules), (b.rules, a.rules)):
-        codes = relation_matrix(left, right, schema)
-        assert codes.dtype == np.int8
-        assert codes.shape == (len(left), len(right))
-        assert codes.tolist() == _scalar_codes(left, right, schema)
+        assert _set_bits(left, right, schema) == _scalar_bits(left, right, schema)
     assert detect_intra(a) == _scalar_intra(a)
     assert is_relevant_ruleset(a) == _scalar_relevant(a)
     assert detect_inter(a, b) == _scalar_inter(a, b)
 
 
-def test_kernel_spans_row_blocks():
+def test_kernel_over_many_rules():
     rng = random.Random(3)
     rs = random_ruleset(rng, max_rules=6, n_attrs=3)
     many = [
         Rule(i, {a.name: random_value(rng, a) for a in rs.schema.condition_attributes}, "deny")
-        for i in range(1, 2 * _BLOCK_ROWS + 4)
+        for i in range(1, 516)
     ]
-    codes = relation_matrix(many, rs.rules, rs.schema)
-    assert codes.tolist() == _scalar_codes(many, rs.rules, rs.schema)
+    assert _set_bits(many, rs.rules, rs.schema) == _scalar_bits(many, rs.rules, rs.schema)
+    assert _set_bits(rs.rules, many, rs.schema) == _scalar_bits(rs.rules, many, rs.schema)
 
 
 @pytest.mark.parametrize("change", ["missing", "extra"])
@@ -226,6 +247,6 @@ def test_kernel_rejects_rules_off_the_schema(change):
     bad = Rule(2, condition, "deny")
     for a_rules, b_rules in (([good], [bad]), ([bad], [good]), ([good, bad], [good, bad])):
         with pytest.raises(SchemaError, match="rule 2 does not match the schema"):
-            relation_matrix(a_rules, b_rules, SCHEMA)
+            relation_sets(a_rules, b_rules, SCHEMA)
     with pytest.raises(SchemaError, match="rule 2"):
         relate(good, bad, SCHEMA)
