@@ -38,7 +38,8 @@ from .model import (
     action_class,
     control_char,
 )
-from .relations import RelationKind, RuleRelation, indices, is_correlated, relate, relation_sets
+from .relations import indices, relation_sets
+from .relations import relate  # noqa: F401  perfbench/spans.py wraps this name here
 from .values import ValueSet, intervals, vs_subset
 
 __all__ = [
@@ -78,7 +79,6 @@ class InterAnomaly:
     kind: InterKind
     preceding_rule: int
     following_rule: int
-    evidence: RuleRelation
     severity: Severity
 
 
@@ -176,19 +176,21 @@ def extend_schema(rs: RuleSet, target: Schema) -> RuleSet:
 # ---------------------------------------------------------------------------
 
 
-def _classify(kind: RelationKind, p_class: ActionClass, f_class: ActionClass) -> InterKind | None:
-    if kind in (RelationKind.BACKWARD, RelationKind.EXACT):
-        # the following rule's traffic is entirely decided upstream
-        if p_class is ActionClass.BLOCK and f_class is ActionClass.PERMIT:
-            return InterKind.SHADOWING
-        if p_class is ActionClass.PERMIT and f_class is ActionClass.BLOCK:
-            return InterKind.SPURIOUSNESS
-        if p_class is ActionClass.BLOCK and f_class is ActionClass.BLOCK:
-            return InterKind.REDUNDANCY
-        return None
-    if is_correlated(kind) and p_class is not f_class:
-        return InterKind.CORRELATION
-    return None
+def _classify(meets: int, covers: int, inside: int, f_class: ActionClass, permits: int, blocks: int):
+    """Each kind with the preceding rules it names, as bitsets, for one following rule.
+
+    ``meets``, ``covers`` and ``inside`` are the following rule's relation
+    sets; ``permits`` and ``blocks`` are the preceding rules of each class.
+    A covering preceding rule decides all of the following rule's traffic.
+    """
+    correlated = meets & ~covers & ~inside
+    if f_class is ActionClass.PERMIT:
+        return (InterKind.SHADOWING, covers & blocks), (InterKind.CORRELATION, correlated & blocks)
+    return (
+        (InterKind.SPURIOUSNESS, covers & permits),
+        (InterKind.REDUNDANCY, covers & blocks),
+        (InterKind.CORRELATION, correlated & permits),
+    )
 
 
 def detect_inter(preceding: RuleSet, following: RuleSet) -> list[InterAnomaly]:
@@ -206,23 +208,9 @@ def detect_inter(preceding: RuleSet, following: RuleSet) -> list[InterAnomaly]:
     found: list[InterAnomaly] = []
     for j, f in enumerate(following.rules):
         f_class = action_class(f.action)
-        f_permits = f_class is ActionClass.PERMIT
-        # what _classify reports: a covering rule unless permit follows permit,
-        # and a correlated one of the other class
-        covering = covers[j] & blocks if f_permits else covers[j]
-        correlated = meets[j] & ~covers[j] & ~inside[j]
-        for i in indices(covering | correlated & (blocks if f_permits else permits)):
-            p = preceding.rules[i]
-            rel = relate(p, f, preceding.schema)
-            kind = _classify(rel.kind, action_class(p.action), f_class)
-            found.append(
-                InterAnomaly(
-                    kind=kind,
-                    preceding_rule=p.id,
-                    following_rule=f.id,
-                    evidence=rel,
-                    severity=_SEVERITY[kind],
-                )
+        for kind, bits in _classify(meets[j], covers[j], inside[j], f_class, permits, blocks):
+            found.extend(
+                InterAnomaly(kind, preceding.rules[i].id, f.id, _SEVERITY[kind]) for i in indices(bits)
             )
     found.sort(key=lambda a: (a.preceding_rule, a.following_rule, _KIND_ORDER[a.kind]))
     return found

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import ActionClass, RuleSet, Severity, action_class
-from .relations import RelationKind, RuleRelation, indices, is_correlated, relate, relation_sets
+from .relations import indices, relation_sets
+from .relations import relate  # noqa: F401  perfbench/spans.py wraps this name here
 
 __all__ = ["IntraKind", "IntraAnomaly", "detect_intra", "is_relevant_ruleset"]
 
@@ -48,46 +49,39 @@ class IntraAnomaly:
     kind: IntraKind
     earlier: int
     later: int
-    evidence: RuleRelation
     severity: Severity
 
 
-def _classify(kind: RelationKind, same_class: bool) -> IntraKind | None:
-    if kind is RelationKind.EXACT or kind is RelationKind.BACKWARD:
-        # the later rule never fires on anything of its own
-        return IntraKind.REDUNDANCY if same_class else IntraKind.SHADOWING
-    if kind is RelationKind.FORWARD and not same_class:
-        return IntraKind.GENERALIZATION
-    if is_correlated(kind) and not same_class:
-        return IntraKind.CORRELATION
-    return None
+def _classify(meets: int, covers: int, inside: int, same: int, other: int):
+    """Each kind with the earlier rules it names, as bitsets, for one later rule.
+
+    ``meets``, ``covers`` and ``inside`` are its relation sets; ``same`` and
+    ``other`` are the earlier rules of its action class and of the other.
+    """
+    return (
+        # a covering earlier rule: the later one never fires on anything of its own
+        (IntraKind.SHADOWING, covers & other),
+        (IntraKind.REDUNDANCY, covers & same),
+        (IntraKind.GENERALIZATION, inside & ~covers & other),
+        (IntraKind.CORRELATION, meets & ~covers & ~inside & other),
+    )
 
 
 def detect_intra(rs: RuleSet) -> list[IntraAnomaly]:
     """All anomalous pairs, sorted by earlier id, later id, then kind."""
     rules = rs.rules
-    meets, covers, _ = relation_sets(rules, rules, rs.schema)
+    meets, covers, inside = relation_sets(rules, rules, rs.schema)
     permits = sum(
         1 << i for i, r in enumerate(rules) if action_class(r.action) is ActionClass.PERMIT
     )
     blocks = ((1 << len(rules)) - 1) & ~permits
     found: list[IntraAnomaly] = []
     for j, later in enumerate(rules):
-        other = blocks if permits >> j & 1 else permits
-        # what _classify reports: a covering earlier rule, or any meeting one of the other class
-        reported = (covers[j] | meets[j] & other) & ((1 << j) - 1)
-        for i in indices(reported):
-            earlier = rules[i]
-            rel = relate(earlier, later, rs.schema)
-            kind = _classify(rel.kind, not other >> i & 1)
-            found.append(
-                IntraAnomaly(
-                    kind=kind,
-                    earlier=earlier.id,
-                    later=later.id,
-                    evidence=rel,
-                    severity=_SEVERITY[kind],
-                )
+        earlier = (1 << j) - 1
+        same, other = (permits, blocks) if permits >> j & 1 else (blocks, permits)
+        for kind, bits in _classify(meets[j], covers[j], inside[j], same & earlier, other & earlier):
+            found.extend(
+                IntraAnomaly(kind, rules[i].id, later.id, _SEVERITY[kind]) for i in indices(bits)
             )
     found.sort(key=lambda a: (a.earlier, a.later, _KIND_ORDER[a.kind]))
     return found

@@ -33,7 +33,7 @@ from enum import Enum
 
 from .dtree import DecisionTree, Edge, Node
 from .model import RuleSet
-from .relations import RelationKind, relate
+from .relations import relate  # noqa: F401  perfbench/spans.py wraps this name here
 from .values import Cells, labels
 
 __all__ = [
@@ -85,8 +85,9 @@ def _build(rs: RuleSet, policy: ConflictPolicy) -> _MaskTree:
         while policy is not ConflictPolicy.FIRST_MATCH and (members := members & (members - 1)):
             k = (members & -members).bit_length() - 1
             if (k, owner) not in captures:
-                rel = relate(rules[k], rules[owner], rs.schema)
-                captures[k, owner] = rel.kind is RelationKind.FORWARD
+                # k captures when the owner properly contains it
+                inner = all(not m[k] & ~m[owner] for m in masks)
+                captures[k, owner] = inner and any(m[k] != m[owner] for m in masks)
             owner = k if captures[k, owner] else owner
         return owner
 

@@ -16,14 +16,19 @@ verdicts roll up into exactly one relation kind:
   partially but no field is empty.  It behaves like ``correlated`` for
   anomaly purposes.
 
-:func:`relate` classifies one pair and keeps the per-field evidence; it
-rolls field relations up to a kind through a 32-entry table, indexed by
-the set of ``FieldRel`` values seen across the fields.
 :func:`relation_sets` screens every pair of two rule lists at once.  For
 each rule it gives three int bitsets over the other list: the rules it is
-not disjoint from, the rules that hold it, and the rules it holds.  An
-empty value set is a proper subset of every value, so a rule with an empty
-field is inside, never disjoint from, a rule that matches the rest.
+not disjoint from, the rules that hold it, and the rules it holds.  The
+three bits of a pair tell its kind apart except for the two correlated
+ones, which anomaly detection treats alike, so every command reads its
+relations from these sets.  An empty value set is a proper subset of every
+value, so a rule with an empty field is inside, never disjoint from, a
+rule that matches the rest.
+
+:func:`relate` is the scalar reference the tests check the sets against.
+It classifies one pair and keeps the per-field evidence, rolling field
+relations up to a kind through a 32-entry table indexed by the set of
+``FieldRel`` values seen across the fields.
 """
 
 from __future__ import annotations

@@ -303,6 +303,8 @@ def parse_ruleset(data: bytes | str, *, source: str = "<string>") -> RuleSet:
             raise RuleFileError(f"bad JSON rule file: missing key {exc}", None, source) from None
         except (TypeError, ValueError) as exc:
             raise RuleFileError(f"bad JSON rule file: {exc}", None, source) from None
+        except RecursionError:
+            raise RuleFileError("bad JSON rule file: nested too deeply", None, source) from None
     return _parse_text(data, source)
 
 
@@ -549,11 +551,17 @@ def _from_dict(d: dict, source: str) -> RuleSet:
         if type(rule_id) is not int or not isinstance(origin, str):
             raise ValueError(f"rule {rule_id!r}: id must be an integer and origin a string")
         _name(origin, f"rule {rule_id} origin", None, source, _NOT_IN_HEADER + _COLUMN)
+        action, given = entry["action"], entry["values"]
+        if not isinstance(action, str):
+            raise ValueError(f"rule {rule_id}: action must be a string")
         try:
-            condition = {a.name: _read_value(values, str(entry["values"][a.name]), a) for a in attrs}
+            condition = {a.name: _read_value(values, str(given[a.name]), a) for a in attrs}
         except ValueError as exc:
             raise ValueError(f"rule {rule_id}: {exc}") from None
-        rules.append(Rule(id=rule_id, condition=condition, action=entry["action"], origin=origin))
+        undeclared = next((k for k in given if k not in condition), None)
+        if undeclared is not None:
+            raise ValueError(f"rule {rule_id}: value for undeclared attribute {undeclared!r}")
+        rules.append(Rule(id=rule_id, condition=condition, action=action, origin=origin))
     return RuleSet(
         schema=base.schema,
         rules=tuple(rules),

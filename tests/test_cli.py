@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CASES
+from policytree import interop, intra, rdt
 from policytree.cli import main
 from policytree.ruleio import load_ruleset, ruleset_to_dict
 
@@ -552,6 +553,16 @@ _FW_TEXT = (CASES / "fw.rules").read_bytes()
             "outside the declared domain",
         ),
         ("bad.json", _first_rule(lambda r: r.update(id="one")), "id must be an integer"),
+        pytest.param(
+            "bad.json", b"[" * 5000 + b"]" * 5000, "bad JSON rule file: nested too deeply", id="deep-json"
+        ),
+        # one value per declared attribute: an undeclared one is not dropped
+        (
+            "bad.json",
+            _first_rule(lambda r: r["values"].update(extra="x")),
+            "rule 1: value for undeclared attribute 'extra'",
+        ),
+        ("bad.json", _first_rule(lambda r: r.update(action=["deny"])), "rule 1: action must be a string"),
         # a bad value names its rule, as a bad action does
         (
             "fw.json",
@@ -666,6 +677,44 @@ def test_bad_files_are_input_errors(tmp_path, name, content, hint):
     assert str(tmp_path) in result.output
     assert result.output.count("\n") == 1
     assert hint in result.output
+
+
+# ---------------------------------------------------------------------------
+# anomaly kinds and captures come from the relation bitsets
+# ---------------------------------------------------------------------------
+
+
+def _case_runs(out) -> list:
+    """Each command over ``cases/`` under both policies: its exit code, report and files."""
+    fw, ids = str(CASES / "fw.rules"), str(CASES / "ids.rules")
+    commands = [
+        *(("lint", str(path)) for path in sorted(CASES.glob("*.rules"))),
+        ("correct", fw, "-o", str(out / "fw-corrected.rules")),
+        ("fix-interop", fw, ids, "-o", str(out)),
+        ("check-interop", fw, ids),
+        ("check-interop", ids, fw),
+        *(("check-topology", str(path)) for path in sorted(CASES.glob("*.topo"))),
+    ]
+    runs = []
+    for policy in ("first-match", "specificity"):
+        for command in commands:
+            shutil.rmtree(out, ignore_errors=True)
+            out.mkdir()
+            result = run("--policy", policy, *command)
+            written = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            runs.append((policy, command, result.exit_code, result.output, written))
+    return runs
+
+
+def test_no_command_calls_scalar_relate(tmp_path, monkeypatch):
+    expected = _case_runs(tmp_path / "out")
+
+    def refuse(*args):
+        raise AssertionError("scalar relate called")
+
+    for module in (intra, interop, rdt):
+        monkeypatch.setattr(module, "relate", refuse)
+    assert _case_runs(tmp_path / "out") == expected
 
 
 # ---------------------------------------------------------------------------

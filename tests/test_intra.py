@@ -10,7 +10,7 @@ from policytree.dtree import tree_to_rules
 from policytree.intra import IntraAnomaly, IntraKind, detect_intra, is_relevant_ruleset
 from policytree.model import AttributeDef, Rule, RuleSet, Schema, Severity
 from policytree.rdt import build_rdt
-from policytree.relations import RelationKind
+from policytree.relations import RelationKind, relate
 from policytree.values import ANY, AttrKind, intervals, labels
 
 from _corpus import interval_schema, random_ruleset
@@ -42,11 +42,12 @@ def _kinds(found: list[IntraAnomaly]) -> list[tuple[IntraKind, int, int]]:
 
 
 def test_shadowing_later_rule_inside_with_other_class():
-    (a,) = detect_intra(_rs1((((0, 20),), "accept"), (((5, 10),), "deny")))
+    rs = _rs1((((0, 20),), "accept"), (((5, 10),), "deny"))
+    (a,) = detect_intra(rs)
     assert a.kind is IntraKind.SHADOWING
     assert (a.earlier, a.later) == (1, 2)
     assert a.severity is Severity.ERROR
-    assert a.evidence.kind is RelationKind.BACKWARD
+    assert relate(rs.rule(a.earlier), rs.rule(a.later), rs.schema).kind is RelationKind.BACKWARD
 
 
 def test_redundancy_later_rule_inside_with_same_class():
@@ -56,18 +57,20 @@ def test_redundancy_later_rule_inside_with_same_class():
 
 
 def test_identical_conditions_shadow_or_duplicate():
-    (a,) = detect_intra(_rs1((((0, 9),), "accept"), (((0, 9),), "deny")))
+    rs = _rs1((((0, 9),), "accept"), (((0, 9),), "deny"))
+    (a,) = detect_intra(rs)
     assert a.kind is IntraKind.SHADOWING
-    assert a.evidence.kind is RelationKind.EXACT
+    assert relate(rs.rule(a.earlier), rs.rule(a.later), rs.schema).kind is RelationKind.EXACT
     (b,) = detect_intra(_rs1((((0, 9),), "accept"), (((0, 9),), "accept")))
     assert b.kind is IntraKind.REDUNDANCY
 
 
 def test_generalization_catch_all_after_exception():
-    (a,) = detect_intra(_rs1((((5, 10),), "deny"), (((0, 20),), "accept")))
+    rs = _rs1((((5, 10),), "deny"), (((0, 20),), "accept"))
+    (a,) = detect_intra(rs)
     assert a.kind is IntraKind.GENERALIZATION
     assert a.severity is Severity.WARNING
-    assert a.evidence.kind is RelationKind.FORWARD
+    assert relate(rs.rule(a.earlier), rs.rule(a.later), rs.schema).kind is RelationKind.FORWARD
 
 
 def test_correlation_partial_overlap_other_class():

@@ -155,7 +155,7 @@ def _scalar_intra(rs: RuleSet) -> list[IntraAnomaly]:
             Severity.ERROR if kind in (IntraKind.REDUNDANCY, IntraKind.SHADOWING)
             else Severity.WARNING
         )
-        found.append(IntraAnomaly(kind, a.id, b.id, rel, severity))
+        found.append(IntraAnomaly(kind, a.id, b.id, severity))
     return found
 
 
@@ -179,7 +179,7 @@ def _scalar_inter(preceding: RuleSet, following: RuleSet) -> list[InterAnomaly]:
                 kind = None
             if kind is not None:
                 severity = Severity.WARNING if kind is InterKind.REDUNDANCY else Severity.ERROR
-                found.append(InterAnomaly(kind, p.id, f.id, rel, severity))
+                found.append(InterAnomaly(kind, p.id, f.id, severity))
     return found
 
 
