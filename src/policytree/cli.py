@@ -11,6 +11,7 @@ relevant input is required).
 from __future__ import annotations
 
 import contextlib
+import gc
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -81,12 +82,40 @@ class Options:
 @click.pass_context
 def main(ctx: click.Context, policy: str, fmt: str, assume_relevant: bool, dump_tree: bool):
     """Analyze, correct, and align ordered security rule sets."""
+    ctx.with_resource(_collector_paused())
     ctx.obj = Options(
         policy=_POLICIES[policy],
         fmt=fmt,
         assume_relevant=assume_relevant,
         dump_tree=dump_tree,
     )
+
+
+@main.result_callback()
+@click.pass_context
+def _exit(ctx: click.Context, code: int, **_params) -> None:
+    """Exit with the command's code once the command has returned.
+
+    Raised from inside a command, the ``Exit`` would hold the command's
+    frames, and every rule set and tree they name, until a collection.
+    """
+    ctx.exit(code)
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, if it runs, until the command ends.
+
+    The library leaves no reference cycles, so reference counting frees
+    what a command drops, and a collection would only rescan its live trees.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _write(text: str, err: bool = False) -> None:
@@ -171,9 +200,9 @@ def _verdict(findings: list[dict]) -> str:
     )
 
 
-def _finish(ctx: click.Context, report: Report, opts: Options) -> None:
+def _finish(report: Report, opts: Options) -> int:
     _emit(report, opts)
-    ctx.exit(1 if report.findings else 0)
+    return 1 if report.findings else 0
 
 
 def _intra_findings(rs: RuleSet) -> list[dict]:
@@ -223,7 +252,7 @@ def lint(ctx: click.Context, rules_file: str):
     report.verdict = _verdict(report.findings)
     if opts.dump_tree:
         report.tree = dump_tree(build_rdt(rs, opts.policy).tree)
-    _finish(ctx, report, opts)
+    return _finish(report, opts)
 
 
 @main.command()
@@ -234,18 +263,19 @@ def correct(ctx: click.Context, rules_file: str, output: str | None):
     """Rewrite a rule set as disjoint rules free of internal anomalies."""
     opts: Options = ctx.obj
     rs, entry = _load(ctx, rules_file)
-    corrected = correct_ruleset(rs, opts.policy)
+    built = build_rdt(rs, opts.policy) if opts.dump_tree else None
+    corrected = correct_ruleset(rs, opts.policy, built=built)
     if output is None:
         _write(serialize_ruleset(corrected))
-        ctx.exit(1 if detect_intra(rs) else 0)
+        return 1 if detect_intra(rs) else 0
     _save(ctx, [(Path(output), corrected)])
     report = Report(command="correct", policy=opts.policy.value, inputs=[entry])
     report.findings = _intra_findings(rs)
     report.verdict = _verdict(report.findings)
     report.outputs = [{"path": output, "rules": len(corrected.rules)}]
-    if opts.dump_tree:
-        report.tree = dump_tree(build_rdt(rs, opts.policy).tree)
-    _finish(ctx, report, opts)
+    if built is not None:
+        report.tree = dump_tree(built.tree)
+    return _finish(report, opts)
 
 
 @main.command(name="check-interop")
@@ -266,7 +296,7 @@ def check_interop(ctx: click.Context, preceding_file: str, following_file: str):
     report.verdict = "interoperable" if not report.findings else (
         f"not interoperable ({_verdict(report.findings)})"
     )
-    _finish(ctx, report, opts)
+    return _finish(report, opts)
 
 
 @main.command(name="fix-interop")
@@ -329,7 +359,7 @@ def fix_interop(ctx: click.Context, preceding_file: str, following_file: str, ou
     )
     if opts.dump_tree:
         report.tree = dump_tree(pair.rdt.tree)
-    _finish(ctx, report, opts)
+    return _finish(report, opts)
 
 
 @main.command(name="check-topology")
@@ -391,7 +421,7 @@ def check_topology(ctx: click.Context, topology_file: str):
                     following=f["following"],
                 )
     report.verdict = "clean" if not report.findings else _verdict(report.findings)
-    _finish(ctx, report, opts)
+    return _finish(report, opts)
 
 
 @main.command(name="eval")
@@ -443,7 +473,7 @@ def eval_packet(ctx: click.Context, rules_file: str, packet_arg: str, semantics:
             "origin": rule.origin,
         }
         report.verdict = f"decision: {rule.action}"
-    _finish(ctx, report, opts)
+    return _finish(report, opts)
 
 
 if __name__ == "__main__":

@@ -103,14 +103,19 @@ def integrate(preceding: RuleSet, following: RuleSet) -> GlobalRuleSet:
 
 
 def correct_ruleset(
-    rs: RuleSet, policy: ConflictPolicy = ConflictPolicy.SPECIFICITY
+    rs: RuleSet,
+    policy: ConflictPolicy = ConflictPolicy.SPECIFICITY,
+    *,
+    built: RelevantDecisionTree | None = None,
 ) -> RuleSet:
     """Single-component repair: the rule set read back from its tree.
 
     Each output rule's origin names the input rule that won its region.
+    ``built`` is the tree of ``rs`` under ``policy`` when the caller has
+    already built it (to dump it, say); otherwise it is built here.
     """
     origin_map = {r.id: f"{rs.component_name}:r{r.id}" for r in rs.rules}
-    return tree_to_rules(build_rdt(rs, policy).tree, origin_map)
+    return tree_to_rules((built or build_rdt(rs, policy)).tree, origin_map)
 
 
 # ---------------------------------------------------------------------------
@@ -164,42 +169,59 @@ def project(
     # source level -> projected level; foreign levels are absent
     new_level = {i + 1: level for level, i in enumerate(keep_idx, start=1)}
     new_level[tree.action_level] = len(keep_idx) + 1
-    done: dict[int, Node | None] = {}
-
-    def walk(node: Node) -> Node | None:
-        if id(node) in done:
-            return done[id(node)]
-        level = new_level.get(node.level)
-        edges = node.edges
-        if level is None:
-            edges = [e for e in edges if e.label.is_wildcard]
-        elif node.level == designated_level:
-            edges = [e for e in edges if _is_specific(e.label)]
-        # a foreign or action level keeps one edge at most, a kept level
-        # distinct labels: more would reach one projected region twice, which
-        # cannot happen when the source tree is relevant
-        one = level is None or node.level == tree.action_level
-        if len(edges) > (1 if one else len({e.label for e in edges})):
-            raise ValueError("projection collapsed two distinct regions")
-        if level is None:
-            out = walk(edges[0].child) if edges else None
-        elif node.level == tree.action_level:
-            out = Node(level, [Edge(e.label, None, e.owner) for e in edges]) if edges else None
-        else:
-            kept = [Edge(e.label, child) for e in edges if (child := walk(e.child)) is not None]
-            out = Node(level, kept) if kept else None
-        done[id(node)] = out
-        return out
-
+    root = _project(tree.root, new_level, designated_level, tree.action_level, {})
     return DecisionTree(
         schema=Schema(
             condition_attributes=tuple(tree.schema.condition_attributes[i] for i in keep_idx),
             decision_attribute=tree.schema.decision_attribute,
         ),
-        root=walk(tree.root) or Node(level=1),
+        root=root or Node(level=1),
         component_name=tree.component_name,
         component_kind=tree.component_kind,
     )
+
+
+def _project(
+    node: Node,
+    new_level: dict[int, int],
+    designated_level: int | None,
+    action_level: int,
+    done: dict[int, Node | None],
+) -> Node | None:
+    """The projection of ``node``, or None when no edge survives.
+
+    ``new_level`` maps each kept source level to its projected level, and
+    ``done`` maps ``id(node)`` to the projection of a node already seen.
+    """
+    if id(node) in done:
+        return done[id(node)]
+    level = new_level.get(node.level)
+    edges = node.edges
+    if level is None:
+        edges = [e for e in edges if e.label.is_wildcard]
+    elif node.level == designated_level:
+        edges = [e for e in edges if _is_specific(e.label)]
+    # a foreign or action level keeps one edge at most, a kept level
+    # distinct labels: more would reach one projected region twice, which
+    # cannot happen when the source tree is relevant
+    one = level is None or node.level == action_level
+    if len(edges) > (1 if one else len({e.label for e in edges})):
+        raise ValueError("projection collapsed two distinct regions")
+    if level is None:
+        out = None
+        if edges:
+            out = _project(edges[0].child, new_level, designated_level, action_level, done)
+    elif node.level == action_level:
+        out = Node(level, [Edge(e.label, None, e.owner) for e in edges]) if edges else None
+    else:
+        kept = []
+        for e in edges:
+            child = _project(e.child, new_level, designated_level, action_level, done)
+            if child is not None:
+                kept.append(Edge(e.label, child))
+        out = Node(level, kept) if kept else None
+    done[id(node)] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

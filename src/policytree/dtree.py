@@ -91,19 +91,19 @@ def action_label(edge: Edge) -> str:
 def branches(t: DecisionTree) -> list[Branch]:
     """All branches in depth-first order (sibling edges in stored order)."""
     out: list[Branch] = []
-
-    def walk(node: Node, acc: list[ValueSet]) -> None:
-        if node.level == t.action_level:
-            for e in node.edges:
-                out.append(Branch(labels=tuple(acc), action=action_label(e), owner=e.owner or 0))
-            return
-        for e in node.edges:
-            acc.append(e.label)
-            walk(e.child, acc)
-            acc.pop()
-
-    walk(t.root, [])
+    _branches(t.root, t.action_level, [], out)
     return out
+
+
+def _branches(node: Node, action_level: int, acc: list[ValueSet], out: list[Branch]) -> None:
+    if node.level == action_level:
+        for e in node.edges:
+            out.append(Branch(labels=tuple(acc), action=action_label(e), owner=e.owner or 0))
+        return
+    for e in node.edges:
+        acc.append(e.label)
+        _branches(e.child, action_level, acc, out)
+        acc.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -124,20 +124,22 @@ class RelevancyViolation:
 def check_relevant(t: DecisionTree) -> list[RelevancyViolation]:
     """Empty iff every node's outgoing labels are pairwise disjoint."""
     out: list[RelevancyViolation] = []
-
-    def walk(node: Node, path: tuple[ValueSet, ...]) -> None:
-        at_action = node.level == t.action_level
-        attr = t.schema.decision_attribute if at_action else t.attribute_at(node.level)
-        for i, a in enumerate(node.edges):
-            for b in node.edges[i + 1 :]:
-                if vs_compare(a.label, b.label, attr.domain)[2]:
-                    out.append(RelevancyViolation(attr.name, path, a.label, b.label))
-        if not at_action:
-            for e in node.edges:
-                walk(e.child, path + (e.label,))
-
-    walk(t.root, ())
+    _violations(t, t.root, (), out)
     return out
+
+
+def _violations(
+    t: DecisionTree, node: Node, path: tuple[ValueSet, ...], out: list[RelevancyViolation]
+) -> None:
+    at_action = node.level == t.action_level
+    attr = t.schema.decision_attribute if at_action else t.attribute_at(node.level)
+    for i, a in enumerate(node.edges):
+        for b in node.edges[i + 1 :]:
+            if vs_compare(a.label, b.label, attr.domain)[2]:
+                out.append(RelevancyViolation(attr.name, path, a.label, b.label))
+    if not at_action:
+        for e in node.edges:
+            _violations(t, e.child, path + (e.label,), out)
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +196,18 @@ def tree_to_rules(t: DecisionTree, origin_map: dict[int, str] | None = None) -> 
 def dump_tree(t: DecisionTree) -> str:
     """Indented text rendering, one edge per line (diagnostics only)."""
     lines: list[str] = [f"tree {t.component_name or '<unnamed>'}"]
-
-    def walk(node: Node, depth: int) -> None:
-        pad = "  " * depth
-        if node.level == t.action_level:
-            for e in node.edges:
-                owner = f" [r{e.owner}]" if e.owner is not None else ""
-                lines.append(f"{pad}{t.schema.decision_attribute.name}: {action_label(e)}{owner}")
-            return
-        attr = t.attribute_at(node.level)
-        for e in node.edges:
-            lines.append(f"{pad}{attr.name} = {format_value(e.label, attr)}")
-            walk(e.child, depth + 1)
-
-    walk(t.root, 1)
+    _dump(t, t.root, 1, lines)
     return "\n".join(lines) + "\n"
+
+
+def _dump(t: DecisionTree, node: Node, depth: int, lines: list[str]) -> None:
+    pad = "  " * depth
+    if node.level == t.action_level:
+        for e in node.edges:
+            owner = f" [r{e.owner}]" if e.owner is not None else ""
+            lines.append(f"{pad}{t.schema.decision_attribute.name}: {action_label(e)}{owner}")
+        return
+    attr = t.attribute_at(node.level)
+    for e in node.edges:
+        lines.append(f"{pad}{attr.name} = {format_value(e.label, attr)}")
+        _dump(t, e.child, depth + 1, lines)

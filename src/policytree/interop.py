@@ -149,19 +149,20 @@ def extend_schema(rs: RuleSet, target: Schema) -> RuleSet:
     if not source_labels <= target_labels:
         raise SchemaError("target decision domain does not cover the original")
 
-    own = set(rs.schema.condition_names)
+    own = {a.name: a.domain for a in rs.schema.condition_attributes}
+    wider = {name for name, domain in own.items() if target_by_name[name].domain != domain}
+    names = target.condition_names
     new_rules = []
     for rule in rs.rules:
         condition = {}
-        for attr in target.condition_attributes:
-            if attr.name not in own:
-                condition[attr.name] = ValueSet()  # wildcard
+        for name in names:
+            if name not in own:
+                condition[name] = ValueSet()  # wildcard
                 continue
-            v = rule.condition[attr.name]
-            original = rs.schema.attribute(attr.name)
-            if v.is_wildcard and original.domain != attr.domain:
-                v = original.domain  # keep the original reach, not the wider one
-            condition[attr.name] = v
+            v = rule.condition[name]
+            if v.is_wildcard and name in wider:
+                v = own[name]  # keep the original reach, not the wider one
+            condition[name] = v
         new_rules.append(Rule(id=rule.id, condition=condition, action=rule.action, origin=rule.origin))
     return RuleSet(
         schema=target,

@@ -64,77 +64,97 @@ class _MaskTree:
     cells: tuple[Cells, ...]  # one codec per condition level
 
 
+def _owner(members: int, masks: list[list[int]], policy: ConflictPolicy, captures: dict) -> int:
+    """The first member owns the region, unless a later one captures it.
+
+    ``captures`` memoizes, per ``(k, owner)`` pair, whether rule ``k``
+    captures from ``owner``: every mask of ``k`` lies in the owner's and
+    some mask differs.
+    """
+    owner = (members & -members).bit_length() - 1
+    while policy is not ConflictPolicy.FIRST_MATCH and (members := members & (members - 1)):
+        k = (members & -members).bit_length() - 1
+        if (k, owner) not in captures:
+            inner = all(not m[k] & ~m[owner] for m in masks)
+            captures[k, owner] = inner and any(m[k] != m[owner] for m in masks)
+        owner = k if captures[k, owner] else owner
+    return owner
+
+
+def _split(level_masks: list[int], members: int) -> list[list[int]]:
+    """The sibling edges as ``[label, members]``, replaying the members in rule order.
+
+    An edge that a rule covers in part keeps its remainder in place, the
+    intersection follows it at the end, and the rule's cells that no edge
+    holds come last.
+    """
+    parts: list[list[int]] = []
+    while members:
+        bit = members & -members
+        members ^= bit
+        v = level_masks[bit.bit_length() - 1]
+        for i in range(len(parts)):
+            if not v:
+                break
+            part = parts[i]
+            inter = v & part[0]
+            if not inter:
+                continue
+            if inter == part[0]:
+                part[1] |= bit
+            else:
+                part[0] &= ~inter
+                parts.append([inter, part[1] | bit])
+            v &= ~inter
+        if v:
+            parts.append([v, bit])
+    return parts
+
+
+class _Builder:
+    """The memo tables of one :func:`_build`, and the rules it reads."""
+
+    __slots__ = ("rules", "masks", "policy", "built", "captures", "actions")
+
+    def __init__(self, rules, masks: list[list[int]], policy: ConflictPolicy):
+        self.rules, self.masks, self.policy = rules, masks, policy
+        self.built: dict[tuple[int, int], Node] = {}
+        self.captures: dict[tuple[int, int], bool] = {}
+        self.actions: dict[int, Node] = {}  # owning rule index -> its action node
+
+    def node(self, level: int, members: int) -> Node:
+        """The subtree at ``level`` for the rules in ``members``, built once."""
+        node = self.built.get((level, members))
+        if node is None:
+            if level > len(self.masks):
+                k = _owner(members, self.masks, self.policy, self.captures)
+                node = self.actions.get(k)
+                if node is None:
+                    rule = self.rules[k]
+                    node = self.actions[k] = Node(level, [Edge(labels(rule.action), None, rule.id)])
+            else:
+                parts = _split(self.masks[level - 1], members)
+                node = Node(level, [Edge(m, self.node(level + 1, ms)) for m, ms in parts])
+            self.built[level, members] = node
+        return node
+
+
 def _build(rs: RuleSet, policy: ConflictPolicy) -> _MaskTree:
     """The tree of ``rs`` before merging, with each distinct subtree built once.
 
     The subtree below a node depends only on its level and on the rules that
-    reach it, an int with bit ``k`` set for ``rs.rules[k]``.  So ``build`` is
+    reach it, an int with bit ``k`` set for ``rs.rules[k]``.  So a node is
     memoized on the pair, and parents that reach the same rules share one
     node: a decision diagram (Gouda & Liu, ICDCS 2004) whose paths read as
-    in the tree that inserts the rules one by one.
+    in the tree that inserts the rules one by one.  Regions with the same
+    owning rule share one action node.
     """
     attrs, rules = rs.schema.condition_attributes, rs.rules
     cells = tuple(Cells(a.domain, [r.condition[a.name] for r in rules]) for a in attrs)
     masks = [[c.mask(r.condition[a.name]) for r in rules] for c, a in zip(cells, attrs)]
-    built: dict[tuple[int, int], Node] = {}
-    captures: dict[tuple[int, int], bool] = {}
-
-    def owner(members: int) -> int:
-        """The first member owns the region, unless a later one captures it."""
-        owner = (members & -members).bit_length() - 1
-        while policy is not ConflictPolicy.FIRST_MATCH and (members := members & (members - 1)):
-            k = (members & -members).bit_length() - 1
-            if (k, owner) not in captures:
-                # k captures when the owner properly contains it
-                inner = all(not m[k] & ~m[owner] for m in masks)
-                captures[k, owner] = inner and any(m[k] != m[owner] for m in masks)
-            owner = k if captures[k, owner] else owner
-        return owner
-
-    def split(level: int, members: int) -> list[list[int]]:
-        """The sibling edges as ``[label, members]``, replaying the members in rule order.
-
-        An edge that a rule covers in part keeps its remainder in place, the
-        intersection follows it at the end, and the rule's cells that no
-        edge holds come last.
-        """
-        parts: list[list[int]] = []
-        level_masks = masks[level - 1]
-        while members:
-            bit = members & -members
-            members ^= bit
-            v = level_masks[bit.bit_length() - 1]
-            for i in range(len(parts)):
-                if not v:
-                    break
-                part = parts[i]
-                inter = v & part[0]
-                if not inter:
-                    continue
-                if inter == part[0]:
-                    part[1] |= bit
-                else:
-                    part[0] &= ~inter
-                    parts.append([inter, part[1] | bit])
-                v &= ~inter
-            if v:
-                parts.append([v, bit])
-        return parts
-
-    def build(level: int, members: int) -> Node:
-        node = built.get((level, members))
-        if node is None:
-            if level > len(attrs):
-                rule = rules[owner(members)]
-                edges = [Edge(labels(rule.action), child=None, owner=rule.id)]
-            else:
-                edges = [Edge(m, build(level + 1, ms)) for m, ms in split(level, members)]
-            node = built[level, members] = Node(level=level, edges=edges)
-        return node
-
     # a rule with an empty value set matches no packet, so it owns no region
     members = sum(1 << k for k in range(len(rules)) if all(m[k] for m in masks))
-    return _MaskTree(root=build(1, members), cells=cells)
+    return _MaskTree(root=_Builder(rules, masks, policy).node(1, members), cells=cells)
 
 
 def normalize(t: _MaskTree) -> _MaskTree:
@@ -147,34 +167,35 @@ def normalize(t: _MaskTree) -> _MaskTree:
     one in edge order).  Packet decisions are unchanged.  A node shared by
     several parents is merged once.
     """
-    shapes: dict = {}  # a subtree's labels and actions -> a small id
-    merged: dict[int, tuple[int, int]] = {}  # id(node) -> its shape id and earliest owner
-    action_level = len(t.cells) + 1
-
-    def merge(node: Node) -> tuple[int, int]:
-        """Merge below ``node``; return its shape id and its earliest owner."""
-        if id(node) in merged:
-            return merged[id(node)]
-        if node.level == action_level:
-            (edge,) = node.edges
-            return shapes.setdefault(edge.label, len(shapes)), edge.owner
-        groups: dict[int, list[tuple[int, Edge]]] = {}
-        for edge in node.edges:
-            shape, owner = merge(edge.child)
-            groups.setdefault(shape, []).append((owner, edge))
-        node.edges, owners = [], []
-        for members in groups.values():
-            owner, kept = min(members, key=lambda m: m[0])
-            for _, edge in members:
-                kept.label |= edge.label
-            node.edges.append(kept)
-            owners.append(owner)
-        key = frozenset(zip((e.label for e in node.edges), groups))
-        merged[id(node)] = shapes.setdefault(key, len(shapes)), min(owners, default=0)
-        return merged[id(node)]
-
-    merge(t.root)
+    _merge(t.root, len(t.cells) + 1, {}, {})
     return t
+
+
+def _merge(node: Node, action_level: int, shapes: dict, merged: dict) -> tuple[int, int]:
+    """Merge below ``node``; return its shape id and its earliest owner.
+
+    ``shapes`` maps a subtree's labels and actions to a small id, and
+    ``merged`` maps ``id(node)`` to the result for a node already merged.
+    """
+    if id(node) in merged:
+        return merged[id(node)]
+    if node.level == action_level:
+        (edge,) = node.edges
+        return shapes.setdefault(edge.label, len(shapes)), edge.owner
+    groups: dict[int, list[tuple[int, Edge]]] = {}
+    for edge in node.edges:
+        shape, owner = _merge(edge.child, action_level, shapes, merged)
+        groups.setdefault(shape, []).append((owner, edge))
+    node.edges, owners = [], []
+    for members in groups.values():
+        owner, kept = min(members, key=lambda m: m[0])
+        for _, edge in members:
+            kept.label |= edge.label
+        node.edges.append(kept)
+        owners.append(owner)
+    key = frozenset(zip((e.label for e in node.edges), groups))
+    merged[id(node)] = shapes.setdefault(key, len(shapes)), min(owners, default=0)
+    return merged[id(node)]
 
 
 def _decode(node: Node, cells: tuple[Cells, ...]) -> None:

@@ -7,6 +7,7 @@ import gc
 import hashlib
 import json
 import shutil
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CASES
-from policytree import interop, intra, rdt
+from policytree import cli, correction, interop, intra, rdt
 from policytree.cli import main
 from policytree.ruleio import load_ruleset, ruleset_to_dict
 
@@ -174,6 +175,37 @@ def test_correct_dump_tree_is_the_tree_of_the_output(fw_path, tmp_path, policy):
     run("--policy", policy, "correct", fw_path, "-o", str(b))
     assert tree_block(dumped.output) == tree_block(linted.output)
     assert a.read_bytes() == b.read_bytes()
+
+
+#: sha256 of the exit codes, reports and written files of ``--dump-tree
+#: correct -o`` on fw.rules under both policies and both formats, recorded
+#: when the tree was built twice (once to correct, once to dump).
+DUMP_DIGEST = "022de2ac4fb60879140846e6cdd64b1712c6d28bc00b08f36438ce76c70295d3"
+
+
+def test_correct_dump_tree_builds_the_tree_once(fw_path, tmp_path, monkeypatch):
+    builds = []
+    for module in (cli, correction):
+
+        def counted(*args, _build=module.build_rdt, **kwargs):
+            builds.append(args[0].component_name)
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(module, "build_rdt", counted)
+    out = tmp_path / "fixed.rules"
+    digest = hashlib.sha256()
+    for policy in ("specificity", "first-match"):
+        for fmt in ("text", "json"):
+            builds.clear()
+            result = run(
+                "--policy", policy, "--format", fmt, "--dump-tree", "correct", fw_path, "-o", str(out)
+            )
+            assert builds == ["FW"]
+            digest.update(f"{result.exit_code}\n".encode())
+            output = result.output.replace(str(out), "<out>").replace(str(CASES), "<cases>")
+            digest.update(output.encode())
+            digest.update(out.read_bytes())
+    assert digest.hexdigest() == DUMP_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +747,98 @@ def test_no_command_calls_scalar_relate(tmp_path, monkeypatch):
     for module in (intra, interop, rdt):
         monkeypatch.setattr(module, "relate", refuse)
     assert _case_runs(tmp_path / "out") == expected
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector is paused while a command runs
+# ---------------------------------------------------------------------------
+
+#: Each command with the exit code it gives on the case files.
+_COMMANDS = [
+    (["lint", "{fw}"], 1),
+    (["lint", "{fixed}"], 0),
+    (["correct", "{fw}"], 1),
+    (["--dump-tree", "correct", "{fw}", "-o", "{out}/fixed.rules"], 1),
+    (["check-interop", "{fw}", "{ids}"], 2),
+    (["check-interop", "{fixed}", "{ids}"], 1),
+    (["--dump-tree", "fix-interop", "{fw}", "{ids}", "-o", "{out}"], 1),
+    (["check-topology", "{topo}"], 1),
+    (["eval", "{fw}", "--packet", _PKT], 0),
+    (["lint", "{out}/missing.rules"], 2),
+]
+
+
+def _set_collector(enabled: bool) -> None:
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.fixture
+def collector():
+    """Restores the collector's state after a test that sets it."""
+    enabled = gc.isenabled()
+    yield
+    _set_collector(enabled)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_commands_pause_the_collector_and_restore_it(
+    fw_path, ids_path, fixed_fw, cases_dir, tmp_path, monkeypatch, collector, enabled
+):
+    paths = {
+        "fw": fw_path,
+        "ids": ids_path,
+        "fixed": fixed_fw,
+        "topo": str(cases_dir / "ingress.topo"),
+        "out": str(tmp_path),
+    }
+    seen: list[bool] = []  # the collector's state whenever a command reads a file
+
+    def read(ctx, path, _read=cli._read):
+        seen.append(gc.isenabled())
+        return _read(ctx, path)
+
+    monkeypatch.setattr(cli, "_read", read)
+    for template, code in _COMMANDS:
+        _set_collector(enabled)
+        seen.clear()
+        result = run(*(a.format(**paths) for a in template))
+        assert (result.exit_code, gc.isenabled()) == (code, enabled), template
+        assert seen and not any(seen), template
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_an_unexpected_error_restores_the_collector(fw_path, monkeypatch, collector, enabled):
+    seen: list[bool] = []
+
+    def broken(ctx, path):
+        seen.append(gc.isenabled())
+        raise RuntimeError("broken read")
+
+    monkeypatch.setattr(cli, "_read", broken)
+    _set_collector(enabled)
+    result = run("lint", fw_path)
+    assert isinstance(result.exception, RuntimeError)
+    assert seen == [False]
+    assert gc.isenabled() is enabled
+
+
+def test_a_command_frees_its_rule_sets_without_a_collection(fw_path, monkeypatch, collector):
+    # an exit raised inside the command would keep its frames, and all they
+    # name, reachable from the traceback until the collector ran
+    parsed = []
+
+    def parse(*args, _parse=cli.parse_ruleset, **kwargs):
+        rs = _parse(*args, **kwargs)
+        parsed.append(weakref.ref(rs))
+        return rs
+
+    monkeypatch.setattr(cli, "parse_ruleset", parse)
+    gc.disable()
+    for args in (["lint", fw_path], ["correct", fw_path], ["--dump-tree", "lint", fw_path]):
+        parsed.clear()
+        result = run(*args)
+        assert result.exit_code == 1
+        assert len(parsed) == 1 and parsed[0]() is None, args
 
 
 # ---------------------------------------------------------------------------
