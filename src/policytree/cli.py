@@ -320,6 +320,9 @@ def fix_interop(ctx: click.Context, preceding_file: str, following_file: str, ou
     opts: Options = ctx.obj
     preceding, p_entry = _load(ctx, preceding_file)
     following, f_entry = _load(ctx, following_file)
+    for name in (preceding.component_name, following.component_name):
+        if Path(name).name != name:  # each output file is named after its component
+            _fail(ctx, f"component name {name!r} is not a single path component")
     if preceding.component_name == following.component_name:
         _fail(
             ctx,

@@ -16,8 +16,10 @@ intervals on which no rule value changes, and keeps one packet per cell
 or none of it, so checking one point per cell is exact.  A tree decides a
 packet as its :func:`~policytree.dtree.flattened` regions do under first
 match; the comparison of a tree against a rule set also cuts at the
-tree's own label bounds, so it stays exact for any tree.  "No decision" is
-a first class outcome throughout (``None``).
+tree's own label bounds, so it stays exact for any tree.  It lists the
+packets where the two disagree in grid order, extending point by point
+only the prefixes that can still reach a disagreement, never the whole
+grid.  "No decision" is a first class outcome throughout (``None``).
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from operator import xor
 from dataclasses import dataclass
 from enum import Enum
 from math import prod
-
-import numpy as np
 
 from .dtree import DecisionTree, flattened
 from .model import AttributeDef, Rule, RuleSet, Schema, SchemaError
@@ -172,7 +172,7 @@ def _cut_by(space: DomainSpace, values: list) -> DomainSpace:
 # ---------------------------------------------------------------------------
 
 
-def _axis_classes(attr: AttributeDef, points: tuple, column) -> tuple[np.ndarray, list[int]]:
+def _axis_classes(attr: AttributeDef, points: tuple, column) -> tuple[list[int], list[int]]:
     """Phase 0 on one attribute: each point's class, and each class's set of matching rows.
 
     Bit ``k`` of a set is ``column[k]``.  Each distinct value set is located
@@ -193,7 +193,7 @@ def _axis_classes(attr: AttributeDef, points: tuple, column) -> tuple[np.ndarray
             delta[end] ^= bits
     ids: dict[int, int] = {}
     classes = [ids.setdefault(bits, len(ids)) for bits in itertools.accumulate(delta[:-1], xor)]
-    return np.array(classes, dtype=np.intp), list(ids)
+    return classes, list(ids)
 
 
 def _lowest(bits: int) -> int:
@@ -235,8 +235,7 @@ def equivalence(
     tables, sets = [], axes[0][1]
     for _, axis_sets in axes[1:]:  # a later phase: (previous class, axis class) -> class
         ids: dict[int, int] = {}
-        table = [ids.setdefault(s & t, len(ids)) for s in sets for t in axis_sets]
-        tables.append(np.array(table, dtype=np.intp).reshape(len(sets), len(axis_sets)))
+        tables.append([[ids.setdefault(s & t, len(ids)) for t in axis_sets] for s in sets])
         sets = list(ids)
     rule_bits = (1 << n) - 1
     inside: dict[tuple[int, int], bool] = {}  # _strictly_inside, for the pairs a fold meets
@@ -258,13 +257,20 @@ def equivalence(
         (tree_actions[_lowest(bits >> n)] if bits >> n else None, by_rules(bits & rule_bits))
         for bits in sets
     ]
-    bad = np.array([by_tree != by_rule for by_tree, by_rule in verdicts], dtype=bool)
-    if not bad.any():
+    bad = [by_tree != by_rule for by_tree, by_rule in verdicts]
+    if not any(bad):
         return []
-    grid = axes[0][0]
-    for table, (classes, _) in zip(tables, axes[1:]):
-        grid = table[grid[..., None], classes]
+    live = [bad]  # live[k][c]: class c of phase k still reaches a mismatching final class
+    for table in reversed(tables):
+        live.insert(0, [any(live[0][c] for c in row) for row in table])
+    walk = [((i,), c) for i, c in enumerate(axes[0][0]) if live[0][c]]
+    for table, (classes, _), alive in zip(tables, axes[1:], live[1:]):
+        steps: dict[int, list] = {}  # prefix class -> its (point, next class) steps to a mismatch
+        for c in {c for _, c in walk}:
+            row = table[c]
+            steps[c] = [(i, row[t]) for i, t in enumerate(classes) if alive[row[t]]]
+        walk = [(index + (i,), nxt) for index, c in walk for i, nxt in steps[c]]
     return [
-        ({a.name: space.points[a.name][i] for a, i in zip(attrs, index)}, *verdicts[grid[tuple(index)]])
-        for index in np.argwhere(bad[grid])
+        ({a.name: space.points[a.name][i] for a, i in zip(attrs, index)}, *verdicts[c])
+        for index, c in walk
     ]

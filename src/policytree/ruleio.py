@@ -377,10 +377,9 @@ def _parse_text(text: str, source: str) -> RuleSet:
     if not in_rules:
         raise RuleFileError("missing 'rules' section", None, source)
 
-    schema = Schema(condition_attributes=tuple(attrs), decision_attribute=decision)
     try:
         return RuleSet(
-            schema=schema,
+            schema=Schema(condition_attributes=tuple(attrs), decision_attribute=decision),
             rules=tuple(rules),
             component_kind=kind,
             component_name=component,

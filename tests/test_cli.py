@@ -7,7 +7,10 @@ import gc
 import hashlib
 import json
 import shutil
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -100,6 +103,15 @@ def test_repeated_runs_keep_no_objects(fw_path):
         run("lint", fw_path)
     gc.collect()
     assert len(gc.get_objects()) - before < 50
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # every command imports the referee, which works on Python ints alone
+    src = str(Path(cli.__file__).parents[1])
+    code = f"import sys; sys.path[:0] = [{src!r}]; import policytree.cli; "
+    code += "print('numpy' in sys.modules)"
+    probe = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert probe.stdout == "False\n"
 
 
 #: sha256 of ``policytree --help`` and each subcommand's ``--help``, in name order.
@@ -311,6 +323,24 @@ def test_fix_interop_writes_json_for_json_inputs(fw, ids, tmp_path):
     for name in written:
         json.loads((out / name).read_text())
         assert load_ruleset(out / name).rules
+
+
+@pytest.mark.parametrize("suffix", [".rules", ".json"])
+@pytest.mark.parametrize("relative", [True, False])
+def test_fix_interop_keeps_its_files_in_the_output_dir(fw, ids_path, tmp_path, suffix, relative):
+    # the output file is named after the component, which must not lead out of -o DIR
+    name = "../escaped" if relative else str(tmp_path / "escaped")
+    path = tmp_path / f"fw{suffix}"
+    if suffix == ".json":
+        path.write_text(json.dumps({**ruleset_to_dict(fw), "component": name}))
+    else:
+        path.write_text(_FW_TEXT.decode().replace("component FW", f"component {name}"))
+    out = tmp_path / "out"
+    result = run("--assume-relevant", "fix-interop", str(path), ids_path, "-o", str(out))
+    _one_error_line(result)
+    assert f"component name {name!r} is not a single path component" in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+    assert run("lint", str(path)).exit_code == 1  # other commands still read the name
 
 
 def _ids_dict(component: str = "IDS", origin: str | None = None) -> dict:
@@ -696,6 +726,17 @@ _FW_TEXT = (CASES / "fw.rules").read_bytes()
             "bad.rules",
             _FW_TEXT.replace(b"rules\n1 |", b"decision action accept,deny\nrules\n1 |"),
             "bad.rules:10: decision already given on line 9",
+        ),
+        # header mistakes that only the whole schema shows still name the file
+        (
+            "bad.rules",
+            _FW_TEXT.replace(b"attr dst_port", b"attr action"),
+            "bad.rules: attribute names must be unique",
+        ),
+        (
+            "bad.rules",
+            _FW_TEXT.replace(b"accept,deny", b"accept,alert,deny"),
+            "bad.rules: decision domain must be drawn from",
         ),
     ],
 )
