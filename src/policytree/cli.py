@@ -31,6 +31,7 @@ from .intra import detect_intra, is_relevant_ruleset
 from .model import RuleSet, SchemaError, Severity
 from .oracle import Semantics, evaluate_rule
 from .rdt import ConflictPolicy, build_rdt
+from .relations import relation_sets
 from .report import Report, input_entry, render_json, render_text
 from .ruleio import (
     RuleFileError,
@@ -205,7 +206,7 @@ def _finish(report: Report, opts: Options) -> int:
     return 1 if report.findings else 0
 
 
-def _intra_findings(rs: RuleSet) -> list[dict]:
+def _intra_findings(rs: RuleSet, screen=None) -> list[dict]:
     return [
         {
             "kind": a.kind.value,
@@ -213,15 +214,16 @@ def _intra_findings(rs: RuleSet) -> list[dict]:
             "earlier": f"r{a.earlier}",
             "later": f"r{a.later}",
         }
-        for a in detect_intra(rs)
+        for a in detect_intra(rs, screen=screen)
     ]
 
 
-def _inter_findings(ctx: click.Context, preceding: RuleSet, following: RuleSet) -> list[dict]:
-    """Cross-component findings, with both sets first extended to their shared schema."""
+def _inter_findings(ctx: click.Context, preceding: RuleSet, following: RuleSet):
+    """Cross-component findings, and the pair restated over the shared schema they are read from."""
     try:
         target = union_schema(preceding.schema, following.schema)
-        anomalies = detect_inter(extend_schema(preceding, target), extend_schema(following, target))
+        restated = extend_schema(preceding, target), extend_schema(following, target)
+        anomalies = detect_inter(*restated)
     except _INPUT_ERRORS as exc:
         _fail(ctx, str(exc))
     return [
@@ -232,7 +234,7 @@ def _inter_findings(ctx: click.Context, preceding: RuleSet, following: RuleSet) 
             "following": f"{following.component_name}:r{a.following_rule}",
         }
         for a in anomalies
-    ]
+    ], restated
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +294,7 @@ def check_interop(ctx: click.Context, preceding_file: str, following_file: str):
     report = Report(
         command="check-interop", policy=opts.policy.value, inputs=[p_entry, f_entry]
     )
-    report.findings = _inter_findings(ctx, preceding, following)
+    report.findings, _ = _inter_findings(ctx, preceding, following)
     report.verdict = "interoperable" if not report.findings else (
         f"not interoperable ({_verdict(report.findings)})"
     )
@@ -316,6 +318,10 @@ def fix_interop(ctx: click.Context, preceding_file: str, following_file: str, ou
     A component with overlapping rules is first corrected on its own; then
     both are merged, re-split, and written back as <component>-corrected
     files whose rule origins trace to the input rules.
+    \f
+    Each input is screened once, for its findings and the overlap check,
+    and the pair is restated over its union schema once, for the cross
+    findings and the repair.
     """
     opts: Options = ctx.obj
     preceding, p_entry = _load(ctx, preceding_file)
@@ -332,8 +338,10 @@ def fix_interop(ctx: click.Context, preceding_file: str, following_file: str, ou
     report = Report(
         command="fix-interop", policy=opts.policy.value, inputs=[p_entry, f_entry]
     )
+    relevant = []
     for rs, tag in ((preceding, "preceding"), (following, "following")):
-        for f in _intra_findings(rs):
+        screen = relation_sets(rs.rules, rs.rules, rs.schema)
+        for f in _intra_findings(rs, screen):
             report.add_finding(
                 f["kind"],
                 f["severity"],
@@ -342,10 +350,12 @@ def fix_interop(ctx: click.Context, preceding_file: str, following_file: str, ou
                 later=f["later"],
                 role=tag,
             )
-    p_c = preceding if is_relevant_ruleset(preceding) else correct_ruleset(preceding, opts.policy)
-    f_c = following if is_relevant_ruleset(following) else correct_ruleset(following, opts.policy)
-    report.findings.extend(_inter_findings(ctx, p_c, f_c))
-    pair = correct_pair(p_c, f_c, opts.policy)
+        relevant.append(
+            rs if is_relevant_ruleset(rs, screen=screen) else correct_ruleset(rs, opts.policy)
+        )
+    findings, restated = _inter_findings(ctx, *relevant)
+    report.findings.extend(findings)
+    pair = correct_pair(*relevant, opts.policy, restated=restated)
     out = Path(output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -415,7 +425,8 @@ def check_topology(ctx: click.Context, topology_file: str):
             p_rs, f_rs = loaded.get(left), loaded.get(right)
             if p_rs is None or f_rs is None:
                 continue
-            for f in _inter_findings(ctx, p_rs, f_rs):
+            findings, _ = _inter_findings(ctx, p_rs, f_rs)
+            for f in findings:
                 report.add_finding(
                     f["kind"],
                     f["severity"],

@@ -238,17 +238,20 @@ def correct_pair(
     preceding: RuleSet,
     following: RuleSet,
     policy: ConflictPolicy = ConflictPolicy.SPECIFICITY,
+    *,
+    restated: tuple[RuleSet, RuleSet] | None = None,
 ) -> CorrectedPair:
     """Repair a preceding/following pair against each other.
 
     Returns both corrected rule sets (each over its own attributes), plus
     the global tree and its two projections.  Every output rule's origin
     names the input rule that won its region, as ``component:rN``.
+    ``restated`` is the pair already restated over its union schema, if any.
     """
-    target = union_schema(preceding.schema, following.schema)
-    p_ext = extend_schema(preceding, target)
-    f_ext = extend_schema(following, target)
-    g = integrate(p_ext, f_ext)
+    if restated is None:
+        target = union_schema(preceding.schema, following.schema)
+        restated = extend_schema(preceding, target), extend_schema(following, target)
+    g = integrate(*restated)
     rdt = build_rdt(g.ruleset, policy)
     # carry provenance through earlier corrections: a rule that already
     # names an origin rule keeps it, so outputs trace back to user input

@@ -67,10 +67,13 @@ def _classify(meets: int, covers: int, inside: int, same: int, other: int):
     )
 
 
-def detect_intra(rs: RuleSet) -> list[IntraAnomaly]:
-    """All anomalous pairs, sorted by earlier id, later id, then kind."""
+def detect_intra(rs: RuleSet, *, screen=None) -> list[IntraAnomaly]:
+    """All anomalous pairs, sorted by earlier id, later id, then kind.
+
+    ``screen`` is ``relation_sets(rs.rules, rs.rules, rs.schema)``, if already computed.
+    """
     rules = rs.rules
-    meets, covers, inside = relation_sets(rules, rules, rs.schema)
+    meets, covers, inside = screen or relation_sets(rules, rules, rs.schema)
     permits = sum(
         1 << i for i, r in enumerate(rules) if action_class(r.action) is ActionClass.PERMIT
     )
@@ -87,7 +90,7 @@ def detect_intra(rs: RuleSet) -> list[IntraAnomaly]:
     return found
 
 
-def is_relevant_ruleset(rs: RuleSet) -> bool:
-    """True when no packet can match two rules (all pairs disjoint)."""
-    meets, _, _ = relation_sets(rs.rules, rs.rules, rs.schema)
+def is_relevant_ruleset(rs: RuleSet, *, screen=None) -> bool:
+    """True when no packet can match two rules; ``screen`` as for :func:`detect_intra`."""
+    meets, _, _ = screen or relation_sets(rs.rules, rs.rules, rs.schema)
     return not any(meet & ((1 << j) - 1) for j, meet in enumerate(meets))

@@ -79,6 +79,14 @@ class ValueSet:
     def __post_init__(self) -> None:
         if self.labels is not None and self.intervals is not None:
             raise ValueSetError("a value set is either labels or intervals, not both")
+        # value sets key every codec and memo, so the hash is computed once
+        object.__setattr__(self, "_hash", hash((self.labels, self.intervals)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # string hashes differ between interpreters: rebuild the hash
+        return ValueSet, (self.labels, self.intervals)
 
     @property
     def is_wildcard(self) -> bool:

@@ -72,21 +72,33 @@ def build_tree(rs: RuleSet) -> DecisionTree:
     )
 
 
-def evaluate_tree(t: DecisionTree, packet: dict) -> str | None:
-    """Decision for one packet; ``None`` when no branch matches.
+def tree_decider(t: DecisionTree):
+    """The tree's decision for each packet; ``None`` when no branch matches.
 
     The first branch, in :func:`~policytree.dtree.flattened` order, whose
     labels hold the packet decides, so a tree decides as its flattening
-    does under first match.
+    does under first match.  The tree is flattened once, here, for every
+    packet the returned function decides.
     """
-    missing = set(t.schema.condition_names) - set(packet)
-    if missing:
-        raise SchemaError("packet is missing " + ", ".join(sorted(missing)))
+    names = set(t.schema.condition_names)
     attrs = t.schema.condition_attributes
-    for b in flattened(t):
-        if all(contains_point(v, packet[a.name], a.domain) for v, a in zip(b.labels, attrs)):
-            return b.action
-    return None
+    flat = flattened(t)
+
+    def decide(packet: dict) -> str | None:
+        missing = names - set(packet)
+        if missing:
+            raise SchemaError("packet is missing " + ", ".join(sorted(missing)))
+        for b in flat:
+            if all(contains_point(v, packet[a.name], a.domain) for v, a in zip(b.labels, attrs)):
+                return b.action
+        return None
+
+    return decide
+
+
+def evaluate_tree(t: DecisionTree, packet: dict) -> str | None:
+    """Decision for one packet, by :func:`tree_decider`."""
+    return tree_decider(t)(packet)
 
 
 def copy_node(node: Node) -> Node:

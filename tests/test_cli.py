@@ -6,6 +6,7 @@ import copy
 import gc
 import hashlib
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -17,10 +18,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _corpus import random_component_pair
 from conftest import CASES
-from policytree import cli, correction, interop, intra, rdt
+from policytree import cli, correction, interop, intra, rdt, relations
 from policytree.cli import main
-from policytree.ruleio import load_ruleset, ruleset_to_dict
+from policytree.ruleio import load_ruleset, ruleset_to_dict, serialize_ruleset
 
 runner = CliRunner()
 
@@ -218,6 +220,42 @@ def test_correct_dump_tree_builds_the_tree_once(fw_path, tmp_path, monkeypatch):
             digest.update(output.encode())
             digest.update(out.read_bytes())
     assert digest.hexdigest() == DUMP_DIGEST
+
+
+def test_fix_interop_screens_each_input_once_and_restates_the_pair_once(
+    fw_path, ids_path, tmp_path, monkeypatch
+):
+    screens, restated = [], []
+    importers = [
+        m
+        for m in list(sys.modules.values())
+        if m is not relations and getattr(m, "relation_sets", None) is relations.relation_sets
+    ]
+    for module in importers:
+
+        def screen(a, b, schema, _screen=module.relation_sets):
+            if a is b:
+                screens.append(len(a))
+            return _screen(a, b, schema)
+
+        monkeypatch.setattr(module, "relation_sets", screen)
+    for module in (cli, correction):
+
+        def extend(rs, target, _extend=module.extend_schema):
+            restated.append(rs.component_name)
+            return _extend(rs, target)
+
+        monkeypatch.setattr(module, "extend_schema", extend)
+    p, f = tmp_path / "p.rules", tmp_path / "f.rules"
+    for rs, path in zip(random_component_pair(random.Random(3)), (p, f)):
+        path.write_text(serialize_ruleset(rs))
+    for pair in ((fw_path, ids_path), (str(p), str(f))):
+        screens.clear()
+        restated.clear()
+        result = run("fix-interop", *pair, "-o", str(tmp_path / "out"))
+        assert result.exit_code in (0, 1), result.output
+        assert len(screens) == 2
+        assert len(restated) == 2
 
 
 # ---------------------------------------------------------------------------

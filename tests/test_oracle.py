@@ -28,9 +28,9 @@ from _corpus import (
     build_tree,
     copy_node,
     enumerate_points,
-    evaluate_tree,
     interval_schema,
     random_ruleset,
+    tree_decider,
 )
 
 SCHEMA1 = interval_schema(1, (40,))
@@ -188,10 +188,11 @@ def test_scalar_referee_matches_the_trees(seed):
     first = build_rdt(rs, ConflictPolicy.FIRST_MATCH).tree
     naive = build_tree(rs)
     assert equivalence(naive, rs, Semantics.FIRST_MATCH, space) == []
+    by_corrected, by_first, by_naive = map(tree_decider, (corrected, first, naive))
     for pkt in islice(space.iter_packets(), 120):
-        assert evaluate_tree(corrected, pkt) == evaluate(rs, pkt, Semantics.OWNER_CAPTURE)
-        assert evaluate_tree(first, pkt) == evaluate(rs, pkt, Semantics.FIRST_MATCH)
-        assert evaluate_tree(naive, pkt) == evaluate(rs, pkt, Semantics.FIRST_MATCH)
+        assert by_corrected(pkt) == evaluate(rs, pkt, Semantics.OWNER_CAPTURE)
+        assert by_first(pkt) == evaluate(rs, pkt, Semantics.FIRST_MATCH)
+        assert by_naive(pkt) == evaluate(rs, pkt, Semantics.FIRST_MATCH)
 
 
 def _every_point(schema: Schema) -> DomainSpace:
@@ -247,7 +248,7 @@ def test_cells_decide_as_every_point_does(seed):
 def _scalar_mismatches(tree, rs, space):
     """The referee's answer under each semantics, one packet at a time."""
     packets = list(space.iter_packets())
-    by_tree = [evaluate_tree(tree, pkt) for pkt in packets]
+    by_tree = list(map(tree_decider(tree), packets))
     return {
         semantics: [
             (pkt, t, r)

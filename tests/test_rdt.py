@@ -45,6 +45,7 @@ from _corpus import (
     random_value,
     reference_rdt,
     texts,
+    tree_decider,
 )
 
 SCHEMA1 = interval_schema(1, (40,))
@@ -180,9 +181,10 @@ def test_merge_keeps_decisions_on_relevant_sets(seed):
         t = build_rdt(rs, policy).tree
         assert check_relevant(t) == []
         assert len(branches(t)) <= len(rs.rules)
+        decide = tree_decider(t)
         for x in range(40):
             p = {"f0": x}
-            assert evaluate_tree(t, p) == evaluate(rs, p, Semantics.FIRST_MATCH)
+            assert decide(p) == evaluate(rs, p, Semantics.FIRST_MATCH)
 
 
 @given(st.integers(0, 10_000), st.sampled_from(list(ConflictPolicy)))

@@ -1,12 +1,18 @@
 """The interval/label algebra, checked point-wise against Python sets."""
 
+import copy
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _corpus import enumerate_points, mixed_rulesets, mixed_schemas
+from policytree import values
 from policytree.values import (
     ANY,
     Cells,
@@ -182,3 +188,35 @@ def test_cells_over_a_domain_with_a_hole():
     with pytest.raises(ValueSetError, match="label set"):
         Cells(LDOM).mask(v)
     assert Cells(LDOM).value(0) == EMPTY_LABELS
+
+
+_SAMPLES = "[labels('dos', 'worm', '~other~'), intervals(((0, 9), (20, 29)))]"
+
+
+def test_an_unpickled_value_set_finds_its_key_in_another_interpreter(tmp_path):
+    # string hashes are salted per interpreter: a hash restored from the
+    # pickle, not rebuilt, would miss the key of an equal fresh value
+    src = str(Path(values.__file__).parents[1])
+    path = str(tmp_path / "values.pickle")
+    head = f"import pickle, sys; sys.path[:0] = [{src!r}]; "
+    head += "from policytree.values import intervals, labels; "
+    dump = head + f"open({path!r}, 'wb').write(pickle.dumps({_SAMPLES}))"
+    load = head + f"keys = {{v: i for i, v in enumerate({_SAMPLES})}}; "
+    load += f"print([keys.get(v) for v in pickle.loads(open({path!r}, 'rb').read())])"
+    for seed, code in (("1", dump), ("2", load)):
+        probe = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    assert probe.stdout == "[0, 1]\n"
+
+
+def test_a_copied_value_set_keeps_its_hash():
+    for v in (labels("dos", "worm"), intervals(((0, 9), (20, 29))), ANY, EMPTY_INTERVALS):
+        for twin in (copy.copy(v), copy.deepcopy(v)):
+            assert twin == v
+            assert hash(twin) == hash(v)
+            assert {v: 1}.get(twin) == 1
