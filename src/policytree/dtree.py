@@ -27,6 +27,7 @@ __all__ = [
     "branches",
     "check_relevant",
     "flattened",
+    "flattening_key",
     "tree_to_rules",
     "dump_tree",
     "action_label",
@@ -156,8 +157,8 @@ def _region_key(v: ValueSet) -> tuple:
     return (2, ",".join(sorted(v.labels or ())), 0, "")
 
 
-def _branch_sort_key(b: Branch, keys: dict[int, tuple]) -> tuple:
-    """The owner, then the region; ``keys`` memoizes each label's region key by identity."""
+def flattening_key(b: Branch, keys: dict[int, tuple]) -> tuple:
+    """Flattening order's key: the owner, then the region (``keys`` memoizes by label identity)."""
     region = [keys.get(id(v)) or keys.setdefault(id(v), _region_key(v)) for v in b.labels]
     return (b.owner, tuple(region))
 
@@ -165,7 +166,7 @@ def _branch_sort_key(b: Branch, keys: dict[int, tuple]) -> tuple:
 def flattened(t: DecisionTree) -> list[Branch]:
     """The branches in flattening order: by owning rule id, then by region."""
     keys: dict[int, tuple] = {}
-    return sorted(branches(t), key=lambda b: _branch_sort_key(b, keys))
+    return sorted(branches(t), key=lambda b: flattening_key(b, keys))
 
 
 def tree_to_rules(t: DecisionTree, origin_map: dict[int, str] | None = None) -> RuleSet:

@@ -15,11 +15,12 @@ intervals on which no rule value changes, and keeps one packet per cell
 (label domains are enumerated in full).  Every rule matches all of a cell
 or none of it, so checking one point per cell is exact.  A tree decides a
 packet as its :func:`~policytree.dtree.flattened` regions do under first
-match; the comparison of a tree against a rule set also cuts at the
-tree's own label bounds, so it stays exact for any tree.  It lists the
-packets where the two disagree in grid order, extending point by point
-only the prefixes that can still reach a disagreement, never the whole
-grid.  "No decision" is a first class outcome throughout (``None``).
+match (a relevant tree has at most one region per packet); the comparison
+of a tree against a rule set also cuts at the tree's own label bounds, so
+it stays exact for any tree.  It lists the packets where the two disagree
+in grid order, extending point by point only the prefixes that can still
+reach a disagreement, never the whole grid.  "No decision" is a first
+class outcome throughout (``None``).
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ from dataclasses import dataclass
 from enum import Enum
 from math import prod
 
-from .dtree import DecisionTree, flattened
+from .dtree import DecisionTree, branches, flattening_key
 from .model import AttributeDef, Rule, RuleSet, Schema, SchemaError
+from .relations import indices
 from .values import contains_point, vs_compare, vs_subset
 
 __all__ = [
@@ -210,13 +212,15 @@ def equivalence(
     every packet of ``space`` cut further at the tree's own label bounds.
 
     By recursive flow classification: bits ``0..n-1`` of a match set are
-    the ``n`` input rules, the bits above the tree's flattened regions.
-    Attributes are combined one at a time by AND, each distinct final set
-    is decided once, and only mismatching classes expand to packets.
+    the ``n`` input rules, the bits above the tree's branches in depth-first
+    order.  Attributes are combined one at a time by AND, each distinct
+    final set is decided once, and only mismatching classes expand to
+    packets.  Branches are put in flattening order only where several hold
+    one class: the first of them in that order decides it.
     """
     if tree.schema != rs.schema:
         raise SchemaError("tree and rule set must share a schema")
-    rules, n, regions = rs.rules, len(rs.rules), flattened(tree)
+    rules, n, regions = rs.rules, len(rs.rules), branches(tree)
     attrs = rs.schema.condition_attributes
     columns = [
         [r.condition[a.name] for r in rules] + [b.labels[i] for b in regions]
@@ -253,10 +257,15 @@ def equivalence(
             decided[bits] = rules[owner].action
         return decided[bits]
 
-    verdicts = [
-        (tree_actions[_lowest(bits >> n)] if bits >> n else None, by_rules(bits & rule_bits))
-        for bits in sets
-    ]
+    keys: dict[int, tuple] = {}
+
+    def by_regions(bits: int) -> str | None:
+        """The region first in flattening order; ties keep depth-first order."""
+        if bits & (bits - 1):
+            return tree_actions[min(indices(bits), key=lambda i: flattening_key(regions[i], keys))]
+        return tree_actions[_lowest(bits)] if bits else None
+
+    verdicts = [(by_regions(bits >> n), by_rules(bits & rule_bits)) for bits in sets]
     bad = [by_tree != by_rule for by_tree, by_rule in verdicts]
     if not any(bad):
         return []

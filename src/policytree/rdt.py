@@ -12,8 +12,8 @@ and the conflict policy decides whether a later one takes it:
   region only when its original condition fits strictly inside the owner's
   original condition (it is the more specific rule).  Ownership transfers
   even when both rules agree on the action.  Otherwise the owner keeps the
-  region and the incoming suffix is dropped there; normalization afterwards
-  heals any splits this left behind.
+  region and the incoming suffix is dropped there; sibling edges whose
+  subtrees decide alike are merged as each node is made.
 * ``first-match``: the owner always keeps the region, reproducing ordered
   first-match semantics.
 
@@ -21,7 +21,7 @@ The result is always relevant: sibling labels are pairwise disjoint by
 construction, and every action node carries exactly one action edge.
 
 Every label is a Boolean combination of the rules' value sets, so the tree
-is built and normalized over :class:`~policytree.values.Cells` masks, one
+is built and merged over :class:`~policytree.values.Cells` masks, one
 codec per condition attribute, and its labels are read back as value sets
 once, at the end.
 """
@@ -50,7 +50,7 @@ class ConflictPolicy(str, Enum):
 
 @dataclass
 class RelevantDecisionTree:
-    """A normalized relevant tree plus the policy that built it."""
+    """A merged relevant tree plus the policy that built it."""
 
     tree: DecisionTree
     policy: ConflictPolicy
@@ -114,47 +114,63 @@ def _split(level_masks: list[int], members: int) -> list[list[int]]:
 class _Builder:
     """The memo tables of one :func:`_build`, and the rules it reads."""
 
-    __slots__ = ("rules", "masks", "policy", "built", "captures", "actions")
+    __slots__ = ("rules", "masks", "policy", "built", "captures", "actions", "shapes")
 
     def __init__(self, rules, masks: list[list[int]], policy: ConflictPolicy):
         self.rules, self.masks, self.policy = rules, masks, policy
-        self.built: dict[tuple[int, int], Node] = {}
+        self.built: dict[tuple[int, int], tuple[Node, int, int]] = {}
         self.captures: dict[tuple[int, int], bool] = {}
-        self.actions: dict[int, Node] = {}  # owning rule index -> its action node
+        self.actions: dict[int, tuple[Node, int, int]] = {}  # owning rule index -> its leaf
+        self.shapes: dict = {}  # a merged subtree's labels and actions -> a small id
 
-    def node(self, level: int, members: int) -> Node:
-        """The subtree at ``level`` for the rules in ``members``, built once."""
-        node = self.built.get((level, members))
-        if node is None:
+    def node(self, level: int, members: int) -> tuple[Node, int, int]:
+        """The merged subtree at ``level`` for ``members``, built once, as ``_merge`` returns it.
+
+        Parts whose subtrees have one shape become one edge where the first of
+        them was, with their labels ORed and the subtree of the earliest owner.
+        """
+        built = self.built.get((level, members))
+        if built is None:
             if level > len(self.masks):
                 k = _owner(members, self.masks, self.policy, self.captures)
-                node = self.actions.get(k)
-                if node is None:
-                    rule = self.rules[k]
-                    node = self.actions[k] = Node(level, [Edge(labels(rule.action), None, rule.id)])
+                built = self.actions.get(k)
+                if built is None:
+                    rule, label = self.rules[k], labels(self.rules[k].action)
+                    node = Node(level, [Edge(label, None, rule.id)])
+                    shape = self.shapes.setdefault(label, len(self.shapes))
+                    built = self.actions[k] = node, shape, rule.id
             else:
-                parts = _split(self.masks[level - 1], members)
-                node = Node(level, [Edge(m, self.node(level + 1, ms)) for m, ms in parts])
-            self.built[level, members] = node
-        return node
+                groups: dict[int, list] = {}  # child shape -> [label, child, owner]
+                for m, ms in _split(self.masks[level - 1], members):
+                    child, shape, owner = self.node(level + 1, ms)
+                    group = groups.setdefault(shape, [0, child, owner])
+                    group[0] |= m
+                    if owner < group[2]:
+                        group[1:] = child, owner
+                node = Node(level, [Edge(m, child) for m, child, _ in groups.values()])
+                key = frozenset((g[0], shape) for shape, g in groups.items())
+                owner = min((g[2] for g in groups.values()), default=0)
+                built = node, self.shapes.setdefault(key, len(self.shapes)), owner
+            self.built[level, members] = built
+        return built
 
 
 def _build(rs: RuleSet, policy: ConflictPolicy) -> _MaskTree:
-    """The tree of ``rs`` before merging, with each distinct subtree built once.
+    """The merged tree of ``rs``, with each distinct subtree built once.
 
     The subtree below a node depends only on its level and on the rules that
     reach it, an int with bit ``k`` set for ``rs.rules[k]``.  So a node is
     memoized on the pair, and parents that reach the same rules share one
     node: a decision diagram (Gouda & Liu, ICDCS 2004) whose paths read as
     in the tree that inserts the rules one by one.  Regions with the same
-    owning rule share one action node.
+    owning rule share one action node.  Each node is merged as it is made.
     """
     attrs, rules = rs.schema.condition_attributes, rs.rules
     cells = tuple(Cells(a.domain, [r.condition[a.name] for r in rules]) for a in attrs)
     masks = [[c.mask(r.condition[a.name]) for r in rules] for c, a in zip(cells, attrs)]
     # a rule with an empty value set matches no packet, so it owns no region
     members = sum(1 << k for k in range(len(rules)) if all(m[k] for m in masks))
-    return _MaskTree(root=_Builder(rules, masks, policy).node(1, members), cells=cells)
+    return _MaskTree(root=_Builder(rules, masks, policy).node(1, members)[0], cells=cells)
 
 
 def normalize(t: _MaskTree) -> _MaskTree:
@@ -165,7 +181,8 @@ def normalize(t: _MaskTree) -> _MaskTree:
     whole domain is the full mask, which reads back as the wildcard.  The
     merged edge keeps the subtree with the earliest owner (the first such
     one in edge order).  Packet decisions are unchanged.  A node shared by
-    several parents is merged once.
+    several parents is merged once.  :func:`build_rdt` merges as it builds;
+    this is the merge the tests apply to their tree of sequential insertion.
     """
     _merge(t.root, len(t.cells) + 1, {}, {})
     return t
@@ -212,8 +229,8 @@ def _decode(node: Node, cells: tuple[Cells, ...]) -> None:
 
 
 def build_rdt(rs: RuleSet, policy: ConflictPolicy = ConflictPolicy.SPECIFICITY) -> RelevantDecisionTree:
-    """Build the diagram of every rule, normalize, and read the labels back as value sets."""
-    built = normalize(_build(rs, policy))
+    """Build the merged diagram of every rule, and read the labels back as value sets."""
+    built = _build(rs, policy)
     _decode(built.root, built.cells)
     tree = DecisionTree(
         schema=rs.schema,

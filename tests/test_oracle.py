@@ -9,7 +9,7 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from policytree.dtree import tree_to_rules
+from policytree.dtree import DecisionTree, Edge, Node, branches, tree_to_rules
 from policytree.model import AttributeDef, Rule, RuleSet, Schema, SchemaError
 from policytree.oracle import (
     DomainSpace,
@@ -22,7 +22,7 @@ from policytree.oracle import (
 )
 from policytree.rdt import ConflictPolicy, build_rdt
 from policytree.ruleio import parse_point
-from policytree.values import ANY, AttrKind, ValueSet, intervals
+from policytree.values import ANY, AttrKind, ValueSet, intervals, labels
 
 from _corpus import (
     build_tree,
@@ -273,6 +273,23 @@ def test_equivalence_lists_what_every_point_decides(seed, n_attrs):
     for tree in (build_tree(other), build_rdt(other).tree):
         for semantics, expected in _scalar_mismatches(tree, rs, full).items():
             assert equivalence(tree, rs, semantics, full) == expected
+
+
+def test_overlapping_regions_go_to_the_first_in_flattening_order():
+    # depth-first, owner 3's region comes before owner 2's; they meet on 10..20
+    def leaf(action: str, owner: int) -> Node:
+        return Node(2, [Edge(labels(action), None, owner)])
+
+    root = Node(1, [Edge(intervals(((0, 20),)), leaf("deny", 3))])
+    root.edges.append(Edge(intervals(((10, 30),)), leaf("accept", 2)))
+    tree = DecisionTree(schema=SCHEMA1, root=root)
+    assert [b.owner for b in branches(tree)] == [3, 2]
+    rs = _rs1((((0, 20),), "deny"), (((10, 30),), "accept"))
+    full = _every_point(SCHEMA1)
+    for semantics, expected in _scalar_mismatches(tree, rs, full).items():
+        got = equivalence(tree, rs, semantics, full)
+        assert got == expected
+        assert [(p["f0"], t) for p, t, _ in got] == [(x, "accept") for x in range(10, 21)]
 
 
 def test_equivalence_lists_label_and_address_mismatches(fw):

@@ -214,6 +214,19 @@ def test_diagram_over_every_attribute_kind_reads_as_sequential_insertion(data):
         assert texts(build_rdt(rs, policy).tree) == texts(reference_rdt(rs, policy))
 
 
+def test_build_rdt_merges_without_a_second_walk(fw, monkeypatch):
+    sets = [fw] + [random_ruleset(random.Random(seed), max_rules=25) for seed in range(5)]
+    # the reference merges its own tree with normalize, so it is built first
+    expected = [texts(reference_rdt(rs, p)) for rs in sets for p in ConflictPolicy]
+
+    def second_walk(*_):
+        raise AssertionError("build_rdt walked the diagram again to merge it")
+
+    monkeypatch.setattr("policytree.rdt.normalize", second_walk)
+    monkeypatch.setattr("policytree.rdt._merge", second_walk)
+    assert [texts(build_rdt(rs, p).tree) for rs in sets for p in ConflictPolicy] == expected
+
+
 def _sixty_rules() -> RuleSet:
     rng = random.Random(60)
     schema = interval_schema(4)
