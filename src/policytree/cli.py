@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -401,7 +401,7 @@ def check_topology(ctx: click.Context, topology_file: str):
 
     # a shared rule file is read, parsed and gated once, then named per component
     by_file: dict[Path, tuple[RuleSet, bool]] = {}
-    loaded: dict[str, RuleSet | None] = {}
+    loaded: dict[str, RuleSet] = {}  # the relevant components
     for name, comp in sorted(topo.components.items()):
         if comp.rules_path is None:
             continue
@@ -417,9 +417,10 @@ def check_topology(ctx: click.Context, topology_file: str):
                 f"{rules_path} declares kind {rs.component_kind.value},"
                 f" but {p} gives component {name!r} kind {comp.kind.value}",
             )
-        if not relevant:
+        if relevant:
+            loaded[name] = RuleSet._of_checked(rs.schema, rs.rules, rs.component_kind, name)
+        else:
             report.add_finding("component-not-relevant", Severity.ERROR.value, component=name)
-        loaded[name] = replace(rs, component_name=name) if relevant else None
     for path_name, members in topo.paths:
         for left, right in zip(members, members[1:]):
             p_rs, f_rs = loaded.get(left), loaded.get(right)

@@ -75,7 +75,8 @@ def integrate(preceding: RuleSet, following: RuleSet) -> GlobalRuleSet:
     """Concatenate two same-schema rule sets in traffic order.
 
     Following-component rules are renumbered to run on after the preceding
-    ones, preserving order within each component.
+    ones, preserving order within each component.  The result is not checked
+    again: both inputs were, over this one schema, and the ids run on.
     """
     if preceding.schema != following.schema:
         raise SchemaError("extend both components to the shared schema first")
@@ -91,13 +92,9 @@ def integrate(preceding: RuleSet, following: RuleSet) -> GlobalRuleSet:
         provenance[gid] = (following.component_name, rule.id)
         origin = rule.origin or following.component_name
         rules.append(Rule(gid, rule.condition, rule.action, origin))
+    name = f"{preceding.component_name}+{following.component_name}"
     return GlobalRuleSet(
-        ruleset=RuleSet(
-            schema=preceding.schema,
-            rules=tuple(rules),
-            component_kind=preceding.component_kind,
-            component_name=f"{preceding.component_name}+{following.component_name}",
-        ),
+        ruleset=RuleSet._of_checked(preceding.schema, tuple(rules), preceding.component_kind, name),
         provenance=provenance,
     )
 

@@ -172,26 +172,17 @@ def flattened(t: DecisionTree) -> list[Branch]:
 def tree_to_rules(t: DecisionTree, origin_map: dict[int, str] | None = None) -> RuleSet:
     """Read the branches back as an ordered rule set, in :func:`flattened` order.
 
-    Ids are renumbered consecutively.
+    Ids are renumbered consecutively.  The result is not checked again: ``t``
+    must come from ``build_rdt`` or ``project`` over checked rules, whose labels
+    are cell decodes of checked values (or a subset of those edges) and whose
+    actions are checked rules' actions.
     """
-    names = t.schema.condition_names
-    rules = []
-    for new_id, b in enumerate(flattened(t), start=1):
-        origin = (origin_map or {}).get(b.owner, t.component_name)
-        rules.append(
-            Rule(
-                id=new_id,
-                condition=dict(zip(names, b.labels)),
-                action=b.action,
-                origin=origin,
-            )
-        )
-    return RuleSet(
-        schema=t.schema,
-        rules=tuple(rules),
-        component_kind=t.component_kind,
-        component_name=t.component_name,
+    names, origins = t.schema.condition_names, origin_map or {}
+    rules = tuple(
+        Rule(new_id, dict(zip(names, b.labels)), b.action, origins.get(b.owner, t.component_name))
+        for new_id, b in enumerate(flattened(t), start=1)
     )
+    return RuleSet._of_checked(t.schema, rules, t.component_kind, t.component_name)
 
 
 def dump_tree(t: DecisionTree) -> str:

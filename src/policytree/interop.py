@@ -134,6 +134,9 @@ def extend_schema(rs: RuleSet, target: Schema) -> RuleSet:
     Rules gain the wildcard for attributes they never constrained.  A
     wildcard over an attribute whose domain grew in ``target`` is first
     pinned to the original domain, so no rule matches more than before.
+    When ``target`` adds no attribute and widens no domain, the rules are
+    reused.  ``target`` covers each domain and decision label of ``rs``, which
+    was checked, so the result is not checked again.
     """
     target_by_name = {a.name: a for a in target.condition_attributes}
     for attr in rs.schema.condition_attributes:
@@ -152,6 +155,8 @@ def extend_schema(rs: RuleSet, target: Schema) -> RuleSet:
     own = {a.name: a.domain for a in rs.schema.condition_attributes}
     wider = {name for name, domain in own.items() if target_by_name[name].domain != domain}
     names = target.condition_names
+    if names == rs.schema.condition_names and not wider:
+        return RuleSet._of_checked(target, rs.rules, rs.component_kind, rs.component_name)
     new_rules = []
     for rule in rs.rules:
         condition = {}
@@ -164,12 +169,7 @@ def extend_schema(rs: RuleSet, target: Schema) -> RuleSet:
                 v = own[name]  # keep the original reach, not the wider one
             condition[name] = v
         new_rules.append(Rule(id=rule.id, condition=condition, action=rule.action, origin=rule.origin))
-    return RuleSet(
-        schema=target,
-        rules=tuple(new_rules),
-        component_kind=rs.component_kind,
-        component_name=rs.component_name,
-    )
+    return RuleSet._of_checked(target, tuple(new_rules), rs.component_kind, rs.component_name)
 
 
 # ---------------------------------------------------------------------------

@@ -164,12 +164,31 @@ def _validate_rule(rule: Rule, schema: Schema, expected: set[str], inside: set) 
 
 @dataclass(frozen=True)
 class RuleSet:
-    """A component's ordered rules.  Rule ids must run 1..t in order."""
+    """A component's ordered rules.  Rule ids must run 1..t in order.
+
+    A rule set is checked once, where it enters the program.  ``RuleSet(...)``
+    checks every rule against the schema, so ``dataclasses.replace`` and the
+    JSON loader do.  The text loader checks each field as it reads it, and
+    ``extend_schema``, ``integrate`` and ``tree_to_rules`` make valid sets
+    from checked ones, so these use :meth:`_of_checked`.
+    """
 
     schema: Schema
     rules: tuple[Rule, ...]
     component_kind: ComponentKind = ComponentKind.FILTERING
     component_name: str = ""
+
+    @classmethod
+    def _of_checked(cls, schema: Schema, rules: tuple, kind: ComponentKind, name: str) -> RuleSet:
+        """These fields as a rule set, not checked again.
+
+        The caller vouches that the ids run 1..t in order, each condition holds
+        exactly the schema's attributes with values in their domains, and each
+        action is in the decision domain.
+        """
+        rs = cls.__new__(cls)
+        rs.__dict__.update(schema=schema, rules=rules, component_kind=kind, component_name=name)
+        return rs
 
     def __post_init__(self) -> None:
         expected = set(self.schema.condition_names)

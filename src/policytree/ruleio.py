@@ -378,14 +378,11 @@ def _parse_text(text: str, source: str) -> RuleSet:
         raise RuleFileError("missing 'rules' section", None, source)
 
     try:
-        return RuleSet(
-            schema=Schema(condition_attributes=tuple(attrs), decision_attribute=decision),
-            rules=tuple(rules),
-            component_kind=kind,
-            component_name=component,
-        )
+        schema = Schema(condition_attributes=tuple(attrs), decision_attribute=decision)
     except SchemaError as exc:
         raise RuleFileError(str(exc), None, source) from None
+    # _parse_rule_line checked each rule's columns, id, values and action
+    return RuleSet._of_checked(schema, tuple(rules), kind, component)
 
 
 def _parse_rule_line(

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from _corpus import random_component_pair
 from conftest import CASES
-from policytree import cli, correction, interop, intra, rdt, relations
+from policytree import cli, correction, interop, intra, model, rdt, relations
 from policytree.cli import main
 from policytree.ruleio import load_ruleset, ruleset_to_dict, serialize_ruleset
 
@@ -663,6 +663,17 @@ _FW_TEXT = (CASES / "fw.rules").read_bytes()
             "rule 1: value for undeclared attribute 'extra'",
         ),
         ("bad.json", _first_rule(lambda r: r.update(action=["deny"])), "rule 1: action must be a string"),
+        # ids and actions of a JSON file are checked by RuleSet itself
+        (
+            "bad.json",
+            _edited(lambda d: d["rules"][1].update(id=7)),
+            "rule ids must be consecutive from 1; found 7 at position 2",
+        ),
+        (
+            "bad.json",
+            _edited(lambda d: d["rules"][2].update(action="drop")),
+            "rule 3: action 'drop' not in decision domain",
+        ),
         # a bad value names its rule, as a bad action does
         (
             "fw.json",
@@ -825,6 +836,18 @@ def test_no_command_calls_scalar_relate(tmp_path, monkeypatch):
 
     for module in (intra, interop, rdt):
         monkeypatch.setattr(module, "relate", refuse)
+    assert _case_runs(tmp_path / "out") == expected
+
+
+def test_no_command_checks_a_rule_set_twice(tmp_path, monkeypatch):
+    """Text files are checked as they are read, and what the library makes of
+    checked sets is valid by construction, so no command runs RuleSet's check."""
+    expected = _case_runs(tmp_path / "out")
+
+    def refuse(*args):
+        raise AssertionError("rule checked again")
+
+    monkeypatch.setattr(model, "_validate_rule", refuse)
     assert _case_runs(tmp_path / "out") == expected
 
 

@@ -394,3 +394,25 @@ def test_random_pairs_come_back_interoperable(seed):
     assert is_relevant_ruleset(cp.following)
     u = union_schema(cp.preceding.schema, cp.following.schema)
     assert detect_inter(extend_schema(cp.preceding, u), extend_schema(cp.following, u)) == []
+
+
+# ---------------------------------------------------------------------------
+# rule sets made from checked ones are valid by construction
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("policy", list(ConflictPolicy))
+def test_library_made_rule_sets_pass_the_full_check(cases_dir, policy):
+    parsed = [parse_ruleset(p.read_bytes(), source=str(p)) for p in sorted(cases_dir.glob("*.rules"))]
+    by_name = {rs.component_name: rs for rs in parsed}
+    pairs = [(by_name["FW"], by_name["IDS"])]
+    pairs += [random_component_pair(random.Random(seed)) for seed in range(20)]
+    made = list(parsed)
+    for preceding, following in pairs:
+        u = union_schema(preceding.schema, following.schema)
+        restated = extend_schema(preceding, u), extend_schema(following, u)
+        cp = correct_pair(preceding, following, policy)
+        made += [*restated, integrate(*restated).ruleset, cp.preceding, cp.following]
+        made += [correct_ruleset(preceding, policy), correct_ruleset(following, policy)]
+    for rs in made:
+        assert RuleSet(rs.schema, rs.rules, rs.component_kind, rs.component_name) == rs
