@@ -12,11 +12,19 @@ separate benchmark runs see.
 Prints each round's B/A ratio of CPU time, their median, and how many
 rounds each side won; then each side's ``rules_out`` and outputs sha256
 from its first round, computed as ``perfbench/run.py`` does, so they can
-be compared with that script's output at the same seed.
+be compared with that script's output at the same seed.  Exits 1 when the
+two sides' outputs differ.
+
+``--import-rounds N`` times ``import policytree.cli`` instead, in N fresh
+interpreters per tree, alternating which tree goes first.  Each runs with
+``PYTHONPATH`` set to its tree's ``src`` and the rest of the environment
+inherited, as the benchmark's ``setup_s`` probe does.  It prints each
+side's median and quartiles, B/A of the medians, and how many rounds B won.
 
 Usage, from the root of the repository:
 
     python3 scripts/ab.py A_TREE B_TREE --workload pair-interop --seed 23 --rounds 16
+    python3 scripts/ab.py A_TREE B_TREE --import-rounds 20
 
 ``A_TREE`` and ``B_TREE`` are repository roots (a parent commit and a
 change, say).  The workloads and generator come from this repository's
@@ -29,13 +37,20 @@ import argparse
 import gc
 import hashlib
 import importlib.util
+import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+IMPORT_PROBE = (
+    "import time; t = time.perf_counter(); import policytree.cli; "
+    "print(time.perf_counter() - t)"
+)
 
 
 def _exec(name: str, path: Path, search: list[str] | None = None):
@@ -93,18 +108,59 @@ def summary(workload, inputs, raws) -> tuple[int, str]:
     return sum(o.rules_out for o in outcomes), h.hexdigest()
 
 
+def import_time(tree: Path) -> float:
+    """Seconds to import ``policytree.cli`` from ``tree`` in a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE],
+        env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+        cwd=tree,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return float(done.stdout.strip())
+
+
+def compare_imports(trees: dict[str, Path], rounds: int) -> None:
+    """Time the import in ``rounds`` fresh interpreters per tree, alternating which goes first."""
+    times: dict[str, list[float]] = {"a": [], "b": []}
+    for r in range(rounds):
+        for tag in ("a", "b") if r % 2 == 0 else ("b", "a"):
+            times[tag].append(import_time(trees[tag]))
+    print(f"import policytree.cli, {rounds} fresh interpreters per tree")
+    for tag, samples in times.items():
+        q1, median, q3 = statistics.quantiles(samples, n=4)
+        print(f"{tag.upper()}: median {median * 1e3:.1f} ms [{q1 * 1e3:.1f}, {q3 * 1e3:.1f}]")
+    b_wins = sum(b < a for a, b in zip(times["a"], times["b"]))
+    ratio = statistics.median(times["b"]) / statistics.median(times["a"])
+    print(f"B/A median {ratio:.3f}; B faster in {b_wins} of {rounds} rounds")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("a_tree", type=Path)
     ap.add_argument("b_tree", type=Path)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--workload")
+    ap.add_argument("--seed", type=int)
     ap.add_argument("--rounds", type=int, default=12)
+    ap.add_argument("--import-rounds", type=int, metavar="N")
     args = ap.parse_args()
+    if args.import_rounds is not None and args.import_rounds < 2:
+        ap.error("--import-rounds needs at least 2 rounds")
+    if args.import_rounds is None and args.workload is None:
+        ap.error("give --workload, --import-rounds, or both")
+    if args.workload is not None and args.seed is None:
+        ap.error("--workload needs --seed")
+
+    trees = {"a": args.a_tree.resolve(), "b": args.b_tree.resolve()}
+    if args.import_rounds is not None:
+        compare_imports(trees, args.import_rounds)
+    if args.workload is None:
+        return 0
 
     sys.path.insert(0, str(PERFBENCH))
-    trees = {"a": args.a_tree, "b": args.b_tree}
-    sides = {tag: load_workloads(tree.resolve(), tag) for tag, tree in trees.items()}
+    sides = {tag: load_workloads(tree, tag) for tag, tree in trees.items()}
     if args.workload not in sides["a"].WORKLOADS:
         print(f"error: unknown workload {args.workload!r}", file=sys.stderr)
         return 2
@@ -132,6 +188,14 @@ def main() -> int:
     for tag in sides:
         rules_out, digest = summaries[tag]
         print(f"{tag.upper()}: rules_out {rules_out}, outputs sha256 {digest}")
+    differ = [
+        name
+        for name, a, b in zip(("rules_out", "outputs sha256"), summaries["a"], summaries["b"])
+        if a != b
+    ]
+    if differ:
+        print(f"error: A and B differ in {' and '.join(differ)}", file=sys.stderr)
+        return 1
     return 0
 
 

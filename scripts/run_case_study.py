@@ -21,13 +21,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from policytree.correction import correct_pair, correct_ruleset, integrate
-from policytree.dtree import check_relevant
+from policytree.dtree import DecisionTree, Node
 from policytree.interop import detect_inter, extend_schema, union_schema
 from policytree.intra import detect_intra
 from policytree.model import RuleSet
 from policytree.oracle import Semantics, endpoint_space, equivalence
 from policytree.rdt import ConflictPolicy, build_rdt
 from policytree.ruleio import format_value, load_ruleset
+from policytree.values import vs_compare
 
 
 def table(rs: RuleSet, title: str) -> str:
@@ -48,6 +49,21 @@ def table(rs: RuleSet, title: str) -> str:
     for row in rows:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     return "\n".join(lines)
+
+
+def overlapping_siblings(t: DecisionTree, node: Node | None = None) -> int:
+    """Pairs of sibling edges whose labels meet, on every path; 0 for a relevant tree."""
+    node = node or t.root
+    at_action = node.level == t.action_level
+    attr = t.schema.decision_attribute if at_action else t.attribute_at(node.level)
+    found = sum(
+        vs_compare(a.label, b.label, attr.domain)[2]
+        for i, a in enumerate(node.edges)
+        for b in node.edges[i + 1 :]
+    )
+    if not at_action:
+        found += sum(overlapping_siblings(t, e.child) for e in node.edges)
+    return found
 
 
 def main() -> int:
@@ -121,7 +137,7 @@ def main() -> int:
     print(f"packet space: {space.size():,} elementary cells")
     print(f"referee wall time: {elapsed:.1f}s", file=sys.stderr)
     print(f"tree vs ordered-rules referee ({semantics.value}): {len(mismatches)} mismatches")
-    print(f"relevancy violations in the global tree: {len(check_relevant(pair.rdt.tree))}")
+    print(f"relevancy violations in the global tree: {overlapping_siblings(pair.rdt.tree)}")
 
     residue = detect_inter(
         extend_schema(pair.preceding, union_schema(pair.preceding.schema, pair.following.schema)),

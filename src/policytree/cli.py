@@ -12,24 +12,16 @@ from __future__ import annotations
 
 import contextlib
 import gc
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import click
 
 from .correction import correct_pair, correct_ruleset
 from .dtree import dump_tree
-from .interop import (
-    TopologyError,
-    check_positioning,
-    detect_inter,
-    extend_schema,
-    parse_topology,
-    union_schema,
-)
+from .interop import detect_inter, extend_schema, union_schema
 from .intra import detect_intra, is_relevant_ruleset
-from .model import RuleSet, SchemaError, Severity
-from .oracle import Semantics, evaluate_rule
+from .model import RuleSet, SchemaError, Semantics, Severity
 from .rdt import ConflictPolicy, build_rdt
 from .relations import relation_sets
 from .report import Report, input_entry, render_json, render_text
@@ -47,11 +39,10 @@ _POLICIES = {
     "first-match": ConflictPolicy.FIRST_MATCH,
 }
 
-_INPUT_ERRORS = (RuleFileError, SchemaError, ValueSetError, TopologyError)
+_INPUT_ERRORS = (RuleFileError, SchemaError, ValueSetError)
 
 
-@dataclass
-class Options:
+class Options(NamedTuple):
     policy: ConflictPolicy
     fmt: str
     assume_relevant: bool
@@ -380,6 +371,9 @@ def fix_interop(ctx: click.Context, preceding_file: str, following_file: str, ou
 @click.pass_context
 def check_topology(ctx: click.Context, topology_file: str):
     """Validate component ordering (and pairwise interop) along paths."""
+    # no other command reads topology files
+    from .topology import TopologyError, check_positioning, parse_topology
+
     opts: Options = ctx.obj
     p = Path(topology_file)
     data = _read(ctx, p)
@@ -457,6 +451,8 @@ def check_topology(ctx: click.Context, topology_file: str):
 @click.pass_context
 def eval_packet(ctx: click.Context, rules_file: str, packet_arg: str, semantics: str):
     """Decide one packet against a rule set."""
+    from .oracle import evaluate_rule  # the referee; no other command loads it
+
     opts: Options = ctx.obj
     rs, entry = _load(ctx, rules_file)
     packet: dict[str, int | str] = {}

@@ -23,9 +23,8 @@ applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dtree import DecisionTree, Edge, Node, tree_to_rules
 from .interop import extend_schema, union_schema
@@ -44,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GlobalRuleSet:
+class GlobalRuleSet(NamedTuple):
     """A combined ordered rule set plus where each rule came from."""
 
     ruleset: RuleSet
@@ -57,8 +55,7 @@ class ProjectionMode(str, Enum):
     KEEP_SPECIFIC = "keep-specific"
 
 
-@dataclass(frozen=True)
-class CorrectedPair:
+class CorrectedPair(NamedTuple):
     preceding: RuleSet
     following: RuleSet
     rdt: RelevantDecisionTree

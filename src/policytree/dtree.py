@@ -13,19 +13,18 @@ are pairwise disjoint, so any packet follows at most one branch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .model import ComponentKind, Rule, RuleSet, Schema
 from .ruleio import format_value
-from .values import ValueSet, vs_compare
+from .values import ValueSet
 
 __all__ = [
     "Edge",
     "Node",
     "DecisionTree",
     "Branch",
-    "RelevancyViolation",
     "branches",
-    "check_relevant",
     "flattened",
     "flattening_key",
     "tree_to_rules",
@@ -70,8 +69,7 @@ class DecisionTree:
         return self.schema.condition_attributes[level - 1]
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """One root-to-leaf path: condition labels in level order, then the action."""
 
     labels: tuple[ValueSet, ...]
@@ -105,42 +103,6 @@ def _branches(node: Node, action_level: int, acc: list[ValueSet], out: list[Bran
         acc.append(e.label)
         _branches(e.child, action_level, acc, out)
         acc.pop()
-
-
-# ---------------------------------------------------------------------------
-# relevancy
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RelevancyViolation:
-    """Two sibling edges whose labels overlap, with the path leading there."""
-
-    attribute: str
-    path: tuple[ValueSet, ...]
-    label_a: ValueSet
-    label_b: ValueSet
-
-
-def check_relevant(t: DecisionTree) -> list[RelevancyViolation]:
-    """Empty iff every node's outgoing labels are pairwise disjoint."""
-    out: list[RelevancyViolation] = []
-    _violations(t, t.root, (), out)
-    return out
-
-
-def _violations(
-    t: DecisionTree, node: Node, path: tuple[ValueSet, ...], out: list[RelevancyViolation]
-) -> None:
-    at_action = node.level == t.action_level
-    attr = t.schema.decision_attribute if at_action else t.attribute_at(node.level)
-    for i, a in enumerate(node.edges):
-        for b in node.edges[i + 1 :]:
-            if vs_compare(a.label, b.label, attr.domain)[2]:
-                out.append(RelevancyViolation(attr.name, path, a.label, b.label))
-    if not at_action:
-        for e in node.edges:
-            _violations(t, e.child, path + (e.label,), out)
 
 
 # ---------------------------------------------------------------------------

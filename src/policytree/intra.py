@@ -17,8 +17,8 @@ and as redundancy when they agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .model import ActionClass, RuleSet, Severity, action_class
 from .relations import indices, relation_sets
@@ -44,8 +44,7 @@ _SEVERITY = {
 _KIND_ORDER = {k: i for i, k in enumerate(IntraKind)}
 
 
-@dataclass(frozen=True)
-class IntraAnomaly:
+class IntraAnomaly(NamedTuple):
     kind: IntraKind
     earlier: int
     later: int

@@ -19,6 +19,7 @@ __all__ = [
     "ActionClass",
     "ComponentKind",
     "Severity",
+    "Semantics",
     "AttributeDef",
     "Schema",
     "Rule",
@@ -70,6 +71,13 @@ class ComponentKind(str, Enum):
 class Severity(str, Enum):
     ERROR = "error"
     WARNING = "warning"
+
+
+class Semantics(str, Enum):
+    """Which rule decides a packet that several rules match (see :mod:`policytree.oracle`)."""
+
+    FIRST_MATCH = "first-match"
+    OWNER_CAPTURE = "owner-capture"
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,10 @@ import itertools
 from bisect import bisect_left, bisect_right
 from operator import xor
 from dataclasses import dataclass
-from enum import Enum
 from math import prod
 
 from .dtree import DecisionTree, branches, flattening_key
-from .model import AttributeDef, Rule, RuleSet, Schema, SchemaError
+from .model import AttributeDef, Rule, RuleSet, Schema, SchemaError, Semantics
 from .relations import indices
 from .values import contains_point, vs_compare, vs_subset
 
@@ -49,11 +48,6 @@ __all__ = [
 ]
 
 Packet = dict[str, "int | str"]
-
-
-class Semantics(str, Enum):
-    FIRST_MATCH = "first-match"
-    OWNER_CAPTURE = "owner-capture"
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ once, at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .dtree import DecisionTree, Edge, Node
 from .model import RuleSet
@@ -48,16 +48,14 @@ class ConflictPolicy(str, Enum):
     FIRST_MATCH = "first-match"
 
 
-@dataclass
-class RelevantDecisionTree:
+class RelevantDecisionTree(NamedTuple):
     """A merged relevant tree plus the policy that built it."""
 
     tree: DecisionTree
     policy: ConflictPolicy
 
 
-@dataclass
-class _MaskTree:
+class _MaskTree(NamedTuple):
     """A tree under construction: condition labels are masks of ``cells``."""
 
     root: Node

@@ -33,8 +33,8 @@ relations up to a kind through a 32-entry table indexed by the set of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .model import Rule, Schema, SchemaError
 from .values import Cells, vs_compare
@@ -60,8 +60,7 @@ class FieldRel(str, Enum):
     DISJOINT = "disjoint"
 
 
-@dataclass(frozen=True)
-class FieldRelation:
+class FieldRelation(NamedTuple):
     attribute: str
     rel: FieldRel
 
@@ -75,8 +74,7 @@ class RelationKind(str, Enum):
     DISJOINT = "disjoint"
 
 
-@dataclass(frozen=True)
-class RuleRelation:
+class RuleRelation(NamedTuple):
     kind: RelationKind
     evidence: tuple[FieldRelation, ...]
 

@@ -8,7 +8,6 @@ text and the JSON form.  Inputs are identified by path and content digest.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
@@ -66,6 +65,8 @@ def render_text(report: Report) -> str:
 
 
 def render_json(report: Report) -> str:
+    import json  # only JSON reports need it
+
     payload = asdict(report)
     if payload["tree"] is None:
         del payload["tree"]

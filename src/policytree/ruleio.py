@@ -27,7 +27,6 @@ dictionaries for machine consumption; both representations round-trip.
 from __future__ import annotations
 
 import ipaddress
-import json
 from pathlib import Path
 
 from .model import (
@@ -295,6 +294,8 @@ def parse_ruleset(data: bytes | str, *, source: str = "<string>") -> RuleSet:
                 f"not UTF-8 text ({exc.reason} at byte {exc.start})", None, source
             ) from None
     if Path(source).suffix == ".json":
+        import json  # only JSON rule files need it
+
         try:
             return _from_dict(json.loads(data), source)
         except RuleFileError:
@@ -574,6 +575,8 @@ def load_ruleset(path: str | Path) -> RuleSet:
 def save_ruleset(path: str | Path, rs: RuleSet) -> None:
     path = Path(path)
     if path.suffix == ".json":
+        import json
+
         path.write_text(json.dumps(ruleset_to_dict(rs), indent=2, sort_keys=True) + "\n")
     else:
         path.write_text(serialize_ruleset(rs))

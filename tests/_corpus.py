@@ -9,6 +9,7 @@ with a space that lists every point (see :func:`enumerate_points`).
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import Sequence
 
 from hypothesis import strategies as st
@@ -35,7 +36,16 @@ from policytree.model import (
 )
 from policytree.relations import RelationKind, relate
 from policytree.ruleio import serialize_ruleset
-from policytree.values import ANY, AttrKind, Cells, ValueSet, contains_point, intervals, labels
+from policytree.values import (
+    ANY,
+    AttrKind,
+    Cells,
+    ValueSet,
+    contains_point,
+    intervals,
+    labels,
+    vs_compare,
+)
 
 
 def enumerate_points(v: ValueSet, domain: ValueSet) -> list:
@@ -99,6 +109,37 @@ def tree_decider(t: DecisionTree):
 def evaluate_tree(t: DecisionTree, packet: dict) -> str | None:
     """Decision for one packet, by :func:`tree_decider`."""
     return tree_decider(t)(packet)
+
+
+@dataclass(frozen=True)
+class RelevancyViolation:
+    """Two sibling edges whose labels overlap, with the path leading there."""
+
+    attribute: str
+    path: tuple[ValueSet, ...]
+    label_a: ValueSet
+    label_b: ValueSet
+
+
+def check_relevant(t: DecisionTree) -> list[RelevancyViolation]:
+    """Empty iff every node's outgoing labels are pairwise disjoint."""
+    out: list[RelevancyViolation] = []
+    _violations(t, t.root, (), out)
+    return out
+
+
+def _violations(
+    t: DecisionTree, node: Node, path: tuple[ValueSet, ...], out: list[RelevancyViolation]
+) -> None:
+    at_action = node.level == t.action_level
+    attr = t.schema.decision_attribute if at_action else t.attribute_at(node.level)
+    for i, a in enumerate(node.edges):
+        for b in node.edges[i + 1 :]:
+            if vs_compare(a.label, b.label, attr.domain)[2]:
+                out.append(RelevancyViolation(attr.name, path, a.label, b.label))
+    if not at_action:
+        for e in node.edges:
+            _violations(t, e.child, path + (e.label,), out)
 
 
 def copy_node(node: Node) -> Node:

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 
 from policytree.cli import main as cli_main
 from policytree.correction import ProjectionMode, correct_pair, correct_ruleset, integrate, project
-from policytree.dtree import check_relevant, tree_to_rules
+from policytree.dtree import tree_to_rules
 from policytree.interop import InterKind, detect_inter, extend_schema, union_schema
 from policytree.intra import detect_intra
 from policytree.oracle import Semantics, endpoint_space, equivalence
@@ -31,7 +31,7 @@ from policytree.ruleio import (
 )
 from policytree.values import ANY
 
-from _corpus import evaluate_tree, random_component_pair, random_ruleset
+from _corpus import check_relevant, evaluate_tree, random_component_pair, random_ruleset
 
 runner = CliRunner()
 

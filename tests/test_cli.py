@@ -107,13 +107,44 @@ def test_repeated_runs_keep_no_objects(fw_path):
     assert len(gc.get_objects()) - before < 50
 
 
-def test_importing_the_cli_loads_no_numpy():
-    # every command imports the referee, which works on Python ints alone
+def _fresh_cli_run(tmp_path, commands: list[list[str]]) -> str:
+    """Import the CLI in a fresh interpreter and run each command on ``cases/``.
+
+    Returns the line it prints: the exit codes, then which of the modules that
+    the workload commands never need are loaded.
+    """
     src = str(Path(cli.__file__).parents[1])
-    code = f"import sys; sys.path[:0] = [{src!r}]; import policytree.cli; "
-    code += "print('numpy' in sys.modules)"
+    fields = {"fw": CASES / "fw.rules", "ids": CASES / "ids.rules", "topo": CASES / "ingress.topo"}
+    fields["out"] = tmp_path
+    commands = [[arg.format(**fields) for arg in command] for command in commands]
+    code = f"""import sys
+sys.path[:0] = [{src!r}]
+import policytree.cli
+from click.testing import CliRunner
+codes = [CliRunner().invoke(policytree.cli.main, c).exit_code for c in {commands!r}]
+unneeded = ("numpy", "json", "policytree.oracle", "policytree.topology")
+print(codes, [m for m in unneeded if m in sys.modules])
+"""
     probe = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert probe.stdout == "False\n"
+    return probe.stdout
+
+
+def test_workload_commands_load_only_what_they_run(tmp_path):
+    # the referee, json and the topology reader load only with eval, JSON files and check-topology
+    commands = [
+        ["lint", "{fw}"],
+        ["correct", "{fw}", "-o", "{out}/fixed.rules"],
+        ["check-interop", "{out}/fixed.rules", "{ids}"],
+        ["fix-interop", "{fw}", "{ids}", "-o", "{out}"],
+    ]
+    assert _fresh_cli_run(tmp_path, commands) == "[1, 1, 1, 1] []\n"
+
+
+def test_commands_that_load_more_import_it_as_they_run(tmp_path):
+    commands = [["eval", "{fw}", "--packet", _PKT], ["check-topology", "{topo}"]]
+    assert _fresh_cli_run(tmp_path, commands) == (
+        "[0, 1] ['policytree.oracle', 'policytree.topology']\n"
+    )
 
 
 #: sha256 of ``policytree --help`` and each subcommand's ``--help``, in name order.

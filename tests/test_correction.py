@@ -21,7 +21,7 @@ from policytree.correction import (
     integrate,
     project,
 )
-from policytree.dtree import DecisionTree, Edge, Node, check_relevant, dump_tree, tree_to_rules
+from policytree.dtree import DecisionTree, Edge, Node, dump_tree, tree_to_rules
 from policytree.interop import detect_inter, extend_schema, union_schema
 from policytree.intra import detect_intra, is_relevant_ruleset
 from policytree.model import AttributeDef, ComponentKind, Rule, RuleSet, Schema, SchemaError
@@ -32,6 +32,7 @@ from policytree.values import ANY, AttrKind, COMPLEMENT_LABEL, ValueSet, interva
 
 from _corpus import (
     build_tree,
+    check_relevant,
     interval_schema,
     node_counts,
     random_component_pair,

@@ -15,10 +15,10 @@ import random
 
 import pytest
 
-from _corpus import random_component_pair, random_ruleset
+from _corpus import check_relevant, random_component_pair, random_ruleset
 from conftest import CASES
 from policytree.correction import ProjectionMode, correct_pair, correct_ruleset, project
-from policytree.dtree import check_relevant, dump_tree, flattened, tree_to_rules
+from policytree.dtree import dump_tree, flattened, tree_to_rules
 from policytree.interop import detect_inter, extend_schema, union_schema
 from policytree.intra import detect_intra, is_relevant_ruleset
 from policytree.oracle import Semantics, endpoint_space, equivalence

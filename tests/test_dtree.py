@@ -14,7 +14,6 @@ from hypothesis import given, strategies as st
 
 from policytree.dtree import (
     branches,
-    check_relevant,
     dump_tree,
     tree_to_rules,
 )
@@ -22,7 +21,7 @@ from policytree.model import Rule, RuleSet, SchemaError
 from policytree.oracle import Semantics, evaluate
 from policytree.values import ANY, intervals
 
-from _corpus import build_tree, copy_node, evaluate_tree, interval_schema, random_ruleset
+from _corpus import build_tree, check_relevant, copy_node, evaluate_tree, interval_schema, random_ruleset
 
 SCHEMA1 = interval_schema(1, (40,))
 SCHEMA2 = interval_schema(2, (40, 15))

@@ -7,16 +7,13 @@ import pytest
 from policytree.dtree import tree_to_rules
 from policytree.interop import (
     InterKind,
-    PositioningViolation,
-    TopologyError,
-    check_positioning,
     detect_inter,
     extend_schema,
-    parse_topology,
     union_schema,
 )
 from policytree.model import AttributeDef, ComponentKind, Rule, RuleSet, Schema, SchemaError, Severity
 from policytree.rdt import build_rdt
+from policytree.topology import PositioningViolation, TopologyError, check_positioning, parse_topology
 from policytree.values import ANY, AttrKind, ValueSet, intervals, labels
 
 

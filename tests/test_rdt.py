@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from policytree.correction import ProjectionMode, project
 from policytree.dtree import (
     branches,
-    check_relevant,
     dump_tree,
     tree_to_rules,
 )
@@ -35,6 +34,7 @@ from policytree.values import ANY, intervals
 
 from _corpus import (
     build_tree,
+    check_relevant,
     copy_node,
     evaluate_tree,
     interval_schema,
