@@ -173,10 +173,6 @@ def _gate_relevant(ctx: click.Context, rs: RuleSet, opts: Options) -> None:
     )
 
 
-def _emit(report: Report, opts: Options) -> None:
-    _write(render_json(report) if opts.fmt == "json" else render_text(report))
-
-
 def _plural(n: int, noun: str) -> str:
     return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
 
@@ -193,24 +189,27 @@ def _verdict(findings: list[dict]) -> str:
 
 
 def _finish(report: Report, opts: Options) -> int:
-    _emit(report, opts)
+    _write(render_json(report) if opts.fmt == "json" else render_text(report))
     return 1 if report.findings else 0
 
 
-def _intra_findings(rs: RuleSet, screen=None) -> list[dict]:
+def _intra_findings(rs: RuleSet, screen=None, **place) -> list[dict]:
+    """Findings within ``rs``, each with the keys in ``place`` that say where it was found."""
     return [
         {
             "kind": a.kind.value,
             "severity": a.severity.value,
             "earlier": f"r{a.earlier}",
             "later": f"r{a.later}",
+            **place,
         }
         for a in detect_intra(rs, screen=screen)
     ]
 
 
-def _inter_findings(ctx: click.Context, preceding: RuleSet, following: RuleSet):
-    """Cross-component findings, and the pair restated over the shared schema they are read from."""
+def _inter_findings(ctx: click.Context, preceding: RuleSet, following: RuleSet, **place):
+    """Cross-component findings, each with the keys in ``place``, and the pair
+    restated over the shared schema they are read from."""
     try:
         target = union_schema(preceding.schema, following.schema)
         restated = extend_schema(preceding, target), extend_schema(following, target)
@@ -223,6 +222,7 @@ def _inter_findings(ctx: click.Context, preceding: RuleSet, following: RuleSet):
             "severity": a.severity.value,
             "preceding": f"{preceding.component_name}:r{a.preceding_rule}",
             "following": f"{following.component_name}:r{a.following_rule}",
+            **place,
         }
         for a in anomalies
     ], restated
@@ -332,15 +332,7 @@ def fix_interop(ctx: click.Context, preceding_file: str, following_file: str, ou
     relevant = []
     for rs, tag in ((preceding, "preceding"), (following, "following")):
         screen = relation_sets(rs.rules, rs.rules, rs.schema)
-        for f in _intra_findings(rs, screen):
-            report.add_finding(
-                f["kind"],
-                f["severity"],
-                component=rs.component_name,
-                earlier=f["earlier"],
-                later=f["later"],
-                role=tag,
-            )
+        report.findings += _intra_findings(rs, screen, component=rs.component_name, role=tag)
         relevant.append(
             rs if is_relevant_ruleset(rs, screen=screen) else correct_ruleset(rs, opts.policy)
         )
@@ -420,15 +412,7 @@ def check_topology(ctx: click.Context, topology_file: str):
             p_rs, f_rs = loaded.get(left), loaded.get(right)
             if p_rs is None or f_rs is None:
                 continue
-            findings, _ = _inter_findings(ctx, p_rs, f_rs)
-            for f in findings:
-                report.add_finding(
-                    f["kind"],
-                    f["severity"],
-                    path=path_name,
-                    preceding=f["preceding"],
-                    following=f["following"],
-                )
+            report.findings += _inter_findings(ctx, p_rs, f_rs, path=path_name)[0]
     report.verdict = "clean" if not report.findings else _verdict(report.findings)
     return _finish(report, opts)
 

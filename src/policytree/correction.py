@@ -79,16 +79,12 @@ def integrate(preceding: RuleSet, following: RuleSet) -> GlobalRuleSet:
         raise SchemaError("extend both components to the shared schema first")
     provenance: dict[int, tuple[str, int]] = {}
     rules: list[Rule] = []
-    for rule in preceding.rules:
-        provenance[rule.id] = (preceding.component_name, rule.id)
-        origin = rule.origin or preceding.component_name
-        rules.append(Rule(rule.id, rule.condition, rule.action, origin))
-    offset = len(preceding.rules)
-    for rule in following.rules:
-        gid = rule.id + offset
-        provenance[gid] = (following.component_name, rule.id)
-        origin = rule.origin or following.component_name
-        rules.append(Rule(gid, rule.condition, rule.action, origin))
+    for rs in (preceding, following):
+        offset = len(rules)
+        for rule in rs.rules:
+            provenance[rule.id + offset] = (rs.component_name, rule.id)
+            origin = rule.origin or rs.component_name
+            rules.append(Rule(rule.id + offset, rule.condition, rule.action, origin))
     name = f"{preceding.component_name}+{following.component_name}"
     return GlobalRuleSet(
         ruleset=RuleSet._of_checked(preceding.schema, tuple(rules), preceding.component_kind, name),
@@ -145,8 +141,6 @@ def project(
     splices in that child; a kept level keeps its edges in source order; a
     node with no surviving edge is dropped.
     """
-    if isinstance(tree, RelevantDecisionTree):
-        tree = tree.tree
     names = list(tree.schema.condition_names)
     wanted = set(attributes)
     unknown = wanted - set(names)
@@ -223,11 +217,6 @@ def _project(
 # ---------------------------------------------------------------------------
 
 
-def _following_only(preceding: Schema, following: Schema) -> list[str]:
-    shared = set(preceding.condition_names)
-    return [n for n in following.condition_names if n not in shared]
-
-
 def correct_pair(
     preceding: RuleSet,
     following: RuleSet,
@@ -259,7 +248,8 @@ def correct_pair(
     p_tree.component_kind = preceding.component_kind
 
     f_names = following.schema.condition_names
-    f_only = _following_only(preceding.schema, following.schema)
+    shared = preceding.schema.condition_names
+    f_only = [n for n in f_names if n not in shared]
     if following.component_kind is ComponentKind.ALERTING and f_only:
         f_tree = project(
             rdt.tree, f_names, ProjectionMode.KEEP_SPECIFIC, designated=f_only[-1]

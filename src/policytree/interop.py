@@ -106,13 +106,8 @@ def union_schema(preceding: Schema, following: Schema) -> Schema:
     seen = {a.name for a in merged}
     merged.extend(a for a in following.condition_attributes if a.name not in seen)
 
-    dec_p = preceding.decision_attribute
-    dec_f = following.decision_attribute
-    decision = AttributeDef(
-        name=dec_p.name,
-        kind=dec_p.kind,
-        domain=ValueSet(labels=(dec_p.domain.labels or frozenset()) | (dec_f.domain.labels or frozenset())),
-    )
+    dec_p, dec_f = preceding.decision_attribute, following.decision_attribute
+    decision = AttributeDef(name=dec_p.name, kind=dec_p.kind, domain=_domain_union(dec_p, dec_f))
     return Schema(condition_attributes=tuple(merged), decision_attribute=decision)
 
 

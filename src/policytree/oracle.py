@@ -114,11 +114,6 @@ class DomainSpace:
     def size(self) -> int:
         return prod(len(p) for p in self.points.values())
 
-    def iter_packets(self):
-        names = self.schema.condition_names
-        for combo in itertools.product(*(self.points[n] for n in names)):
-            yield dict(zip(names, combo))
-
 
 def _cell_starts(attr: AttributeDef, value_sets) -> set[int]:
     """The first point of every elementary cell the value sets cut the domain into.

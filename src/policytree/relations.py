@@ -48,7 +48,6 @@ __all__ = [
     "relate",
     "relation_sets",
     "indices",
-    "is_correlated",
 ]
 
 
@@ -110,10 +109,6 @@ def _kind_of(mask: int) -> RelationKind:
 
 
 _KIND_OF_MASK = tuple(_kind_of(mask) for mask in range(1 << len(FieldRel)))
-
-
-def is_correlated(kind: RelationKind) -> bool:
-    return kind in (RelationKind.CORRELATED, RelationKind.CORRELATED_GENERAL)
 
 
 def field_relation(a, b, attr) -> FieldRel:

@@ -20,8 +20,9 @@ column.  Values are ``any``/``All`` (wildcard), a single value, ``lo-hi``,
 or a comma-joined union of those.  IPv4 values may use ``a.b.c.*`` blocks
 or ``a.b.c.d/nn`` prefixes (``nn`` from 0 to 32, no host bits set).
 
-``ruleset_to_dict``/``ruleset_from_dict`` mirror the same fields as plain
-dictionaries for machine consumption; both representations round-trip.
+``ruleset_to_dict`` mirrors the same fields as a plain dictionary for
+machine consumption, and ``parse_ruleset(..., source="x.json")`` reads that
+dictionary back as JSON text; both representations round-trip.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ __all__ = [
     "parse_ruleset",
     "serialize_ruleset",
     "ruleset_to_dict",
-    "ruleset_from_dict",
     "load_ruleset",
     "save_ruleset",
     "parse_value",
@@ -268,10 +268,10 @@ def _parse_attr_decl(rest: str, line: int, source: str) -> AttributeDef:
         names = _labels(domain_s, f"label of {name!r}", line, source, _COLUMN)
         if "" in names:
             raise RuleFileError(f"bad domain for {name!r}: empty label", line, source)
-        if COMPLEMENT_LABEL in names:
-            raise RuleFileError(
-                f"{COMPLEMENT_LABEL!r} is reserved and cannot be declared", line, source
-            )
+        # a declared 'any' or 'all' would be written back as, and read as, the wildcard
+        reserved = sorted(n for n in names if n == COMPLEMENT_LABEL or n.lower() in _WILDCARD_TOKENS)
+        if reserved:
+            raise RuleFileError(f"{reserved[0]!r} is reserved and cannot be declared", line, source)
         domain = ValueSet(labels=complete_label_domain(kind, names))
     try:
         return AttributeDef(name=name, kind=kind, domain=domain)
@@ -297,7 +297,7 @@ def parse_ruleset(data: bytes | str, *, source: str = "<string>") -> RuleSet:
         import json  # only JSON rule files need it
 
         try:
-            return _from_dict(json.loads(data), source)
+            return _from_dict(json.loads(data, object_pairs_hook=_unrepeated), source)
         except RuleFileError:
             raise
         except KeyError as exc:
@@ -510,8 +510,14 @@ def ruleset_to_dict(rs: RuleSet) -> dict:
     }
 
 
-def ruleset_from_dict(d: dict) -> RuleSet:
-    return _from_dict(d, "<dict>")
+def _unrepeated(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key given twice is an error, not an override."""
+    d = {}
+    for key, value in pairs:
+        if key in d:
+            raise ValueError(f"repeated key {key!r}")
+        d[key] = value
+    return d
 
 
 # a comment mark, or a line break that is not a control character

@@ -44,11 +44,13 @@ def parse_topology(text: str, *, source: str = "<string>") -> Topology:
     ``component <name> <kind> [<rules-file>]`` declares a component;
     ``path <name> <member> <member> ...`` lists a traffic path in order.
     Path members name declared components, or use inline ``name:kind``.
-    Every kind given for one name, on either kind of line, must agree.
+    Every kind given for one name, on either kind of line, must agree, and
+    each component and each path is declared once.
     """
     components: dict[str, TopologyComponent] = {}
     declared_at: dict[str, int] = {}  # component name -> its component line
     kind_at: dict[str, tuple[ComponentKind, int]] = {}  # name -> first kind given, its line
+    path_at: dict[str, int] = {}  # path name -> its path line
     paths: list[tuple[str, tuple[str, ...]]] = []
 
     def check_name(name: str, line_no: int) -> str:
@@ -96,6 +98,12 @@ def parse_topology(text: str, *, source: str = "<string>") -> Topology:
             if len(rest) < 2:
                 raise TopologyError(f"{source}:{line_no}: a path needs a name and members")
             path_name, members = check_name(rest[0], line_no), []
+            if path_name in path_at:
+                raise TopologyError(
+                    f"{source}:{line_no}: path {path_name!r} already declared"
+                    f" on line {path_at[path_name]}"
+                )
+            path_at[path_name] = line_no
             for member in rest[1:]:
                 if ":" in member:
                     name, kind_s = member.split(":", 1)
@@ -128,14 +136,11 @@ def check_positioning(topology: Topology) -> list[PositioningViolation]:
     out: list[PositioningViolation] = []
     for path_name, members in topology.paths:
         kinds = [topology.components[m].kind for m in members]
-        for i in range(len(members)):
-            if kinds[i] is not ComponentKind.ALERTING:
-                continue
-            for j in range(i + 1, len(members)):
-                if kinds[j] is ComponentKind.FILTERING:
-                    out.append(
-                        PositioningViolation(
-                            path=path_name, alerting=members[i], filtering=members[j]
-                        )
-                    )
+        for i, alerting in enumerate(members):
+            if kinds[i] is ComponentKind.ALERTING:
+                out.extend(
+                    PositioningViolation(path_name, alerting, filtering)
+                    for filtering, kind in zip(members[i + 1 :], kinds[i + 1 :])
+                    if kind is ComponentKind.FILTERING
+                )
     return out

@@ -8,6 +8,8 @@ with a space that lists every point (see :func:`enumerate_points`).
 
 from __future__ import annotations
 
+import itertools
+import json
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,8 +36,9 @@ from policytree.model import (
     SchemaError,
     complete_label_domain,
 )
+from policytree.oracle import DomainSpace
 from policytree.relations import RelationKind, relate
-from policytree.ruleio import serialize_ruleset
+from policytree.ruleio import parse_ruleset, serialize_ruleset
 from policytree.values import (
     ANY,
     AttrKind,
@@ -54,6 +57,23 @@ def enumerate_points(v: ValueSet, domain: ValueSet) -> list:
     if v.labels is not None:
         return sorted(v.labels)
     return [x for lo, hi in v.intervals for x in range(lo, hi + 1)]
+
+
+def iter_packets(space: DomainSpace):
+    """Every packet of ``space``'s grid, in grid order."""
+    names = space.schema.condition_names
+    for combo in itertools.product(*(space.points[n] for n in names)):
+        yield dict(zip(names, combo))
+
+
+def is_correlated(kind: RelationKind) -> bool:
+    """Whether ``kind`` is one of the two correlation kinds of the scalar ``relate``."""
+    return kind in (RelationKind.CORRELATED, RelationKind.CORRELATED_GENERAL)
+
+
+def ruleset_from_dict(d: dict) -> RuleSet:
+    """The rule set that a ``.json`` rule file holding ``d`` loads as."""
+    return parse_ruleset(json.dumps(d), source="<dict>.json")
 
 
 def build_tree(rs: RuleSet) -> DecisionTree:

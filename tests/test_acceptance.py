@@ -25,13 +25,19 @@ from policytree.ruleio import (
     load_ruleset,
     parse_ruleset,
     parse_value,
-    ruleset_from_dict,
     ruleset_to_dict,
     serialize_ruleset,
 )
 from policytree.values import ANY
 
-from _corpus import check_relevant, evaluate_tree, random_component_pair, random_ruleset
+from _corpus import (
+    check_relevant,
+    evaluate_tree,
+    iter_packets,
+    random_component_pair,
+    random_ruleset,
+    ruleset_from_dict,
+)
 
 runner = CliRunner()
 
@@ -220,11 +226,11 @@ def test_criterion_10_projection_keeps_relevancy_and_decisions():
         names = list(rs.schema.condition_names)
         kept = rng.sample(names, rng.randint(1, len(names)))
         kept.sort(key=names.index)
-        projected = project(rdt, kept, ProjectionMode.DROP_SPECIFIC)
+        projected = project(rdt.tree, kept, ProjectionMode.DROP_SPECIFIC)
         if check_relevant(projected):
             bad_relevancy += 1
             continue
-        for pkt in islice(endpoint_space(rs).iter_packets(), 60):
+        for pkt in islice(iter_packets(endpoint_space(rs)), 60):
             decided = evaluate_tree(projected, pkt)
             if decided is not None and evaluate_tree(rdt.tree, pkt) != decided:
                 bad_decisions += 1

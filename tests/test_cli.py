@@ -528,6 +528,40 @@ def test_topology_names_findings_by_component_and_reads_a_shared_file_once(tmp_p
     assert result.output.count("fw.rules sha256=") == 1
 
 
+#: Recorded before the findings were built once in the command that names them.
+TOPOLOGY_DIGEST = "c715eb14ab7a106d0abc024f24dcdef7f886168a3ad3002b8578ad2827d79411"
+
+
+def test_topology_reports_keep_their_bytes(tmp_path):
+    # three members on one path, an alerting member ahead of filtering ones on
+    # another, a shared rule file, a rule-less inline member and a relevant file
+    for name in ("fw.rules", "ids.rules", "empty.rules"):
+        shutil.copy(CASES / name, tmp_path / name)
+    assert run("correct", str(CASES / "fw.rules"), "-o", str(tmp_path / "fixed.rules")).exit_code == 1
+    site = tmp_path / "site.topo"
+    site.write_text(
+        "component FW filtering fixed.rules\n"
+        "component RAW filtering fw.rules\n"
+        "component EDGE filtering empty.rules\n"
+        "component IDS alerting ids.rules\n"
+        "path inbound EDGE FW IDS\n"
+        "path raw RAW IDS\n"
+        "path backwards IDS RAW EDGE SENSOR:alerting\n"
+    )
+    digest = hashlib.sha256()
+    for topo in (CASES / "ingress.topo", site):
+        for policy in ("specificity", "first-match"):
+            for fmt in ("text", "json"):
+                for relevance in ([], ["--assume-relevant"]):
+                    result = run(
+                        f"--policy={policy}", f"--format={fmt}", *relevance, "check-topology", str(topo)
+                    )
+                    digest.update(f"{result.exit_code}\n".encode())
+                    output = result.output.replace(str(tmp_path), "<tmp>")
+                    digest.update(output.replace(str(CASES), "<cases>").encode())
+    assert digest.hexdigest() == TOPOLOGY_DIGEST
+
+
 def test_topology_parse_error(tmp_path):
     bad = tmp_path / "bad.topo"
     bad.write_text("component X router\n")
@@ -667,6 +701,7 @@ def _edited(change) -> dict:
 
 
 _FW_TEXT = (CASES / "fw.rules").read_bytes()
+_FW_JSON = json.dumps(_fw_dict()).encode()
 
 
 @pytest.mark.parametrize(
@@ -806,6 +841,34 @@ _FW_TEXT = (CASES / "fw.rules").read_bytes()
             "bad.rules",
             _FW_TEXT.replace(b"rules\n1 |", b"decision action accept,deny\nrules\n1 |"),
             "bad.rules:10: decision already given on line 9",
+        ),
+        # a label spelled as the wildcard would be written back as, and read as, any label
+        (
+            "bad.rules",
+            _FW_TEXT.replace(b"TCP,UDP,ICMP", b"any,TCP"),
+            "bad.rules:4: 'any' is reserved and cannot be declared",
+        ),
+        (
+            "bad.json",
+            _edited(lambda d: d["attributes"][0].update(domain="TCP,All")),
+            "'All' is reserved and cannot be declared",
+        ),
+        # a JSON key given twice is an error, not an override
+        (
+            "bad.json",
+            _FW_JSON.replace(b'"component": "FW"', b'"component": "FW", "component": "XX"'),
+            "bad JSON rule file: repeated key 'component'",
+        ),
+        (
+            "bad.json",
+            _FW_JSON.replace(b'"dst_port": "any"', b'"dst_port": "any", "dst_port": "80"', 1),
+            "bad JSON rule file: repeated key 'dst_port'",
+        ),
+        (
+            "bad.topo",
+            b"component FW filtering fw.rules\ncomponent IDS alerting ids.rules\n"
+            b"path ingress FW IDS\npath ingress IDS FW\n",
+            "bad.topo:4: path 'ingress' already declared on line 3",
         ),
         # header mistakes that only the whole schema shows still name the file
         (

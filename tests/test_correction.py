@@ -176,7 +176,7 @@ def _px_rules(*rows: tuple[tuple[tuple[int, int], ...] | None, str | None, str])
 
 def test_drop_specific_keeps_only_foreign_wildcard_branches():
     rdt = build_rdt(_px_rules((((0, 9),), None, "deny"), (((10, 19),), "a", "accept")))
-    t = project(rdt, ["x"], ProjectionMode.DROP_SPECIFIC)
+    t = project(rdt.tree, ["x"], ProjectionMode.DROP_SPECIFIC)
     assert t.schema.condition_names == ("x",)
     got = tree_to_rules(t)
     assert [(r.condition["x"], r.action) for r in got.rules] == [(intervals(((0, 9),)), "deny")]
@@ -190,7 +190,7 @@ def test_keep_specific_selects_deliberate_values_only():
             (((20, 29),), COMPLEMENT_LABEL, "accept"),
         )
     )
-    t = project(rdt, ["x", "tag"], ProjectionMode.KEEP_SPECIFIC, designated="tag")
+    t = project(rdt.tree, ["x", "tag"], ProjectionMode.KEEP_SPECIFIC, designated="tag")
     got = tree_to_rules(t)
     # the wildcard and the complement leftover both drop out
     assert [(r.condition["x"], r.condition["tag"], r.action) for r in got.rules] == [
@@ -200,7 +200,7 @@ def test_keep_specific_selects_deliberate_values_only():
 
 def test_projection_onto_all_attributes_is_identity():
     rdt = build_rdt(_px_rules((((0, 9),), None, "deny"), (((10, 19),), "a", "accept")))
-    t = project(rdt, _PX.condition_names, ProjectionMode.DROP_SPECIFIC)
+    t = project(rdt.tree, _PX.condition_names, ProjectionMode.DROP_SPECIFIC)
     assert [(r.condition, r.action) for r in tree_to_rules(t).rules] == [
         (r.condition, r.action) for r in tree_to_rules(rdt.tree).rules
     ]
@@ -209,13 +209,13 @@ def test_projection_onto_all_attributes_is_identity():
 def test_projection_input_validation():
     rdt = build_rdt(_px_rules((((0, 9),), None, "deny")))
     with pytest.raises(SchemaError, match="unknown attributes"):
-        project(rdt, ["x", "nope"], ProjectionMode.DROP_SPECIFIC)
+        project(rdt.tree, ["x", "nope"], ProjectionMode.DROP_SPECIFIC)
     with pytest.raises(SchemaError, match="at least one attribute"):
-        project(rdt, [], ProjectionMode.DROP_SPECIFIC)
+        project(rdt.tree, [], ProjectionMode.DROP_SPECIFIC)
     with pytest.raises(SchemaError, match="designated kept attribute"):
-        project(rdt, ["x"], ProjectionMode.KEEP_SPECIFIC, designated="tag")
+        project(rdt.tree, ["x"], ProjectionMode.KEEP_SPECIFIC, designated="tag")
     with pytest.raises(SchemaError, match="designated kept attribute"):
-        project(rdt, ["x"], ProjectionMode.KEEP_SPECIFIC)
+        project(rdt.tree, ["x"], ProjectionMode.KEEP_SPECIFIC)
 
 
 def _px_tree(*edges: Edge) -> DecisionTree:

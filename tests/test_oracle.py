@@ -29,6 +29,7 @@ from _corpus import (
     copy_node,
     enumerate_points,
     interval_schema,
+    iter_packets,
     random_ruleset,
     tree_decider,
 )
@@ -117,7 +118,7 @@ def test_endpoint_space_brackets_every_rule_boundary():
 def test_endpoint_space_enumerates_label_domains(fw):
     space = endpoint_space(fw)
     assert space.points["protocol"] == ("ICMP", "TCP", "UDP")
-    assert space.size() == len(list(islice(space.iter_packets(), space.size() + 1)))
+    assert space.size() == len(list(islice(iter_packets(space), space.size() + 1)))
 
 
 def test_endpoint_space_input_checks(fw, ids):
@@ -189,7 +190,7 @@ def test_scalar_referee_matches_the_trees(seed):
     naive = build_tree(rs)
     assert equivalence(naive, rs, Semantics.FIRST_MATCH, space) == []
     by_corrected, by_first, by_naive = map(tree_decider, (corrected, first, naive))
-    for pkt in islice(space.iter_packets(), 120):
+    for pkt in islice(iter_packets(space), 120):
         assert by_corrected(pkt) == evaluate(rs, pkt, Semantics.OWNER_CAPTURE)
         assert by_first(pkt) == evaluate(rs, pkt, Semantics.FIRST_MATCH)
         assert by_naive(pkt) == evaluate(rs, pkt, Semantics.FIRST_MATCH)
@@ -247,7 +248,7 @@ def test_cells_decide_as_every_point_does(seed):
 
 def _scalar_mismatches(tree, rs, space):
     """The referee's answer under each semantics, one packet at a time."""
-    packets = list(space.iter_packets())
+    packets = list(iter_packets(space))
     by_tree = list(map(tree_decider(tree), packets))
     return {
         semantics: [

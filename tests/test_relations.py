@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _corpus import enumerate_points, interval_schema, random_ruleset, random_value
+from _corpus import enumerate_points, interval_schema, is_correlated, random_ruleset, random_value
 from _corpus import mixed_rulesets as _rulesets
 from _corpus import mixed_schemas as _schemas
 from policytree.interop import InterAnomaly, InterKind, detect_inter
@@ -24,7 +24,6 @@ from policytree.relations import (
     FieldRel,
     RelationKind,
     field_relation,
-    is_correlated,
     relate,
     relation_sets,
 )

@@ -15,7 +15,6 @@ from policytree.ruleio import (
     parse_point,
     parse_ruleset,
     parse_value,
-    ruleset_from_dict,
     ruleset_to_dict,
     save_ruleset,
     serialize_ruleset,
@@ -28,6 +27,8 @@ from policytree.values import (
     intervals,
     labels,
 )
+
+from _corpus import ruleset_from_dict
 
 MINIMAL = """
 component X
