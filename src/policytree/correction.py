@@ -23,7 +23,6 @@ applied.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .dtree import DecisionTree, Edge, Node, tree_to_rules
@@ -34,7 +33,6 @@ from .values import COMPLEMENT_LABEL, ValueSet
 
 __all__ = [
     "GlobalRuleSet",
-    "ProjectionMode",
     "CorrectedPair",
     "integrate",
     "correct_ruleset",
@@ -50,17 +48,10 @@ class GlobalRuleSet(NamedTuple):
     provenance: dict[int, tuple[str, int]]  # global id -> (component, original id)
 
 
-class ProjectionMode(str, Enum):
-    DROP_SPECIFIC = "drop-specific"
-    KEEP_SPECIFIC = "keep-specific"
-
-
 class CorrectedPair(NamedTuple):
     preceding: RuleSet
     following: RuleSet
     rdt: RelevantDecisionTree
-    preceding_tree: DecisionTree
-    following_tree: DecisionTree
 
 
 # ---------------------------------------------------------------------------
@@ -126,15 +117,15 @@ def _is_specific(label: ValueSet) -> bool:
 def project(
     tree: DecisionTree,
     attributes: Sequence[str],
-    mode: ProjectionMode,
     *,
     designated: str | None = None,
 ) -> DecisionTree:
     """Restrict a relevant tree to a subset of its condition attributes.
 
-    ``attributes`` keeps its schema order from the source tree.  With
-    ``KEEP_SPECIFIC`` the ``designated`` attribute (one of the kept ones)
-    selects the edges to retain.
+    ``attributes`` keeps its schema order from the source tree.  Given a
+    ``designated`` attribute (one of the kept ones), the projection keeps
+    only the edges specific in it (*keep-specific*); otherwise it drops
+    whatever is specific in a foreign attribute (*drop-specific*).
 
     Each distinct source node is projected once, so the result shares nodes
     as the source does.  A foreign level keeps only its wildcard edge and
@@ -149,11 +140,9 @@ def project(
     if not wanted:
         raise SchemaError("projection must keep at least one attribute")
     keep_idx = [i for i, n in enumerate(names) if n in wanted]
-    designated_level = None
-    if mode is ProjectionMode.KEEP_SPECIFIC:
-        if designated is None or designated not in wanted:
-            raise SchemaError("keep-specific projection needs a designated kept attribute")
-        designated_level = names.index(designated) + 1
+    if designated is not None and designated not in wanted:
+        raise SchemaError("keep-specific projection needs a designated kept attribute")
+    designated_level = None if designated is None else names.index(designated) + 1
     # source level -> projected level; foreign levels are absent
     new_level = {i + 1: level for level, i in enumerate(keep_idx, start=1)}
     new_level[tree.action_level] = len(keep_idx) + 1
@@ -227,8 +216,8 @@ def correct_pair(
     """Repair a preceding/following pair against each other.
 
     Returns both corrected rule sets (each over its own attributes), plus
-    the global tree and its two projections.  Every output rule's origin
-    names the input rule that won its region, as ``component:rN``.
+    the global tree.  Every output rule's origin names the input rule that
+    won its region, as ``component:rN``.
     ``restated`` is the pair already restated over its union schema, if any.
     """
     if restated is None:
@@ -243,26 +232,15 @@ def correct_pair(
         prior = g.ruleset.rules[gid - 1].origin
         origin_map[gid] = prior if prior and prior != comp else f"{comp}:r{oid}"
 
-    p_tree = project(rdt.tree, preceding.schema.condition_names, ProjectionMode.DROP_SPECIFIC)
-    p_tree.component_name = preceding.component_name
-    p_tree.component_kind = preceding.component_kind
-
-    f_names = following.schema.condition_names
+    # an alerting follower keeps what is specific in its last own attribute,
+    # the attack class; every other projection drops what is foreign-specific
     shared = preceding.schema.condition_names
-    f_only = [n for n in f_names if n not in shared]
-    if following.component_kind is ComponentKind.ALERTING and f_only:
-        f_tree = project(
-            rdt.tree, f_names, ProjectionMode.KEEP_SPECIFIC, designated=f_only[-1]
-        )
-    else:
-        f_tree = project(rdt.tree, f_names, ProjectionMode.DROP_SPECIFIC)
-    f_tree.component_name = following.component_name
-    f_tree.component_kind = following.component_kind
-
-    return CorrectedPair(
-        preceding=tree_to_rules(p_tree, origin_map),
-        following=tree_to_rules(f_tree, origin_map),
-        rdt=rdt,
-        preceding_tree=p_tree,
-        following_tree=f_tree,
-    )
+    own = [n for n in following.schema.condition_names if n not in shared]
+    f_designated = own[-1] if own and following.component_kind is ComponentKind.ALERTING else None
+    corrected = []
+    for component, designated in ((preceding, None), (following, f_designated)):
+        tree = project(rdt.tree, component.schema.condition_names, designated=designated)
+        tree.component_name = component.component_name
+        tree.component_kind = component.component_kind
+        corrected.append(tree_to_rules(tree, origin_map))
+    return CorrectedPair(*corrected, rdt)

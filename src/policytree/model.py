@@ -208,9 +208,6 @@ class RuleSet:
                 )
             _validate_rule(rule, self.schema, expected, inside)
 
-    def rule(self, rule_id: int) -> Rule:
-        return self.rules[rule_id - 1]
-
 
 def complete_label_domain(kind: AttrKind, declared: frozenset[str]) -> frozenset[str]:
     """Domain of a condition label attribute.

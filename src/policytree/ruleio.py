@@ -424,7 +424,7 @@ def _parse_rule_line(
     if action not in (decision.domain.labels or ()):
         raise RuleFileError(f"action {action!r} not in decision domain", line_no, source)
     origin = component
-    if len(cells) == n + 3:
+    if len(cells) == n + 3 and cells[n + 2]:  # an empty origin is no origin
         origin = _name(cells[n + 2], "origin", line_no, source)
     return Rule(id=rule_id, condition=condition, action=action, origin=origin)
 
@@ -550,7 +550,7 @@ def _from_dict(d: dict, source: str) -> RuleSet:
     values: dict[tuple[str, str], ValueSet] = {}  # see _read_value
     rules = []
     for entry in d["rules"]:
-        rule_id, origin = entry["id"], entry.get("origin", base.component_name)
+        rule_id, origin = entry["id"], entry.get("origin", "")
         if type(rule_id) is not int or not isinstance(origin, str):
             raise ValueError(f"rule {rule_id!r}: id must be an integer and origin a string")
         _name(origin, f"rule {rule_id} origin", None, source, _NOT_IN_HEADER + _COLUMN)
@@ -564,6 +564,7 @@ def _from_dict(d: dict, source: str) -> RuleSet:
         undeclared = next((k for k in given if k not in condition), None)
         if undeclared is not None:
             raise ValueError(f"rule {rule_id}: value for undeclared attribute {undeclared!r}")
+        origin = origin or base.component_name  # an empty origin is no origin
         rules.append(Rule(id=rule_id, condition=condition, action=action, origin=origin))
     return RuleSet(
         schema=base.schema,

@@ -44,8 +44,9 @@ def parse_topology(text: str, *, source: str = "<string>") -> Topology:
     ``component <name> <kind> [<rules-file>]`` declares a component;
     ``path <name> <member> <member> ...`` lists a traffic path in order.
     Path members name declared components, or use inline ``name:kind``.
-    Every kind given for one name, on either kind of line, must agree, and
-    each component and each path is declared once.
+    Every kind given for one name, on either kind of line, must agree, each
+    component and each path is declared once, and a path names each of its
+    members once.
     """
     components: dict[str, TopologyComponent] = {}
     declared_at: dict[str, int] = {}  # component name -> its component line
@@ -109,13 +110,15 @@ def parse_topology(text: str, *, source: str = "<string>") -> Topology:
                     name, kind_s = member.split(":", 1)
                     kind = parse_kind(check_name(name, line_no), kind_s, line_no)
                     components.setdefault(name, TopologyComponent(name=name, kind=kind))
-                    members.append(name)
                 elif member in components:
-                    members.append(member)
+                    name = member
                 else:
+                    raise TopologyError(f"{source}:{line_no}: undeclared component {member!r}")
+                if name in members:
                     raise TopologyError(
-                        f"{source}:{line_no}: undeclared component {member!r}"
+                        f"{source}:{line_no}: path {path_name!r} names {name!r} twice"
                     )
+                members.append(name)
             paths.append((path_name, tuple(members)))
         else:
             raise TopologyError(f"{source}:{line_no}: unknown directive {head!r}")

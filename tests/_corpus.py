@@ -17,7 +17,7 @@ from typing import Sequence
 from hypothesis import strategies as st
 
 from policytree import rdt
-from policytree.correction import ProjectionMode, _is_specific, correct_ruleset
+from policytree.correction import _is_specific, correct_ruleset
 from policytree.dtree import (
     DecisionTree,
     Edge,
@@ -204,7 +204,7 @@ def reference_rdt(rs: RuleSet, policy: rdt.ConflictPolicy) -> DecisionTree:
     def captures(incoming: Rule, owner: int) -> bool:
         if policy is rdt.ConflictPolicy.FIRST_MATCH:
             return False
-        return relate(incoming, rs.rule(owner), rs.schema).kind is RelationKind.FORWARD
+        return relate(incoming, rs.rules[owner - 1], rs.schema).kind is RelationKind.FORWARD
 
     def chain(rule: Rule, masks: tuple[int, ...], level: int) -> Node:
         if level == action_level:
@@ -255,23 +255,20 @@ def reference_rdt(rs: RuleSet, policy: rdt.ConflictPolicy) -> DecisionTree:
 def reference_project(
     tree: DecisionTree,
     attributes: Sequence[str],
-    mode: ProjectionMode,
     *,
     designated: str | None = None,
 ) -> DecisionTree:
     """Projection branch by branch, as an independent reference.
 
     Every branch of the expanded tree whose foreign labels are all wildcards
-    (and, under ``KEEP_SPECIFIC``, whose designated label is specific) is
+    (and, given ``designated``, whose designated label is specific) is
     re-inserted along its kept labels, sharing a prefix where a label is
     equal.  Two branches that reach one projected region raise.
     """
-    if isinstance(tree, rdt.RelevantDecisionTree):
-        tree = tree.tree
     names = list(tree.schema.condition_names)
     keep_idx = [i for i, n in enumerate(names) if n in attributes]
     foreign_idx = [i for i, n in enumerate(names) if n not in attributes]
-    designated_idx = names.index(designated) if mode is ProjectionMode.KEEP_SPECIFIC else None
+    designated_idx = None if designated is None else names.index(designated)
     schema = Schema(
         condition_attributes=tuple(tree.schema.condition_attributes[i] for i in keep_idx),
         decision_attribute=tree.schema.decision_attribute,

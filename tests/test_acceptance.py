@@ -15,7 +15,7 @@ from itertools import islice
 from click.testing import CliRunner
 
 from policytree.cli import main as cli_main
-from policytree.correction import ProjectionMode, correct_pair, correct_ruleset, integrate, project
+from policytree.correction import correct_pair, correct_ruleset, integrate, project
 from policytree.dtree import tree_to_rules
 from policytree.interop import InterKind, detect_inter, extend_schema, union_schema
 from policytree.intra import detect_intra
@@ -226,7 +226,7 @@ def test_criterion_10_projection_keeps_relevancy_and_decisions():
         names = list(rs.schema.condition_names)
         kept = rng.sample(names, rng.randint(1, len(names)))
         kept.sort(key=names.index)
-        projected = project(rdt.tree, kept, ProjectionMode.DROP_SPECIFIC)
+        projected = project(rdt.tree, kept)
         if check_relevant(projected):
             bad_relevancy += 1
             continue

@@ -354,6 +354,60 @@ def test_fix_interop_is_idempotent_and_deterministic(fw_path, ids_path, tmp_path
     assert "verdict: already interoperable" in result.output
 
 
+# A filtering follower, and an alerting one that sees only the firewall's attributes
+_FW2 = b"""component FW2
+kind filtering
+attr protocol protocol-enum TCP,UDP,ICMP
+attr dst_addr ipv4-range 0.0.0.0-255.255.255.255
+attr dst_port port-range 0-65535
+attr app label-enum http,ssh
+decision action accept,deny
+rules
+1 | TCP | 129.170.20.20-129.170.20.60 | 22 | ssh | deny
+2 | TCP | 129.170.20.61-129.170.20.100 | any | http | accept
+3 | UDP | any | any | any | deny
+"""
+
+_IDS_OF_FW_ATTRIBUTES = b"""component IDS3
+kind alerting
+attr protocol protocol-enum TCP,UDP,ICMP
+attr src_addr ipv4-range 140.192.0.0-140.192.255.255
+attr dst_addr ipv4-range 0.0.0.0-255.255.255.255
+attr dst_port port-range 0-65535
+decision action reject,pass
+rules
+1 | TCP | 140.192.10.30-140.192.10.80 | 129.170.20.25-129.170.20.60 | 80 | reject
+2 | TCP | 140.192.10.81-140.192.10.95 | 129.170.20.61-129.170.20.90 | any | pass
+"""
+
+#: Recorded before the follower's projection was chosen by its designated attribute alone.
+PAIR_REPAIR_DIGEST = "5e9d9bd200926ba754727022641f7951883ed268896b25644cca64098fd64e86"
+
+
+def test_pair_repairs_keep_their_bytes(tmp_path):
+    # the follower keeps what is specific in its own attack attribute (IDS), or
+    # drops what depends on attributes it cannot see (FW2, IDS3)
+    followers = [CASES / "ids.rules"]
+    for name, text in (("fw2.rules", _FW2), ("ids3.rules", _IDS_OF_FW_ATTRIBUTES)):
+        followers.append(tmp_path / name)
+        followers[-1].write_bytes(text)
+    digest = hashlib.sha256()
+    for i, following in enumerate(followers):
+        for policy in ("specificity", "first-match"):
+            for fmt in ("text", "json"):
+                out = tmp_path / f"out-{i}-{policy}-{fmt}"
+                result = run(
+                    f"--policy={policy}", f"--format={fmt}", "fix-interop",
+                    str(CASES / "fw.rules"), str(following), "-o", str(out),
+                )
+                digest.update(f"{result.exit_code}\n".encode())
+                output = result.output.replace(str(tmp_path), "<tmp>")
+                digest.update(output.replace(str(CASES), "<cases>").encode())
+                for path in sorted(out.iterdir()):
+                    digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert digest.hexdigest() == PAIR_REPAIR_DIGEST
+
+
 def _one_error_line(result) -> None:
     assert result.exit_code == 2
     assert result.output.startswith("error: ")
@@ -869,6 +923,12 @@ _FW_JSON = json.dumps(_fw_dict()).encode()
             b"component FW filtering fw.rules\ncomponent IDS alerting ids.rules\n"
             b"path ingress FW IDS\npath ingress IDS FW\n",
             "bad.topo:4: path 'ingress' already declared on line 3",
+        ),
+        (
+            "bad.topo",
+            b"component FW filtering fw.rules\ncomponent IDS alerting ids.rules\n"
+            b"path p FW FW:filtering IDS\n",
+            "bad.topo:3: path 'p' names 'FW' twice",
         ),
         # header mistakes that only the whole schema shows still name the file
         (

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from policytree.correction import (
     CorrectedPair,
-    ProjectionMode,
     correct_pair,
     correct_ruleset,
     integrate,
@@ -176,7 +175,7 @@ def _px_rules(*rows: tuple[tuple[tuple[int, int], ...] | None, str | None, str])
 
 def test_drop_specific_keeps_only_foreign_wildcard_branches():
     rdt = build_rdt(_px_rules((((0, 9),), None, "deny"), (((10, 19),), "a", "accept")))
-    t = project(rdt.tree, ["x"], ProjectionMode.DROP_SPECIFIC)
+    t = project(rdt.tree, ["x"])
     assert t.schema.condition_names == ("x",)
     got = tree_to_rules(t)
     assert [(r.condition["x"], r.action) for r in got.rules] == [(intervals(((0, 9),)), "deny")]
@@ -190,7 +189,7 @@ def test_keep_specific_selects_deliberate_values_only():
             (((20, 29),), COMPLEMENT_LABEL, "accept"),
         )
     )
-    t = project(rdt.tree, ["x", "tag"], ProjectionMode.KEEP_SPECIFIC, designated="tag")
+    t = project(rdt.tree, ["x", "tag"], designated="tag")
     got = tree_to_rules(t)
     # the wildcard and the complement leftover both drop out
     assert [(r.condition["x"], r.condition["tag"], r.action) for r in got.rules] == [
@@ -200,7 +199,7 @@ def test_keep_specific_selects_deliberate_values_only():
 
 def test_projection_onto_all_attributes_is_identity():
     rdt = build_rdt(_px_rules((((0, 9),), None, "deny"), (((10, 19),), "a", "accept")))
-    t = project(rdt.tree, _PX.condition_names, ProjectionMode.DROP_SPECIFIC)
+    t = project(rdt.tree, _PX.condition_names)
     assert [(r.condition, r.action) for r in tree_to_rules(t).rules] == [
         (r.condition, r.action) for r in tree_to_rules(rdt.tree).rules
     ]
@@ -209,13 +208,11 @@ def test_projection_onto_all_attributes_is_identity():
 def test_projection_input_validation():
     rdt = build_rdt(_px_rules((((0, 9),), None, "deny")))
     with pytest.raises(SchemaError, match="unknown attributes"):
-        project(rdt.tree, ["x", "nope"], ProjectionMode.DROP_SPECIFIC)
+        project(rdt.tree, ["x", "nope"])
     with pytest.raises(SchemaError, match="at least one attribute"):
-        project(rdt.tree, [], ProjectionMode.DROP_SPECIFIC)
+        project(rdt.tree, [])
     with pytest.raises(SchemaError, match="designated kept attribute"):
-        project(rdt.tree, ["x"], ProjectionMode.KEEP_SPECIFIC, designated="tag")
-    with pytest.raises(SchemaError, match="designated kept attribute"):
-        project(rdt.tree, ["x"], ProjectionMode.KEEP_SPECIFIC)
+        project(rdt.tree, ["x"], designated="tag")
 
 
 def _px_tree(*edges: Edge) -> DecisionTree:
@@ -240,7 +237,7 @@ def test_projection_refuses_to_merge_colliding_regions():
     )
     for tree, kept in ((clash, ["x"]), (two_wildcards, ["x"]), (twin_labels, ["x", "tag"])):
         with pytest.raises(ValueError, match="collapsed two distinct regions"):
-            project(tree, kept, ProjectionMode.DROP_SPECIFIC)
+            project(tree, kept)
 
 
 def _assert_projects_as_the_branch_walk(
@@ -253,13 +250,13 @@ def _assert_projects_as_the_branch_walk(
     shared = set(preceding.schema.condition_names)
     f_names = following.schema.condition_names
     designated = [n for n in f_names if n not in shared][-1]
-    for kept, mode, kwargs in (
-        (preceding.schema.condition_names, ProjectionMode.DROP_SPECIFIC, {}),
-        (f_names, ProjectionMode.DROP_SPECIFIC, {}),
-        (f_names, ProjectionMode.KEEP_SPECIFIC, {"designated": designated}),
+    for kept, kept_specific in (
+        (preceding.schema.condition_names, None),
+        (f_names, None),
+        (f_names, designated),
     ):
-        got = project(tree, kept, mode, **kwargs)
-        assert texts(got) == texts(reference_project(tree, kept, mode, **kwargs))
+        got = project(tree, kept, designated=kept_specific)
+        assert texts(got) == texts(reference_project(tree, kept, designated=kept_specific))
 
 
 @given(st.integers(0, 10_000), st.sampled_from(list(ConflictPolicy)))
@@ -273,7 +270,7 @@ def test_the_case_pair_projects_as_the_branch_walk(fw, ids):
 
 
 def test_a_projection_shares_nodes_and_reading_it_leaves_it_unchanged(fw, ids):
-    t = correct_pair(correct_ruleset(fw), ids).preceding_tree
+    t = project(correct_pair(correct_ruleset(fw), ids).rdt.tree, fw.schema.condition_names)
     distinct, expanded = node_counts(t.root)
     assert distinct < expanded
     before = dump_tree(t)
@@ -335,8 +332,9 @@ def test_pair_repair_outputs_are_clean_and_interoperable(fw, ids):
         assert is_relevant_ruleset(rs)
         assert detect_intra(rs) == []
     assert check_relevant(cp.rdt.tree) == []
-    assert check_relevant(cp.preceding_tree) == []
-    assert check_relevant(cp.following_tree) == []
+    assert check_relevant(project(cp.rdt.tree, cp.preceding.schema.condition_names)) == []
+    f_names = cp.following.schema.condition_names
+    assert check_relevant(project(cp.rdt.tree, f_names, designated="attack_class")) == []
 
     u = union_schema(cp.preceding.schema, cp.following.schema)
     assert detect_inter(extend_schema(cp.preceding, u), extend_schema(cp.following, u)) == []

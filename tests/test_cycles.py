@@ -17,7 +17,7 @@ import pytest
 
 from _corpus import check_relevant, random_component_pair, random_ruleset
 from conftest import CASES
-from policytree.correction import ProjectionMode, correct_pair, correct_ruleset, project
+from policytree.correction import correct_pair, correct_ruleset, project
 from policytree.dtree import dump_tree, flattened, tree_to_rules
 from policytree.interop import detect_inter, extend_schema, union_schema
 from policytree.intra import detect_intra, is_relevant_ruleset
@@ -58,9 +58,7 @@ def _calls(source: str) -> dict:
         "build_rdt-first-match": lambda: build_rdt(rs, ConflictPolicy.FIRST_MATCH),
         "correct_ruleset": lambda: correct_ruleset(rs),
         "correct_pair": lambda: correct_pair(preceding, following),
-        "project": lambda: project(
-            pair_tree, preceding.schema.condition_names, ProjectionMode.DROP_SPECIFIC
-        ),
+        "project": lambda: project(pair_tree, preceding.schema.condition_names),
         "flattened": lambda: flattened(tree),
         "tree_to_rules": lambda: tree_to_rules(tree),
         "dump_tree": lambda: dump_tree(tree),

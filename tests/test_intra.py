@@ -47,7 +47,9 @@ def test_shadowing_later_rule_inside_with_other_class():
     assert a.kind is IntraKind.SHADOWING
     assert (a.earlier, a.later) == (1, 2)
     assert a.severity is Severity.ERROR
-    assert relate(rs.rule(a.earlier), rs.rule(a.later), rs.schema).kind is RelationKind.BACKWARD
+    assert relate(
+        rs.rules[a.earlier - 1], rs.rules[a.later - 1], rs.schema
+    ).kind is RelationKind.BACKWARD
 
 
 def test_redundancy_later_rule_inside_with_same_class():
@@ -60,7 +62,9 @@ def test_identical_conditions_shadow_or_duplicate():
     rs = _rs1((((0, 9),), "accept"), (((0, 9),), "deny"))
     (a,) = detect_intra(rs)
     assert a.kind is IntraKind.SHADOWING
-    assert relate(rs.rule(a.earlier), rs.rule(a.later), rs.schema).kind is RelationKind.EXACT
+    assert relate(
+        rs.rules[a.earlier - 1], rs.rules[a.later - 1], rs.schema
+    ).kind is RelationKind.EXACT
     (b,) = detect_intra(_rs1((((0, 9),), "accept"), (((0, 9),), "accept")))
     assert b.kind is IntraKind.REDUNDANCY
 
@@ -70,7 +74,9 @@ def test_generalization_catch_all_after_exception():
     (a,) = detect_intra(rs)
     assert a.kind is IntraKind.GENERALIZATION
     assert a.severity is Severity.WARNING
-    assert relate(rs.rule(a.earlier), rs.rule(a.later), rs.schema).kind is RelationKind.FORWARD
+    assert relate(
+        rs.rules[a.earlier - 1], rs.rules[a.later - 1], rs.schema
+    ).kind is RelationKind.FORWARD
 
 
 def test_correlation_partial_overlap_other_class():

@@ -13,7 +13,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from policytree.correction import ProjectionMode, project
+from policytree.correction import project
 from policytree.dtree import (
     branches,
     dump_tree,
@@ -259,7 +259,7 @@ def test_reading_a_shared_tree_leaves_it_unchanged():
         tree_to_rules(t)
         check_relevant(t)
         evaluate_tree(t, {name: 3 for name in rs.schema.condition_names})
-        project(t, rs.schema.condition_names[:2], ProjectionMode.DROP_SPECIFIC)
+        project(t, rs.schema.condition_names[:2])
         equivalence(t, rs, semantics, endpoint_space(rs))
         assert (dump_tree(t), node_counts(t.root)) == before
 

@@ -85,6 +85,21 @@ def test_origin_column_round_trips():
     assert parse_ruleset(serialize_ruleset(rs)) == rs
 
 
+def test_an_empty_origin_column_reads_as_no_origin():
+    rs = parse_ruleset(MINIMAL.replace("| accept", "| accept | "))
+    assert [r.origin for r in rs.rules] == ["X", "X"]
+    assert parse_ruleset(serialize_ruleset(rs)) == rs
+
+
+def test_an_empty_json_origin_reads_as_no_origin():
+    d = ruleset_to_dict(parse_ruleset(MINIMAL.replace("| deny", "| deny | FW")))
+    d["rules"][0]["origin"] = ""
+    rs = parse_ruleset(json.dumps(d), source="x.json")
+    assert [r.origin for r in rs.rules] == ["X", "FW"]
+    assert parse_ruleset(serialize_ruleset(rs)) == rs
+    assert parse_ruleset(json.dumps(ruleset_to_dict(rs)), source="x.json") == rs
+
+
 ipv4 = AttributeDef("a", AttrKind.IPV4_RANGE, intervals(((0, 2**32 - 1),)))
 
 
