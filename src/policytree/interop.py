@@ -23,17 +23,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .model import (
-    ActionClass,
-    AttributeDef,
-    Rule,
-    RuleSet,
-    Schema,
-    SchemaError,
-    Severity,
-    action_class,
-)
-from .relations import indices, relation_sets
+from .model import AttributeDef, Rule, RuleSet, Schema, SchemaError, Severity
+from .relations import relation_sets, scan
 from .relations import relate  # noqa: F401  perfbench/spans.py wraps this name here
 from .values import ValueSet, intervals, vs_subset
 
@@ -59,8 +50,6 @@ _SEVERITY = {
     InterKind.REDUNDANCY: Severity.WARNING,
     InterKind.CORRELATION: Severity.ERROR,
 }
-
-_KIND_ORDER = {k: i for i, k in enumerate(InterKind)}
 
 
 class InterAnomaly(NamedTuple):
@@ -160,23 +149,6 @@ def extend_schema(rs: RuleSet, target: Schema) -> RuleSet:
 # ---------------------------------------------------------------------------
 
 
-def _classify(meets: int, covers: int, inside: int, f_class: ActionClass, permits: int, blocks: int):
-    """Each kind with the preceding rules it names, as bitsets, for one following rule.
-
-    ``meets``, ``covers`` and ``inside`` are the following rule's relation
-    sets; ``permits`` and ``blocks`` are the preceding rules of each class.
-    A covering preceding rule decides all of the following rule's traffic.
-    """
-    correlated = meets & ~covers & ~inside
-    if f_class is ActionClass.PERMIT:
-        return (InterKind.SHADOWING, covers & blocks), (InterKind.CORRELATION, correlated & blocks)
-    return (
-        (InterKind.SPURIOUSNESS, covers & permits),
-        (InterKind.REDUNDANCY, covers & blocks),
-        (InterKind.CORRELATION, correlated & permits),
-    )
-
-
 def detect_inter(preceding: RuleSet, following: RuleSet) -> list[InterAnomaly]:
     """All anomalous cross pairs.  Both sets must share one (union) schema.
 
@@ -184,17 +156,21 @@ def detect_inter(preceding: RuleSet, following: RuleSet) -> list[InterAnomaly]:
     """
     if preceding.schema != following.schema:
         raise SchemaError("extend both components to the shared schema first")
-    meets, covers, inside = relation_sets(preceding.rules, following.rules, preceding.schema)
-    permits = sum(
-        1 << i for i, r in enumerate(preceding.rules) if action_class(r.action) is ActionClass.PERMIT
-    )
-    blocks = ((1 << len(preceding.rules)) - 1) & ~permits
-    found: list[InterAnomaly] = []
-    for j, f in enumerate(following.rules):
-        f_class = action_class(f.action)
-        for kind, bits in _classify(meets[j], covers[j], inside[j], f_class, permits, blocks):
-            found.extend(
-                InterAnomaly(kind, preceding.rules[i].id, f.id, _SEVERITY[kind]) for i in indices(bits)
-            )
-    found.sort(key=lambda a: (a.preceding_rule, a.following_rule, _KIND_ORDER[a.kind]))
-    return found
+
+    def classify(j, permit, meets, covers, inside, same, other):
+        # a covering preceding rule decides all of the following rule's traffic
+        correlated = meets & ~covers & ~inside & other
+        if permit:
+            return (InterKind.SHADOWING, covers & other), (InterKind.CORRELATION, correlated)
+        return (
+            (InterKind.SPURIOUSNESS, covers & other),
+            (InterKind.REDUNDANCY, covers & same),
+            (InterKind.CORRELATION, correlated),
+        )
+
+    p_rules, f_rules = preceding.rules, following.rules
+    screen = relation_sets(p_rules, f_rules, preceding.schema)
+    return [
+        InterAnomaly(kind, p_rules[i].id, f_rules[j].id, _SEVERITY[kind])
+        for kind, i, j in scan(InterKind, classify, p_rules, f_rules, screen)
+    ]

@@ -20,8 +20,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .model import ActionClass, RuleSet, Severity, action_class
-from .relations import indices, relation_sets
+from .model import RuleSet, Severity
+from .relations import relation_sets, scan
 from .relations import relate  # noqa: F401  perfbench/spans.py wraps this name here
 
 __all__ = ["IntraKind", "IntraAnomaly", "detect_intra", "is_relevant_ruleset"]
@@ -41,8 +41,6 @@ _SEVERITY = {
     IntraKind.CORRELATION: Severity.WARNING,
 }
 
-_KIND_ORDER = {k: i for i, k in enumerate(IntraKind)}
-
 
 class IntraAnomaly(NamedTuple):
     kind: IntraKind
@@ -51,42 +49,30 @@ class IntraAnomaly(NamedTuple):
     severity: Severity
 
 
-def _classify(meets: int, covers: int, inside: int, same: int, other: int):
-    """Each kind with the earlier rules it names, as bitsets, for one later rule.
-
-    ``meets``, ``covers`` and ``inside`` are its relation sets; ``same`` and
-    ``other`` are the earlier rules of its action class and of the other.
-    """
-    return (
-        # a covering earlier rule: the later one never fires on anything of its own
-        (IntraKind.SHADOWING, covers & other),
-        (IntraKind.REDUNDANCY, covers & same),
-        (IntraKind.GENERALIZATION, inside & ~covers & other),
-        (IntraKind.CORRELATION, meets & ~covers & ~inside & other),
-    )
-
-
 def detect_intra(rs: RuleSet, *, screen=None) -> list[IntraAnomaly]:
     """All anomalous pairs, sorted by earlier id, later id, then kind.
 
     ``screen`` is ``relation_sets(rs.rules, rs.rules, rs.schema)``, if already computed.
     """
     rules = rs.rules
-    meets, covers, inside = screen or relation_sets(rules, rules, rs.schema)
-    permits = sum(
-        1 << i for i, r in enumerate(rules) if action_class(r.action) is ActionClass.PERMIT
-    )
-    blocks = ((1 << len(rules)) - 1) & ~permits
-    found: list[IntraAnomaly] = []
-    for j, later in enumerate(rules):
+
+    def classify(j, permit, meets, covers, inside, same, other):
+        # the earlier rules of later rule j's action class and of the other
         earlier = (1 << j) - 1
-        same, other = (permits, blocks) if permits >> j & 1 else (blocks, permits)
-        for kind, bits in _classify(meets[j], covers[j], inside[j], same & earlier, other & earlier):
-            found.extend(
-                IntraAnomaly(kind, rules[i].id, later.id, _SEVERITY[kind]) for i in indices(bits)
-            )
-    found.sort(key=lambda a: (a.earlier, a.later, _KIND_ORDER[a.kind]))
-    return found
+        same, other = same & earlier, other & earlier
+        return (
+            # a covering earlier rule: the later one never fires on anything of its own
+            (IntraKind.SHADOWING, covers & other),
+            (IntraKind.REDUNDANCY, covers & same),
+            (IntraKind.GENERALIZATION, inside & ~covers & other),
+            (IntraKind.CORRELATION, meets & ~covers & ~inside & other),
+        )
+
+    screen = screen or relation_sets(rules, rules, rs.schema)
+    return [
+        IntraAnomaly(kind, rules[i].id, rules[j].id, _SEVERITY[kind])
+        for kind, i, j in scan(IntraKind, classify, rules, rules, screen)
+    ]
 
 
 def is_relevant_ruleset(rs: RuleSet, *, screen=None) -> bool:

@@ -16,7 +16,6 @@ from .values import AttrKind, COMPLEMENT_LABEL, ValueSet, vs_is_empty, vs_subset
 
 __all__ = [
     "SchemaError",
-    "ActionClass",
     "ComponentKind",
     "Severity",
     "Semantics",
@@ -27,7 +26,6 @@ __all__ = [
     "PERMIT_ACTIONS",
     "BLOCK_ACTIONS",
     "DECISION_LABELS",
-    "action_class",
     "control_char",
 ]
 
@@ -39,19 +37,6 @@ class SchemaError(ValueError):
 PERMIT_ACTIONS = frozenset({"accept", "pass"})
 BLOCK_ACTIONS = frozenset({"deny", "reject", "discard"})
 DECISION_LABELS = PERMIT_ACTIONS | BLOCK_ACTIONS
-
-
-class ActionClass(Enum):
-    PERMIT = "permit"
-    BLOCK = "block"
-
-
-def action_class(label: str) -> ActionClass:
-    if label in PERMIT_ACTIONS:
-        return ActionClass.PERMIT
-    if label in BLOCK_ACTIONS:
-        return ActionClass.BLOCK
-    raise SchemaError(f"unknown decision label {label!r}")
 
 
 def control_char(text: str) -> str | None:

@@ -129,9 +129,10 @@ def _cell_starts(attr: AttributeDef, value_sets) -> set[int]:
 def endpoint_space(*rulesets: RuleSet) -> DomainSpace:
     """One packet per elementary cell of the given rule sets.
 
-    All rule sets must share one schema.  Label attributes enumerate their
-    whole domain; interval attributes keep the first point of every cell
-    cut by the domain and the rule values (see :func:`_cell_starts`).
+    All rule sets must share one schema.  The grid of label domains, each
+    enumerated whole, is cut by the rule values (see :func:`_cut_by`), so
+    each interval attribute keeps the first point of every cell that its
+    domain and the rule values cut.
     """
     if not rulesets:
         raise ValueError("endpoint_space needs at least one rule set")
@@ -139,14 +140,10 @@ def endpoint_space(*rulesets: RuleSet) -> DomainSpace:
     for rs in rulesets[1:]:
         if rs.schema != schema:
             raise SchemaError("endpoint_space requires a shared schema")
-    points: dict[str, tuple] = {}
-    for attr in schema.condition_attributes:
-        if attr.kind.is_numeric:
-            vals = [r.condition[attr.name] for rs in rulesets for r in rs.rules]
-            points[attr.name] = tuple(sorted(_cell_starts(attr, vals)))
-        else:
-            points[attr.name] = tuple(sorted(attr.domain.labels or ()))
-    return DomainSpace(schema=schema, points=points)
+    attrs = schema.condition_attributes
+    grid = {a.name: () if a.kind.is_numeric else tuple(sorted(a.domain.labels)) for a in attrs}
+    rules = [r for rs in rulesets for r in rs.rules]
+    return _cut_by(DomainSpace(schema, grid), [[r.condition[a.name] for r in rules] for a in attrs])
 
 
 def _cut_by(space: DomainSpace, values: list) -> DomainSpace:
@@ -185,10 +182,6 @@ def _axis_classes(attr: AttributeDef, points: tuple, column) -> tuple[list[int],
     ids: dict[int, int] = {}
     classes = [ids.setdefault(bits, len(ids)) for bits in itertools.accumulate(delta[:-1], xor)]
     return classes, list(ids)
-
-
-def _lowest(bits: int) -> int:
-    return (bits & -bits).bit_length() - 1
 
 
 def equivalence(
@@ -237,12 +230,13 @@ def equivalence(
     def by_rules(bits: int) -> str | None:
         """The lowest rule under first match; owner-capture folds over the rules in order."""
         if bits not in decided:
-            owner, rest = _lowest(bits), bits & (bits - 1)
-            while rest and semantics is not Semantics.FIRST_MATCH:
-                k, rest = _lowest(rest), rest & (rest - 1)
-                if (k, owner) not in inside:
-                    inside[k, owner] = _strictly_inside(rules[k], rules[owner], rs.schema)
-                owner = k if inside[k, owner] else owner
+            held = indices(bits)
+            owner = next(held)
+            if semantics is not Semantics.FIRST_MATCH:
+                for k in held:
+                    if (k, owner) not in inside:
+                        inside[k, owner] = _strictly_inside(rules[k], rules[owner], rs.schema)
+                    owner = k if inside[k, owner] else owner
             decided[bits] = rules[owner].action
         return decided[bits]
 
@@ -252,7 +246,7 @@ def equivalence(
         """The region first in flattening order; ties keep depth-first order."""
         if bits & (bits - 1):
             return tree_actions[min(indices(bits), key=lambda i: flattening_key(regions[i], keys))]
-        return tree_actions[_lowest(bits)] if bits else None
+        return tree_actions[next(indices(bits))] if bits else None
 
     verdicts = [(by_regions(bits >> n), by_rules(bits & rule_bits)) for bits in sets]
     bad = [by_tree != by_rule for by_tree, by_rule in verdicts]

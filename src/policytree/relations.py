@@ -23,7 +23,9 @@ three bits of a pair tell its kind apart except for the two correlated
 ones, which anomaly detection treats alike, so every command reads its
 relations from these sets.  An empty value set is a proper subset of every
 value, so a rule with an empty field is inside, never disjoint from, a
-rule that matches the rest.
+rule that matches the rest.  :func:`scan` reads one anomaly table (within
+a component, or between two) over those sets and lists its findings in
+order.
 
 :func:`relate` is the scalar reference the tests check the sets against.
 It classifies one pair and keeps the per-field evidence, rolling field
@@ -36,7 +38,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .model import Rule, Schema, SchemaError
+from .model import PERMIT_ACTIONS, Rule, Schema, SchemaError
 from .values import Cells, vs_compare
 
 __all__ = [
@@ -48,6 +50,7 @@ __all__ = [
     "relate",
     "relation_sets",
     "indices",
+    "scan",
 ]
 
 
@@ -202,3 +205,27 @@ def indices(bits: int):
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+def scan(kinds, classify, a_rules, b_rules, screen) -> list[tuple]:
+    """``(kind, i, j)`` for each finding of one anomaly table, by ``i``, ``j``, then kind.
+
+    ``screen`` is ``relation_sets(a_rules, b_rules, schema)``.  For each rule
+    ``b_rules[j]``, ``classify(j, permit, meets, covers, inside, same, other)``
+    gives ``(kind, bits)`` pairs, where bit ``i`` names ``a_rules[i]``:
+    ``permit`` says whether ``b_rules[j]`` permits, ``meets``, ``covers``
+    and ``inside`` are its relation sets, and ``same`` and ``other`` are the
+    rules of ``a_rules`` in its action class and in the other one.  Kinds
+    of one pair sort in the order of the ``kinds`` enum.
+    """
+    order = {kind: n for n, kind in enumerate(kinds)}
+    permits = sum(1 << i for i, r in enumerate(a_rules) if r.action in PERMIT_ACTIONS)
+    blocks = ((1 << len(a_rules)) - 1) & ~permits
+    found = []
+    for j, (b, meets, covers, inside) in enumerate(zip(b_rules, *screen)):
+        permit = b.action in PERMIT_ACTIONS
+        same, other = (permits, blocks) if permit else (blocks, permits)
+        for kind, bits in classify(j, permit, meets, covers, inside, same, other):
+            found.extend((kind, i, j) for i in indices(bits))
+    found.sort(key=lambda f: (f[1], f[2], order[f[0]]))
+    return found

@@ -12,6 +12,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
+from enum import Enum
 from typing import Sequence
 
 from hypothesis import strategies as st
@@ -28,6 +29,8 @@ from policytree.dtree import (
     tree_to_rules,
 )
 from policytree.model import (
+    BLOCK_ACTIONS,
+    PERMIT_ACTIONS,
     AttributeDef,
     ComponentKind,
     Rule,
@@ -69,6 +72,20 @@ def iter_packets(space: DomainSpace):
 def is_correlated(kind: RelationKind) -> bool:
     """Whether ``kind`` is one of the two correlation kinds of the scalar ``relate``."""
     return kind in (RelationKind.CORRELATED, RelationKind.CORRELATED_GENERAL)
+
+
+class ActionClass(Enum):
+    PERMIT = "permit"
+    BLOCK = "block"
+
+
+def action_class(label: str) -> ActionClass:
+    """The class of a decision label, for the scalar anomaly references."""
+    if label in PERMIT_ACTIONS:
+        return ActionClass.PERMIT
+    if label in BLOCK_ACTIONS:
+        return ActionClass.BLOCK
+    raise SchemaError(f"unknown decision label {label!r}")
 
 
 def ruleset_from_dict(d: dict) -> RuleSet:

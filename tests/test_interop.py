@@ -157,9 +157,12 @@ def test_kind_classification_on_contained_pairs():
         ("deny", "pass", InterKind.SHADOWING, Severity.ERROR),
         ("accept", "reject", InterKind.SPURIOUSNESS, Severity.ERROR),
         ("deny", "reject", InterKind.REDUNDANCY, Severity.WARNING),
+        ("discard", "pass", InterKind.SHADOWING, Severity.ERROR),
+        ("accept", "discard", InterKind.SPURIOUSNESS, Severity.ERROR),
     ]
+    decisions = ("accept", "deny", "reject", "pass", "discard")
     for p_action, f_action, kind, sev in cases:
-        p, f = _pair([(((0, 20),), p_action)], [(((5, 10),), f_action)])
+        p, f = _pair([(((0, 20),), p_action)], [(((5, 10),), f_action)], decisions)
         (a,) = detect_inter(p, f)
         assert (a.kind, a.severity) == (kind, sev)
         assert (a.preceding_rule, a.following_rule) == (1, 1)

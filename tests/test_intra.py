@@ -93,13 +93,21 @@ def test_quiet_pairs():
 
 
 def test_action_class_not_label_decides():
-    # pass and accept are both permits; reject blocks like deny
-    rows = ((((0, 20),), "pass"), (((5, 10),), "accept"), (((7, 8),), "reject"))
-    found = detect_intra(_rs1(*rows, decisions=("accept", "pass", "reject")))
+    # pass and accept are both permits; reject and discard block like deny
+    rows = (
+        (((0, 20),), "pass"),
+        (((5, 10),), "accept"),
+        (((7, 8),), "reject"),
+        (((8, 8),), "discard"),
+    )
+    found = detect_intra(_rs1(*rows, decisions=("accept", "pass", "reject", "discard")))
     assert _kinds(found) == [
         (IntraKind.REDUNDANCY, 1, 2),
         (IntraKind.SHADOWING, 1, 3),
+        (IntraKind.SHADOWING, 1, 4),
         (IntraKind.SHADOWING, 2, 3),
+        (IntraKind.SHADOWING, 2, 4),
+        (IntraKind.REDUNDANCY, 3, 4),
     ]
 
 

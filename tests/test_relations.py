@@ -7,19 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _corpus import enumerate_points, interval_schema, is_correlated, random_ruleset, random_value
+from _corpus import (
+    ActionClass,
+    action_class,
+    enumerate_points,
+    interval_schema,
+    is_correlated,
+    random_ruleset,
+    random_value,
+)
 from _corpus import mixed_rulesets as _rulesets
 from _corpus import mixed_schemas as _schemas
 from policytree.interop import InterAnomaly, InterKind, detect_inter
 from policytree.intra import IntraAnomaly, IntraKind, detect_intra, is_relevant_ruleset
-from policytree.model import (
-    ActionClass,
-    Rule,
-    RuleSet,
-    SchemaError,
-    Severity,
-    action_class,
-)
+from policytree.model import Rule, RuleSet, SchemaError, Severity
 from policytree.relations import (
     FieldRel,
     RelationKind,
