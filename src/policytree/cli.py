@@ -364,26 +364,21 @@ def fix_interop(ctx: click.Context, preceding_file: str, following_file: str, ou
 def check_topology(ctx: click.Context, topology_file: str):
     """Validate component ordering (and pairwise interop) along paths."""
     # no other command reads topology files
-    from .topology import TopologyError, check_positioning, parse_topology
+    from .topology import check_positioning, parse_topology
 
     opts: Options = ctx.obj
     p = Path(topology_file)
     data = _read(ctx, p)
     try:
-        topo = parse_topology(data.decode("utf-8"), source=str(p))
-    except UnicodeDecodeError as exc:
-        _fail(ctx, f"{p}: not UTF-8 text ({exc.reason} at byte {exc.start})")
-    except TopologyError as exc:
+        topo = parse_topology(data, source=str(p))
+    except _INPUT_ERRORS as exc:
         _fail(ctx, str(exc))
     report = Report(command="check-topology", inputs=[input_entry(str(p), data)])
-    for v in check_positioning(topo):
-        report.add_finding(
-            "mis-positioning",
-            Severity.ERROR.value,
-            path=v.path,
-            alerting=v.alerting,
-            filtering=v.filtering,
-        )
+    error = Severity.ERROR.value
+    report.findings = [
+        {"kind": "mis-positioning", "severity": error, **v._asdict()}
+        for v in check_positioning(topo)
+    ]
 
     # a shared rule file is read, parsed and gated once, then named per component
     by_file: dict[Path, tuple[RuleSet, bool]] = {}
@@ -406,14 +401,16 @@ def check_topology(ctx: click.Context, topology_file: str):
         if relevant:
             loaded[name] = RuleSet._of_checked(rs.schema, rs.rules, rs.component_kind, name)
         else:
-            report.add_finding("component-not-relevant", Severity.ERROR.value, component=name)
+            report.findings.append(
+                {"kind": "component-not-relevant", "severity": error, "component": name}
+            )
     for path_name, members in topo.paths:
         for left, right in zip(members, members[1:]):
             p_rs, f_rs = loaded.get(left), loaded.get(right)
             if p_rs is None or f_rs is None:
                 continue
             report.findings += _inter_findings(ctx, p_rs, f_rs, path=path_name)[0]
-    report.verdict = "clean" if not report.findings else _verdict(report.findings)
+    report.verdict = _verdict(report.findings)
     return _finish(report, opts)
 
 
@@ -450,7 +447,7 @@ def eval_packet(ctx: click.Context, rules_file: str, packet_arg: str, semantics:
             if attr.name in packet:
                 raise ValueSetError(f"duplicate attribute {attr.name!r}")
             packet[attr.name] = parse_point(token, attr)
-    except (KeyError, *_INPUT_ERRORS) as exc:
+    except _INPUT_ERRORS as exc:
         _fail(ctx, f"bad --packet: {exc}")
     missing = set(rs.schema.condition_names) - set(packet)
     if missing:

@@ -26,7 +26,6 @@ __all__ = [
     "PERMIT_ACTIONS",
     "BLOCK_ACTIONS",
     "DECISION_LABELS",
-    "control_char",
 ]
 
 
@@ -37,15 +36,6 @@ class SchemaError(ValueError):
 PERMIT_ACTIONS = frozenset({"accept", "pass"})
 BLOCK_ACTIONS = frozenset({"deny", "reject", "discard"})
 DECISION_LABELS = PERMIT_ACTIONS | BLOCK_ACTIONS
-
-
-def control_char(text: str) -> str | None:
-    """The first C0 control character or DEL in ``text``, if any.
-
-    Names read from input files are printed verbatim in reports and rule
-    files, where such a character would be a line break or a terminal escape.
-    """
-    return next((c for c in text if c < " " or c == "\x7f"), None)
 
 
 class ComponentKind(str, Enum):

@@ -78,19 +78,25 @@ def _strictly_inside(a: Rule, b: Rule, schema: Schema) -> bool:
     return strict
 
 
+def _owner(rs: RuleSet, held, semantics: Semantics, inside: dict) -> int | None:
+    """Which of ``held``, an iterator of rule indices in order, decides (``None`` if
+    none): the first under first match; under owner-capture a later rule takes over
+    an owner it fits strictly inside.  ``inside`` memoizes that test by index pair."""
+    owner = next(held, None)
+    if owner is None or semantics is Semantics.FIRST_MATCH:
+        return owner
+    for k in held:
+        if (k, owner) not in inside:
+            inside[k, owner] = _strictly_inside(rs.rules[k], rs.rules[owner], rs.schema)
+        owner = k if inside[k, owner] else owner
+    return owner
+
+
 def evaluate_rule(rs: RuleSet, packet: Packet, semantics: Semantics) -> Rule | None:
     """The rule that decides one packet, or ``None`` for no match."""
-    if semantics is Semantics.FIRST_MATCH:
-        for rule in rs.rules:
-            if matches(packet, rule, rs.schema):
-                return rule
-        return None
-    owner: Rule | None = None
-    for rule in rs.rules:
-        if matches(packet, rule, rs.schema):
-            if owner is None or _strictly_inside(rule, owner, rs.schema):
-                owner = rule
-    return owner
+    held = (k for k, rule in enumerate(rs.rules) if matches(packet, rule, rs.schema))
+    k = _owner(rs, held, semantics, {})
+    return None if k is None else rs.rules[k]
 
 
 def evaluate(rs: RuleSet, packet: Packet, semantics: Semantics) -> str | None:
@@ -228,16 +234,8 @@ def equivalence(
     decided: dict[int, str | None] = {0: None}
 
     def by_rules(bits: int) -> str | None:
-        """The lowest rule under first match; owner-capture folds over the rules in order."""
         if bits not in decided:
-            held = indices(bits)
-            owner = next(held)
-            if semantics is not Semantics.FIRST_MATCH:
-                for k in held:
-                    if (k, owner) not in inside:
-                        inside[k, owner] = _strictly_inside(rules[k], rules[owner], rs.schema)
-                    owner = k if inside[k, owner] else owner
-            decided[bits] = rules[owner].action
+            decided[bits] = rules[_owner(rs, indices(bits), semantics, inside)].action
         return decided[bits]
 
     keys: dict[int, tuple] = {}

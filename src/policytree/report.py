@@ -28,9 +28,6 @@ class Report:
     verdict: str = ""
     tree: str | None = None
 
-    def add_finding(self, kind: str, severity: str, **detail) -> None:
-        self.findings.append({"kind": kind, "severity": severity, **detail})
-
 
 def input_entry(path: str, data: bytes) -> dict:
     return {"path": path, "sha256": hashlib.sha256(data).hexdigest()}

@@ -1,6 +1,8 @@
-"""Reading and writing rule files.
+"""Reading and writing rule files, and reading the lines of any input file.
 
-The text format, line by line (``#`` starts a comment anywhere):
+Rule and topology files are UTF-8 text read line by line, and each defect
+in one is a :class:`RuleFileError` naming the file and line.  The rule-file
+text format, line by line (``#`` starts a comment anywhere):
 
 .. code-block:: text
 
@@ -38,7 +40,6 @@ from .model import (
     Schema,
     SchemaError,
     complete_label_domain,
-    control_char,
 )
 from .values import (
     ANY,
@@ -67,7 +68,7 @@ _WILDCARD_TOKENS = {"any", "all"}
 
 
 class RuleFileError(ValueError):
-    """A syntax or consistency problem in a rule file, with its line number."""
+    """A syntax or consistency problem in an input file, with its line number."""
 
     def __init__(self, message: str, line: int | None = None, source: str = ""):
         self.line = line
@@ -232,10 +233,47 @@ def _format_domain(attr: AttributeDef) -> str:
 _COLUMN = "|"
 
 
+def _decoded(data: bytes | str, source: str) -> str:
+    """``data`` as text: bytes are decoded as UTF-8."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RuleFileError(
+            f"not UTF-8 text ({exc.reason} at byte {exc.start})", None, source
+        ) from None
+
+
+def _lines(text: str):
+    """``(number, line)`` for each line that holds more than a ``#`` comment, stripped."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line
+
+
+def _once(seen: dict, key, line_no: int, source: str, what: str) -> None:
+    """Note ``key`` as given on ``line_no``; if ``seen`` has it from an
+    earlier line, fail with ``what`` and that line."""
+    first = seen.setdefault(key, line_no)
+    if first != line_no:
+        raise RuleFileError(f"{what} on line {first}", line_no, source)
+
+
+def _control_char(text: str) -> str | None:
+    """The first C0 control character or DEL in ``text``, if any.
+
+    Names read from input files are printed verbatim in reports and rule
+    files, where such a character would be a line break or a terminal escape.
+    """
+    return next((c for c in text if c < " " or c == "\x7f"), None)
+
+
 def _name(text: str, what: str, line: int | None, source: str, forbidden: str = "") -> str:
-    """``text``, unless it holds a control character (see :func:`control_char`)
+    """``text``, unless it holds a control character (see :func:`_control_char`)
     or a character of ``forbidden``."""
-    bad = control_char(text)
+    bad = _control_char(text)
     if bad is not None:
         raise RuleFileError(f"{what} {text!r} holds control character {bad!r}", line, source)
     bad = next((c for c in text if c in forbidden), None)
@@ -286,13 +324,7 @@ def parse_ruleset(data: bytes | str, *, source: str = "<string>") -> RuleSet:
     ``data`` is the file's bytes (decoded as UTF-8) or its text.  Every
     defect raises :class:`RuleFileError` naming ``source``.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise RuleFileError(
-                f"not UTF-8 text ({exc.reason} at byte {exc.start})", None, source
-            ) from None
+    data = _decoded(data, source)
     if Path(source).suffix == ".json":
         import json  # only JSON rule files need it
 
@@ -319,10 +351,7 @@ def _parse_text(text: str, source: str) -> RuleSet:
     header_at: dict[str, int] = {}  # component/kind/decision -> its line
     values: dict[tuple[str, str], ValueSet] = {}  # see _read_value
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in _lines(text):
         if in_rules:
             rules.append(
                 _parse_rule_line(
@@ -330,12 +359,10 @@ def _parse_text(text: str, source: str) -> RuleSet:
                 )
             )
             continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+        head, *tail = line.split(None, 1)  # a tab separates as a space does
+        rest = tail[0] if tail else ""
         if head in ("component", "kind", "decision"):
-            first = header_at.setdefault(head, line_no)
-            if first != line_no:
-                raise RuleFileError(f"{head} already given on line {first}", line_no, source)
+            _once(header_at, head, line_no, source, f"{head} already given")
         if head == "component":
             if not rest:
                 raise RuleFileError("component needs a name", line_no, source)
@@ -529,7 +556,7 @@ def _from_dict(d: dict, source: str) -> RuleSet:
         # the header is rebuilt as text, where these characters change its meaning
         if not isinstance(value, str):
             raise RuleFileError(f"bad JSON rule file: {key} must be a string", None, source)
-        bad = control_char(value) or next((c for c in value if c in forbidden), None)
+        bad = _control_char(value) or next((c for c in value if c in forbidden), None)
         if bad is not None:
             raise RuleFileError(f"bad JSON rule file: {key} holds {bad!r}", None, source)
         return value

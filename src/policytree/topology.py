@@ -8,21 +8,18 @@ alerting component in front of a filtering one is flagged as mis-positioned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .model import ComponentKind, control_char
+from .model import ComponentKind
+from .ruleio import RuleFileError, _decoded, _lines, _name, _once
 
 __all__ = [
     "Topology",
     "TopologyComponent",
-    "TopologyError",
     "PositioningViolation",
     "parse_topology",
     "check_positioning",
 ]
-
-
-class TopologyError(ValueError):
-    """A malformed topology file."""
 
 
 @dataclass(frozen=True)
@@ -38,15 +35,16 @@ class Topology:
     paths: tuple[tuple[str, tuple[str, ...]], ...]
 
 
-def parse_topology(text: str, *, source: str = "<string>") -> Topology:
-    """Read a topology file.
+def parse_topology(data: bytes | str, *, source: str = "<string>") -> Topology:
+    """Read a topology file's bytes or text, line by line as a rule file.
 
     ``component <name> <kind> [<rules-file>]`` declares a component;
     ``path <name> <member> <member> ...`` lists a traffic path in order.
-    Path members name declared components, or use inline ``name:kind``.
-    Every kind given for one name, on either kind of line, must agree, each
-    component and each path is declared once, and a path names each of its
-    members once.
+    Path members name declared components, or use inline ``name:kind``, so
+    a component name holds no ``:``.  Every kind given for one name, on
+    either kind of line, must agree, each component and each path is
+    declared once, and a path names each of its members once.  Each defect
+    raises :class:`~policytree.ruleio.RuleFileError` naming ``source``.
     """
     components: dict[str, TopologyComponent] = {}
     declared_at: dict[str, int] = {}  # component name -> its component line
@@ -54,79 +52,56 @@ def parse_topology(text: str, *, source: str = "<string>") -> Topology:
     path_at: dict[str, int] = {}  # path name -> its path line
     paths: list[tuple[str, tuple[str, ...]]] = []
 
-    def check_name(name: str, line_no: int) -> str:
-        bad = control_char(name)
-        if bad is not None:
-            raise TopologyError(
-                f"{source}:{line_no}: name {name!r} holds control character {bad!r}"
-            )
-        return name
-
     def parse_kind(name: str, kind_s: str, line_no: int) -> ComponentKind:
         try:
             kind = ComponentKind(kind_s)
         except ValueError:
-            raise TopologyError(f"{source}:{line_no}: unknown kind {kind_s!r}") from None
+            raise RuleFileError(f"unknown kind {kind_s!r}", line_no, source) from None
         first, first_line = kind_at.setdefault(name, (kind, line_no))
         if first is not kind:
-            raise TopologyError(
-                f"{source}:{line_no}: component {name!r} is {kind.value} here"
-                f" but {first.value} on line {first_line}"
+            raise RuleFileError(
+                f"component {name!r} is {kind.value} here but {first.value} on line {first_line}",
+                line_no,
+                source,
             )
         return kind
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in _lines(_decoded(data, source)):
         head, *rest = line.split()
         if head == "component":
             if len(rest) not in (2, 3):
-                raise TopologyError(f"{source}:{line_no}: expected component <name> <kind> [<file>]")
-            name, kind_s = check_name(rest[0], line_no), rest[1]
-            if name in declared_at:
-                raise TopologyError(
-                    f"{source}:{line_no}: component {name!r} already declared"
-                    f" on line {declared_at[name]}"
-                )
-            declared_at[name] = line_no
+                raise RuleFileError("expected component <name> <kind> [<file>]", line_no, source)
+            name = _name(rest[0], "name", line_no, source, ":")  # ':' ends a path member's name
+            _once(declared_at, name, line_no, source, f"component {name!r} already declared")
             components[name] = TopologyComponent(
                 name=name,
-                kind=parse_kind(name, kind_s, line_no),
+                kind=parse_kind(name, rest[1], line_no),
                 rules_path=rest[2] if len(rest) == 3 else None,
             )
         elif head == "path":
             if len(rest) < 2:
-                raise TopologyError(f"{source}:{line_no}: a path needs a name and members")
-            path_name, members = check_name(rest[0], line_no), []
-            if path_name in path_at:
-                raise TopologyError(
-                    f"{source}:{line_no}: path {path_name!r} already declared"
-                    f" on line {path_at[path_name]}"
-                )
-            path_at[path_name] = line_no
+                raise RuleFileError("a path needs a name and members", line_no, source)
+            path_name, members = _name(rest[0], "name", line_no, source), []
+            _once(path_at, path_name, line_no, source, f"path {path_name!r} already declared")
             for member in rest[1:]:
                 if ":" in member:
                     name, kind_s = member.split(":", 1)
-                    kind = parse_kind(check_name(name, line_no), kind_s, line_no)
+                    kind = parse_kind(_name(name, "name", line_no, source), kind_s, line_no)
                     components.setdefault(name, TopologyComponent(name=name, kind=kind))
                 elif member in components:
                     name = member
                 else:
-                    raise TopologyError(f"{source}:{line_no}: undeclared component {member!r}")
+                    raise RuleFileError(f"undeclared component {member!r}", line_no, source)
                 if name in members:
-                    raise TopologyError(
-                        f"{source}:{line_no}: path {path_name!r} names {name!r} twice"
-                    )
+                    raise RuleFileError(f"path {path_name!r} names {name!r} twice", line_no, source)
                 members.append(name)
             paths.append((path_name, tuple(members)))
         else:
-            raise TopologyError(f"{source}:{line_no}: unknown directive {head!r}")
+            raise RuleFileError(f"unknown directive {head!r}", line_no, source)
     return Topology(components=components, paths=tuple(paths))
 
 
-@dataclass(frozen=True)
-class PositioningViolation:
+class PositioningViolation(NamedTuple):
     """An alerting component placed before a filtering one on a path."""
 
     path: str

@@ -930,6 +930,8 @@ _FW_JSON = json.dumps(_fw_dict()).encode()
             b"path p FW FW:filtering IDS\n",
             "bad.topo:3: path 'p' names 'FW' twice",
         ),
+        # a path member reads name:kind, so no path could name this component
+        ("bad.topo", b"component FW:x filtering fw.rules\n", "bad.topo:1: name 'FW:x' holds ':'"),
         # header mistakes that only the whole schema shows still name the file
         (
             "bad.rules",

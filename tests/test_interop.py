@@ -13,7 +13,8 @@ from policytree.interop import (
 )
 from policytree.model import AttributeDef, ComponentKind, Rule, RuleSet, Schema, SchemaError, Severity
 from policytree.rdt import build_rdt
-from policytree.topology import PositioningViolation, TopologyError, check_positioning, parse_topology
+from policytree.ruleio import RuleFileError
+from policytree.topology import PositioningViolation, check_positioning, parse_topology
 from policytree.values import ANY, AttrKind, ValueSet, intervals, labels
 
 
@@ -209,12 +210,16 @@ def test_firewall_ids_pair_findings(fw, ids):
 
 
 def test_parse_topology_fixture(cases_dir):
-    topo = parse_topology((cases_dir / "ingress.topo").read_text(), source="ingress.topo")
+    path = cases_dir / "ingress.topo"
+    topo = parse_topology(path.read_text(), source="ingress.topo")
+    assert parse_topology(path.read_bytes(), source="ingress.topo") == topo
     assert set(topo.components) == {"FW", "IDS"}
     assert topo.components["FW"].kind is ComponentKind.FILTERING
     assert topo.components["FW"].rules_path == "fw.rules"
     assert topo.paths == (("ingress", ("FW", "IDS")),)
     assert check_positioning(topo) == []
+    with pytest.raises(RuleFileError, match=r"^bad\.topo: not UTF-8 text"):
+        parse_topology(b"component FW filtering \xe9\n", source="bad.topo")
 
 
 def test_parse_topology_inline_members_and_comments():
@@ -257,10 +262,10 @@ def test_positioning_allows_filter_then_alert_chains():
     ],
 )
 def test_topology_errors(text, message):
-    with pytest.raises(TopologyError, match=message):
+    with pytest.raises(RuleFileError, match=message):
         parse_topology(text, source="t.topo")
 
 
 def test_topology_errors_carry_location():
-    with pytest.raises(TopologyError, match=r"t\.topo:2"):
+    with pytest.raises(RuleFileError, match=r"t\.topo:2"):
         parse_topology("component FW filtering\nbogus line\n", source="t.topo")

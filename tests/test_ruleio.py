@@ -214,6 +214,16 @@ def test_errors_carry_location():
     assert str(exc.value).startswith("t.rules:")
 
 
+def test_a_tab_after_a_header_keyword_separates_as_a_space_does(cases_dir, fw):
+    text = (cases_dir / "fw.rules").read_text()
+    header, rules = text.split("\nrules\n")
+    tabbed = "\n".join(line.replace(" ", "\t", 1) for line in header.splitlines())
+    assert "component\tFW\nkind\tfiltering\n" in tabbed
+    assert parse_ruleset(f"{tabbed}\nrules\n{rules}") == fw
+    with pytest.raises(RuleFileError, match=r"component 'F\\tW' holds control character '\\t'"):
+        parse_ruleset(text.replace("component FW", "component F\tW"))
+
+
 def test_duplicate_attribute_rejected():
     dup = MINIMAL.replace(
         "attr port port-range 0-65535",
