@@ -132,8 +132,6 @@ def _read(ctx: click.Context, path: Path) -> bytes:
         return path.read_bytes()
     except OSError as exc:
         _fail(ctx, str(exc))
-    except ValueError as exc:  # a NUL byte, e.g. in a path read from a topology file
-        _fail(ctx, f"{str(path)!r}: {exc}")
 
 
 def _save(ctx: click.Context, outputs: list[tuple[Path, RuleSet]]) -> None:

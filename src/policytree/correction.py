@@ -230,7 +230,7 @@ def correct_pair(
     origin_map = {}
     for gid, (comp, oid) in g.provenance.items():
         prior = g.ruleset.rules[gid - 1].origin
-        origin_map[gid] = prior if prior and prior != comp else f"{comp}:r{oid}"
+        origin_map[gid] = prior if prior != comp else f"{comp}:r{oid}"
 
     # an alerting follower keeps what is specific in its last own attribute,
     # the attack class; every other projection drops what is foreign-specific

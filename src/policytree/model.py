@@ -150,9 +150,9 @@ class RuleSet:
     """A component's ordered rules.  Rule ids must run 1..t in order.
 
     A rule set is checked once, where it enters the program.  ``RuleSet(...)``
-    checks every rule against the schema, so ``dataclasses.replace`` and the
-    JSON loader do.  The text loader checks each field as it reads it, and
-    ``extend_schema``, ``integrate`` and ``tree_to_rules`` make valid sets
+    checks every rule against the schema, so ``dataclasses.replace`` does.
+    The rule-file reader checks each field of either format as it reads it,
+    and ``extend_schema``, ``integrate`` and ``tree_to_rules`` make valid sets
     from checked ones, so these use :meth:`_of_checked`.
     """
 

@@ -24,7 +24,9 @@ or ``a.b.c.d/nn`` prefixes (``nn`` from 0 to 32, no host bits set).
 
 ``ruleset_to_dict`` mirrors the same fields as a plain dictionary for
 machine consumption, and ``parse_ruleset(..., source="x.json")`` reads that
-dictionary back as JSON text; both representations round-trip.
+dictionary back as JSON text; both representations round-trip.  Each rule
+of either format is read by one reader (:func:`_rule_reader`), so a defect
+gives the same reason in both; a JSON file's errors name no line.
 """
 
 from __future__ import annotations
@@ -68,9 +70,10 @@ _WILDCARD_TOKENS = {"any", "all"}
 
 
 class RuleFileError(ValueError):
-    """A syntax or consistency problem in an input file, with its line number."""
+    """A syntax or consistency problem in an input file: ``reason``, at ``line`` of ``source``."""
 
     def __init__(self, message: str, line: int | None = None, source: str = ""):
+        self.reason = message
         self.line = line
         self.source = source
         where = source or "<input>"
@@ -330,14 +333,15 @@ def parse_ruleset(data: bytes | str, *, source: str = "<string>") -> RuleSet:
 
         try:
             return _from_dict(json.loads(data, object_pairs_hook=_unrepeated), source)
-        except RuleFileError:
-            raise
         except KeyError as exc:
-            raise RuleFileError(f"bad JSON rule file: missing key {exc}", None, source) from None
+            reason = f"missing key {exc}"
+        except RuleFileError as exc:  # the header text's lines are not the file's
+            reason = exc.reason
         except (TypeError, ValueError) as exc:
-            raise RuleFileError(f"bad JSON rule file: {exc}", None, source) from None
+            reason = str(exc)
         except RecursionError:
-            raise RuleFileError("bad JSON rule file: nested too deeply", None, source) from None
+            reason = "nested too deeply"
+        raise RuleFileError(f"bad JSON rule file: {reason}", None, source)
     return _parse_text(data, source)
 
 
@@ -347,17 +351,13 @@ def _parse_text(text: str, source: str) -> RuleSet:
     attrs: list[AttributeDef] = []
     decision: AttributeDef | None = None
     rules: list[Rule] = []
-    in_rules = False
+    read_rule = None  # set at the 'rules' line
     header_at: dict[str, int] = {}  # component/kind/decision -> its line
-    values: dict[tuple[str, str], ValueSet] = {}  # see _read_value
 
     for line_no, line in _lines(text):
-        if in_rules:
-            rules.append(
-                _parse_rule_line(
-                    line, line_no, source, attrs, decision, component, len(rules) + 1, values
-                )
-            )
+        if read_rule is not None:
+            rule = _parse_rule_line(line, line_no, source, len(attrs), len(rules) + 1, read_rule)
+            rules.append(rule)
             continue
         head, *tail = line.split(None, 1)  # a tab separates as a space does
         rest = tail[0] if tail else ""
@@ -398,33 +398,26 @@ def _parse_text(text: str, source: str) -> RuleSet:
                     line_no,
                     source,
                 )
-            in_rules = True
+            read_rule = _rule_reader(attrs, decision, component)
         else:
             raise RuleFileError(f"unknown directive {head!r}", line_no, source)
 
-    if not in_rules:
+    if read_rule is None:
         raise RuleFileError("missing 'rules' section", None, source)
 
     try:
         schema = Schema(condition_attributes=tuple(attrs), decision_attribute=decision)
     except SchemaError as exc:
         raise RuleFileError(str(exc), None, source) from None
-    # _parse_rule_line checked each rule's columns, id, values and action
+    # read_rule checked each rule as it read it
     return RuleSet._of_checked(schema, tuple(rules), kind, component)
 
 
 def _parse_rule_line(
-    line: str,
-    line_no: int,
-    source: str,
-    attrs: list[AttributeDef],
-    decision: AttributeDef,
-    component: str,
-    expected_id: int,
-    values: dict[tuple[str, str], ValueSet],
+    line: str, line_no: int, source: str, n: int, position: int, read_rule
 ) -> Rule:
+    """The rule on a text line of ``n`` values, read by ``read_rule``."""
     cells = [c.strip() for c in line.split("|")]
-    n = len(attrs)
     if len(cells) not in (n + 2, n + 3):
         raise RuleFileError(
             f"expected {n + 2} columns (id, {n} values, action), got {len(cells)}",
@@ -435,25 +428,39 @@ def _parse_rule_line(
         rule_id = _parse_int(cells[0])
     except ValueError:
         raise RuleFileError(f"bad rule id {cells[0]!r}", line_no, source) from None
-    if rule_id != expected_id:
-        raise RuleFileError(
-            f"rule ids must be consecutive from 1; expected {expected_id}, got {rule_id}",
-            line_no,
-            source,
-        )
-    condition = {}
-    for attr, cell in zip(attrs, cells[1 : n + 1]):
-        try:
-            condition[attr.name] = _read_value(values, cell, attr)
-        except ValueError as exc:
-            raise RuleFileError(str(exc), line_no, source) from None
-    action = cells[n + 1]
-    if action not in (decision.domain.labels or ()):
-        raise RuleFileError(f"action {action!r} not in decision domain", line_no, source)
-    origin = component
-    if len(cells) == n + 3 and cells[n + 2]:  # an empty origin is no origin
-        origin = _name(cells[n + 2], "origin", line_no, source)
-    return Rule(id=rule_id, condition=condition, action=action, origin=origin)
+    origin = _name(cells[n + 2], "origin", line_no, source) if len(cells) == n + 3 else ""
+    try:
+        return read_rule(rule_id, cells[1 : n + 1], cells[n + 1], origin, position)
+    except ValueError as exc:
+        raise RuleFileError(str(exc), line_no, source) from None
+
+
+def _rule_reader(attrs: list[AttributeDef], decision: AttributeDef, component: str):
+    """``read_rule``, which reads a rule of a file with these declarations
+    from its fields as written, in either format.
+
+    ``read_rule(rule_id, texts, action, origin, position)`` checks that
+    ``rule_id`` is ``position``, reads ``texts`` in the order of ``attrs``
+    through :func:`_read_value`, checks that ``action`` is in the decision
+    domain and reads an empty ``origin`` as ``component``.  Each defect
+    raises a ``ValueError`` holding its reason alone, for the caller to place.
+    """
+    values: dict[tuple[str, str], ValueSet] = {}  # see _read_value
+    actions = decision.domain.labels or ()
+
+    def read_rule(rule_id: int, texts: list[str], action: str, origin: str, position: int) -> Rule:
+        if rule_id != position:
+            raise ValueError(
+                f"rule ids must be consecutive from 1; found {rule_id} at position {position}"
+            )
+        condition = {}
+        for attr, text in zip(attrs, texts):
+            condition[attr.name] = _read_value(values, text, attr)
+        if action not in actions:
+            raise ValueError(f"action {action!r} not in decision domain")
+        return Rule(id=rule_id, condition=condition, action=action, origin=origin or component)
+
+    return read_rule
 
 
 def _read_value(
@@ -555,10 +562,10 @@ def _from_dict(d: dict, source: str) -> RuleSet:
     def text(value, key: str, forbidden: str = _NOT_IN_HEADER) -> str:
         # the header is rebuilt as text, where these characters change its meaning
         if not isinstance(value, str):
-            raise RuleFileError(f"bad JSON rule file: {key} must be a string", None, source)
+            raise ValueError(f"{key} must be a string")
         bad = _control_char(value) or next((c for c in value if c in forbidden), None)
         if bad is not None:
-            raise RuleFileError(f"bad JSON rule file: {key} holds {bad!r}", None, source)
+            raise ValueError(f"{key} holds {bad!r}")
         return value
 
     lines = [f"component {text(d['component'], 'component')}", f"kind {text(d['kind'], 'kind')}"]
@@ -573,10 +580,10 @@ def _from_dict(d: dict, source: str) -> RuleSet:
     lines.append(f"decision {text(dec['name'], 'decision.name')} {','.join(labels)}")
     lines.append("rules")
     base = _parse_text("\n".join(lines) + "\n", source)
-    attrs = base.schema.condition_attributes
-    values: dict[tuple[str, str], ValueSet] = {}  # see _read_value
+    attrs, names = base.schema.condition_attributes, set(base.schema.condition_names)
+    read_rule = _rule_reader(attrs, base.schema.decision_attribute, base.component_name)
     rules = []
-    for entry in d["rules"]:
+    for position, entry in enumerate(d["rules"], start=1):
         rule_id, origin = entry["id"], entry.get("origin", "")
         if type(rule_id) is not int or not isinstance(origin, str):
             raise ValueError(f"rule {rule_id!r}: id must be an integer and origin a string")
@@ -584,21 +591,15 @@ def _from_dict(d: dict, source: str) -> RuleSet:
         action, given = entry["action"], entry["values"]
         if not isinstance(action, str):
             raise ValueError(f"rule {rule_id}: action must be a string")
-        try:
-            condition = {a.name: _read_value(values, str(given[a.name]), a) for a in attrs}
-        except ValueError as exc:
-            raise ValueError(f"rule {rule_id}: {exc}") from None
-        undeclared = next((k for k in given if k not in condition), None)
+        texts = [str(given[a.name]) for a in attrs]
+        undeclared = next((k for k in given if k not in names), None)
         if undeclared is not None:
             raise ValueError(f"rule {rule_id}: value for undeclared attribute {undeclared!r}")
-        origin = origin or base.component_name  # an empty origin is no origin
-        rules.append(Rule(id=rule_id, condition=condition, action=action, origin=origin))
-    return RuleSet(
-        schema=base.schema,
-        rules=tuple(rules),
-        component_kind=base.component_kind,
-        component_name=base.component_name,
-    )
+        try:
+            rules.append(read_rule(rule_id, texts, action, origin, position))
+        except ValueError as exc:
+            raise ValueError(f"rule {rule_id}: {exc}") from None
+    return RuleSet._of_checked(base.schema, tuple(rules), base.component_kind, base.component_name)
 
 
 def load_ruleset(path: str | Path) -> RuleSet:

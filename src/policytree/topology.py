@@ -41,10 +41,11 @@ def parse_topology(data: bytes | str, *, source: str = "<string>") -> Topology:
     ``component <name> <kind> [<rules-file>]`` declares a component;
     ``path <name> <member> <member> ...`` lists a traffic path in order.
     Path members name declared components, or use inline ``name:kind``, so
-    a component name holds no ``:``.  Every kind given for one name, on
-    either kind of line, must agree, each component and each path is
-    declared once, and a path names each of its members once.  Each defect
-    raises :class:`~policytree.ruleio.RuleFileError` naming ``source``.
+    a component name holds no ``:``.  No name or rule-file path holds a
+    control character, as each is printed in reports.  Every kind given for
+    one name, on either kind of line, must agree, each component and each
+    path is declared once, and a path names each of its members once.  Each
+    defect raises :class:`~policytree.ruleio.RuleFileError` naming ``source``.
     """
     components: dict[str, TopologyComponent] = {}
     declared_at: dict[str, int] = {}  # component name -> its component line
@@ -73,11 +74,9 @@ def parse_topology(data: bytes | str, *, source: str = "<string>") -> Topology:
                 raise RuleFileError("expected component <name> <kind> [<file>]", line_no, source)
             name = _name(rest[0], "name", line_no, source, ":")  # ':' ends a path member's name
             _once(declared_at, name, line_no, source, f"component {name!r} already declared")
-            components[name] = TopologyComponent(
-                name=name,
-                kind=parse_kind(name, rest[1], line_no),
-                rules_path=rest[2] if len(rest) == 3 else None,
-            )
+            kind = parse_kind(name, rest[1], line_no)
+            path = _name(rest[2], "rule file", line_no, source) if len(rest) == 3 else None
+            components[name] = TopologyComponent(name=name, kind=kind, rules_path=path)
         elif head == "path":
             if len(rest) < 2:
                 raise RuleFileError("a path needs a name and members", line_no, source)

@@ -7,6 +7,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -763,7 +764,11 @@ _FW_JSON = json.dumps(_fw_dict()).encode()
     [
         ("bad.rules", b"component FW\nkind filtering\n\xff\n", "not UTF-8 text"),
         ("bad.topo", b"component FW filtering fw.rules \xe9\n", "not UTF-8 text"),
-        ("bad.topo", b"component FW filtering fw\x00.rules\n", "embedded null byte"),
+        (
+            "bad.topo",
+            b"component FW filtering fw\x00.rules\n",
+            "bad.topo:1: rule file 'fw\\x00.rules' holds control character '\\x00'",
+        ),
         ("bad.json", _without(_fw_dict(), "kind"), "missing key 'kind'"),
         ("bad.json", _fw_dict(rules=5), "bad JSON rule file"),
         ("bad.json", [_fw_dict()], "bad JSON rule file"),
@@ -880,6 +885,11 @@ _FW_JSON = json.dumps(_fw_dict()).encode()
             "name 'in\\x7fgress' holds control character '\\x7f'",
         ),
         ("bad.topo", b"path ingress F\x1bW:filtering\n", "name 'F\\x1bW' holds"),
+        (
+            "bad.topo",
+            b"component FW filtering fw\x1b[31m.rules\n",
+            "bad.topo:1: rule file 'fw\\x1b[31m.rules' holds control character '\\x1b'",
+        ),
         # a header line given twice is an error, not an override
         (
             "bad.rules",
@@ -957,6 +967,51 @@ def test_bad_files_are_input_errors(tmp_path, name, content, hint):
     assert hint in result.output
 
 
+# JSON header defects: the header is read as text, but the text's lines are not the file's
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        (lambda d: d["attributes"][0].update(domain="TCP,All"), "'All' is reserved"),
+        (lambda d: d.update(kind="firewall"), "kind must be filtering or alerting"),
+        (lambda d: d["attributes"][1].update(kind="ipv6"), "unknown attribute kind 'ipv6'"),
+        (lambda d: d["attributes"][1].update(name="protocol"), "duplicate attribute 'protocol'"),
+        (lambda d: d.update(component="A|B"), "component 'A|B' holds '|'"),
+        (lambda d: d["decision"].update(labels=["accept", "alert"]), "decision domain must be"),
+    ],
+)
+def test_json_errors_name_no_line(tmp_path, change, reason):
+    path = tmp_path / "fw.json"
+    path.write_text(json.dumps(_edited(change), indent=2))
+    result = run("lint", str(path))
+    assert result.exit_code == 2
+    assert result.output.startswith(f"error: {path}: bad JSON rule file: {reason}")
+    assert re.search(r"\.json:\d+:", result.output) is None
+
+
+# (rule index, field, value written, the reason both formats give)
+_RULE_DEFECTS = [
+    (1, "id", 7, "rule ids must be consecutive from 1; found 7 at position 2"),
+    (2, "action", "drop", "action 'drop' not in decision domain"),
+    (0, "src_addr", "10.0.0.1", "src_addr: value '10.0.0.1' outside the declared domain"),
+    (3, "src_port", "8_0", "src_port: bad number '8_0'"),
+]
+
+
+@pytest.mark.parametrize("index, field, value, reason", _RULE_DEFECTS)
+def test_both_formats_give_one_reason_per_rule_defect(tmp_path, index, field, value, reason):
+    d = _fw_dict()
+    rule = d["rules"][index]
+    (rule if field in rule else rule["values"])[field] = value
+    header, _ = _FW_TEXT.decode().split("\nrules\n")  # rule 1 is on line 11
+    rows = (" | ".join(map(str, [r["id"], *r["values"].values(), r["action"]])) for r in d["rules"])
+    text, mirror = tmp_path / "fw.rules", tmp_path / "fw.json"
+    text.write_text(header + "\nrules\n" + "\n".join(rows) + "\n")
+    mirror.write_text(json.dumps(d))
+    assert run("lint", str(text)).output == f"error: {text}:{11 + index}: {reason}\n"
+    expected = f"error: {mirror}: bad JSON rule file: rule {rule['id']}: {reason}\n"
+    assert run("lint", str(mirror)).output == expected
+
+
 # ---------------------------------------------------------------------------
 # anomaly kinds and captures come from the relation bitsets
 # ---------------------------------------------------------------------------
@@ -1005,6 +1060,31 @@ def test_no_command_checks_a_rule_set_twice(tmp_path, monkeypatch):
 
     monkeypatch.setattr(model, "_validate_rule", refuse)
     assert _case_runs(tmp_path / "out") == expected
+
+
+def test_a_json_rule_file_is_checked_once(tmp_path, monkeypatch):
+    """A JSON file's rules are checked as they are read, as a text file's are."""
+    fw, ids = str(tmp_path / "fw.json"), str(tmp_path / "ids.json")
+    for path in (fw, ids):
+        rs = load_ruleset(CASES / Path(path).with_suffix(".rules").name)
+        Path(path).write_text(json.dumps(ruleset_to_dict(rs)))
+    commands = [
+        ("lint", fw),
+        ("--assume-relevant", "check-interop", fw, ids),
+        ("--assume-relevant", "check-interop", ids, fw),
+    ]
+
+    def outcomes() -> list:
+        return [(result.exit_code, result.output) for result in (run(*c) for c in commands)]
+
+    expected = outcomes()
+    assert [code for code, _ in expected] == [1, 1, 1]
+
+    def refuse(*args):
+        raise AssertionError("rule checked again")
+
+    monkeypatch.setattr(model, "_validate_rule", refuse)
+    assert outcomes() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -1211,3 +1291,5 @@ def test_cli_fuzz_exits_cleanly(fuzz_dir, invocation):
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code in (0, 1, 2)
     assert "Traceback" not in result.output
+    # names and paths read from the inputs are printed, so they hold no terminal escape
+    assert re.search("[\x00-\x09\x0b-\x1f]", result.output) is None
