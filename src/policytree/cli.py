@@ -74,7 +74,11 @@ class Options(NamedTuple):
 @click.pass_context
 def main(ctx: click.Context, policy: str, fmt: str, assume_relevant: bool, dump_tree: bool):
     """Analyze, correct, and align ordered security rule sets."""
-    ctx.with_resource(_collector_paused())
+    # The library leaves no reference cycles, so reference counting frees what
+    # a command drops, and a collection would only rescan its live trees.
+    if gc.isenabled():
+        gc.disable()
+        ctx.call_on_close(gc.enable)
     ctx.obj = Options(
         policy=_POLICIES[policy],
         fmt=fmt,
@@ -92,22 +96,6 @@ def _exit(ctx: click.Context, code: int, **_params) -> None:
     frames, and every rule set and tree they name, until a collection.
     """
     ctx.exit(code)
-
-
-@contextlib.contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector, if it runs, until the command ends.
-
-    The library leaves no reference cycles, so reference counting frees
-    what a command drops, and a collection would only rescan its live trees.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _write(text: str, err: bool = False) -> None:
@@ -135,15 +123,20 @@ def _read(ctx: click.Context, path: Path) -> bytes:
 
 
 def _save(ctx: click.Context, outputs: list[tuple[Path, RuleSet]]) -> None:
-    """Write every ``(path, rules)`` pair; on an ``OSError`` remove the
-    regular files this call opened, so a failed run leaves none of its
-    outputs behind."""
+    """Write every ``(path, rules)`` pair.
+
+    On an ``OSError``, remove the regular files this call opened for writing,
+    so a failed run leaves none of its outputs behind.  A file that could not
+    be opened is left as it was.
+    """
     opened: list[Path] = []
     try:
         for path, rs in outputs:
-            opened.append(path)
             save_ruleset(path, rs)
+            opened.append(path)
     except OSError as exc:
+        if exc.filename is None:  # a failed open names its file; a failed write does not
+            opened.append(path)
         for path in opened:
             if path.is_file():
                 with contextlib.suppress(OSError):
@@ -151,14 +144,17 @@ def _save(ctx: click.Context, outputs: list[tuple[Path, RuleSet]]) -> None:
         _fail(ctx, str(exc))
 
 
-def _load(ctx: click.Context, path: str) -> tuple[RuleSet, dict]:
+def _load(ctx: click.Context, path: str, parse=None) -> tuple:
+    """The file at ``path`` read by ``parse`` (:func:`parse_ruleset` if none is
+    given), and its report entry.  A file that cannot be read or parsed ends
+    the command with exit 2."""
     p = Path(path)
     data = _read(ctx, p)
     try:
-        rs = parse_ruleset(data, source=str(p))
+        parsed = (parse or parse_ruleset)(data, source=str(p))
     except _INPUT_ERRORS as exc:
         _fail(ctx, str(exc))
-    return rs, input_entry(str(p), data)
+    return parsed, input_entry(str(p), data)
 
 
 def _gate_relevant(ctx: click.Context, rs: RuleSet, opts: Options) -> None:
@@ -187,6 +183,9 @@ def _verdict(findings: list[dict]) -> str:
 
 
 def _finish(report: Report, opts: Options) -> int:
+    """Write ``report``, given the findings' verdict unless it has one, and
+    return the exit code."""
+    report.verdict = report.verdict or _verdict(report.findings)
     _write(render_json(report) if opts.fmt == "json" else render_text(report))
     return 1 if report.findings else 0
 
@@ -240,7 +239,6 @@ def lint(ctx: click.Context, rules_file: str):
     rs, entry = _load(ctx, rules_file)
     report = Report(command="lint", policy=opts.policy.value, inputs=[entry])
     report.findings = _intra_findings(rs)
-    report.verdict = _verdict(report.findings)
     if opts.dump_tree:
         report.tree = dump_tree(build_rdt(rs, opts.policy).tree)
     return _finish(report, opts)
@@ -262,7 +260,6 @@ def correct(ctx: click.Context, rules_file: str, output: str | None):
     _save(ctx, [(Path(output), corrected)])
     report = Report(command="correct", policy=opts.policy.value, inputs=[entry])
     report.findings = _intra_findings(rs)
-    report.verdict = _verdict(report.findings)
     report.outputs = [{"path": output, "rules": len(corrected.rules)}]
     if built is not None:
         report.tree = dump_tree(built.tree)
@@ -365,13 +362,9 @@ def check_topology(ctx: click.Context, topology_file: str):
     from .topology import check_positioning, parse_topology
 
     opts: Options = ctx.obj
+    topo, entry = _load(ctx, topology_file, parse_topology)
+    report = Report(command="check-topology", inputs=[entry])
     p = Path(topology_file)
-    data = _read(ctx, p)
-    try:
-        topo = parse_topology(data, source=str(p))
-    except _INPUT_ERRORS as exc:
-        _fail(ctx, str(exc))
-    report = Report(command="check-topology", inputs=[input_entry(str(p), data)])
     error = Severity.ERROR.value
     report.findings = [
         {"kind": "mis-positioning", "severity": error, **v._asdict()}
@@ -408,7 +401,6 @@ def check_topology(ctx: click.Context, topology_file: str):
             if p_rs is None or f_rs is None:
                 continue
             report.findings += _inter_findings(ctx, p_rs, f_rs, path=path_name)[0]
-    report.verdict = _verdict(report.findings)
     return _finish(report, opts)
 
 

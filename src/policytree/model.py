@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .values import AttrKind, COMPLEMENT_LABEL, ValueSet, vs_is_empty, vs_subset
+from .values import AttrKind, ValueSet, vs_is_empty, vs_subset
 
 __all__ = [
     "SchemaError",
@@ -182,16 +182,3 @@ class RuleSet:
                     f"rule ids must be consecutive from 1; found {rule.id} at position {pos}"
                 )
             _validate_rule(rule, self.schema, expected, inside)
-
-
-def complete_label_domain(kind: AttrKind, declared: frozenset[str]) -> frozenset[str]:
-    """Domain of a condition label attribute.
-
-    Open enumerations (``label-enum``) reserve an extra member standing for
-    every label not named, so complements of declared labels stay inside the
-    domain.  Protocol enumerations are closed.
-    """
-    if kind is AttrKind.LABEL_ENUM:
-        return declared | {COMPLEMENT_LABEL}
-    return declared
-

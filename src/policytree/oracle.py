@@ -172,11 +172,11 @@ def _axis_classes(attr: AttributeDef, points: tuple, column) -> tuple[list[int],
     Bit ``k`` of a set is ``column[k]``.  Each distinct value set is located
     once; as they hold disjoint bits, their point ranges sweep in as XOR deltas.
     """
-    groups: dict[int, list] = {}  # by identity, to skip hashing: equal sets are mostly one object
+    groups: dict = {}  # value set -> the bits of its rows
     for k, v in enumerate(column):
-        groups.setdefault(id(v), [v, 0])[1] |= 1 << k
+        groups[v] = groups.get(v, 0) | 1 << k
     delta = [0] * (len(points) + 1)
-    for v, bits in groups.values():
+    for v, bits in groups.items():
         v = attr.domain if v.is_wildcard else v
         if v.intervals is not None:
             spans = [(bisect_left(points, lo), bisect_right(points, hi)) for lo, hi in v.intervals]
@@ -214,7 +214,7 @@ def equivalence(
         [r.condition[a.name] for r in rules] + [b.labels[i] for b in regions]
         for i, a in enumerate(attrs)
     ]
-    tree_values = [{id(v): v for v in column[n:]}.values() for column in columns]  # by identity
+    tree_values = [dict.fromkeys(column[n:]) for column in columns]
     for a, vals in zip(attrs, tree_values):  # what a flattened rule set checks, once per label
         if not all(vs_subset(v, a.domain, a.domain) for v in vals):
             raise SchemaError(f"tree region: value for {a.name!r} falls outside its domain")

@@ -41,7 +41,6 @@ from .model import (
     RuleSet,
     Schema,
     SchemaError,
-    complete_label_domain,
 )
 from .values import (
     ANY,
@@ -313,7 +312,9 @@ def _parse_attr_decl(rest: str, line: int, source: str) -> AttributeDef:
         reserved = sorted(n for n in names if n == COMPLEMENT_LABEL or n.lower() in _WILDCARD_TOKENS)
         if reserved:
             raise RuleFileError(f"{reserved[0]!r} is reserved and cannot be declared", line, source)
-        domain = ValueSet(labels=complete_label_domain(kind, names))
+        if kind is AttrKind.LABEL_ENUM:  # open: one more label stands for every label not named
+            names |= {COMPLEMENT_LABEL}
+        domain = ValueSet(labels=names)
     try:
         return AttributeDef(name=name, kind=kind, domain=domain)
     except SchemaError as exc:
@@ -486,14 +487,13 @@ def _formatted_rules(rs: RuleSet):
     """
     columns = []
     for attr in rs.schema.condition_attributes:
-        texts: dict[tuple, str] = {}  # keyed by the value set's fields, quicker to hash
+        texts: dict[ValueSet, str] = {}
         column = []
         for rule in rs.rules:
             v = rule.condition[attr.name]
-            key = v.labels, v.intervals
-            text = texts.get(key)
+            text = texts.get(v)
             if text is None:
-                text = texts[key] = format_value(v, attr)
+                text = texts[v] = format_value(v, attr)
             column.append(text)
         columns.append(column)
     return zip(rs.rules, zip(*columns))
@@ -591,7 +591,10 @@ def _from_dict(d: dict, source: str) -> RuleSet:
         action, given = entry["action"], entry["values"]
         if not isinstance(action, str):
             raise ValueError(f"rule {rule_id}: action must be a string")
-        texts = [str(given[a.name]) for a in attrs]
+        texts = [given[a.name] for a in attrs]
+        bad = next((a.name for a, v in zip(attrs, texts) if not isinstance(v, str)), None)
+        if bad is not None:
+            raise ValueError(f"rule {rule_id}: value for {bad!r} must be a string")
         undeclared = next((k for k in given if k not in names), None)
         if undeclared is not None:
             raise ValueError(f"rule {rule_id}: value for undeclared attribute {undeclared!r}")

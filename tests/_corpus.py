@@ -37,7 +37,6 @@ from policytree.model import (
     RuleSet,
     Schema,
     SchemaError,
-    complete_label_domain,
 )
 from policytree.oracle import DomainSpace
 from policytree.relations import RelationKind, relate
@@ -45,6 +44,7 @@ from policytree.ruleio import parse_ruleset, serialize_ruleset
 from policytree.values import (
     ANY,
     AttrKind,
+    COMPLEMENT_LABEL,
     Cells,
     ValueSet,
     contains_point,
@@ -381,7 +381,7 @@ def random_component_pair(rng: random.Random) -> tuple[RuleSet, RuleSet]:
         decision_attribute=AttributeDef("action", AttrKind.LABEL_ENUM, labels("accept", "deny")),
     )
     rot = rng.randrange(n_shared)
-    attack_domain = labels(*complete_label_domain(AttrKind.LABEL_ENUM, frozenset(_ATTACKS)))
+    attack_domain = labels(*_ATTACKS, COMPLEMENT_LABEL)
     f_schema = Schema(
         condition_attributes=shared[rot:] + shared[:rot]
         + (AttributeDef("attack", AttrKind.LABEL_ENUM, attack_domain),),
@@ -435,11 +435,7 @@ MIXED_ATTRS = (
     AttributeDef("size", AttrKind.INTEGER_RANGE, intervals(((1, 9),))),
     AttributeDef("addr", AttrKind.IPV4_RANGE, intervals(((_ADDR0, _ADDR0 + 23),))),
     AttributeDef("proto", AttrKind.PROTOCOL_ENUM, labels("TCP", "UDP", "ICMP")),
-    AttributeDef(
-        "attack",
-        AttrKind.LABEL_ENUM,
-        ValueSet(labels=complete_label_domain(AttrKind.LABEL_ENUM, frozenset({"probe", "worm"}))),
-    ),
+    AttributeDef("attack", AttrKind.LABEL_ENUM, labels("probe", "worm", COMPLEMENT_LABEL)),
 )
 _DECISION = AttributeDef("action", AttrKind.LABEL_ENUM, labels("accept", "pass", "deny", "reject"))
 

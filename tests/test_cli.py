@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import errno
 import gc
 import hashlib
 import json
@@ -434,6 +435,34 @@ def test_fix_interop_leaves_no_file_when_a_write_fails(fw_path, ids_path, tmp_pa
     assert [p.name for p in tmp_path.iterdir()] == ["IDS-corrected.rules"]
 
 
+@pytest.mark.parametrize("fails", ["open", "write"])
+def test_a_failed_save_removes_only_a_file_it_opened(fw_path, tmp_path, monkeypatch, fails):
+    out = tmp_path / "keep.rules"
+    out.write_text("kept\n")
+    real_open = Path.open
+
+    def full(text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def open_(self, *args, **kwargs):
+        if self != out:
+            return real_open(self, *args, **kwargs)
+        if fails == "open":  # what open raises on a file its user may not write
+            raise PermissionError(errno.EACCES, "Permission denied", str(self))
+        f = real_open(self, *args, **kwargs)  # truncated: it cannot be left as it was
+        f.write = full
+        return f
+
+    monkeypatch.setattr(Path, "open", open_)
+    result = run("correct", fw_path, "-o", str(out))
+    monkeypatch.undo()
+    _one_error_line(result)
+    if fails == "open":
+        assert out.read_text() == "kept\n"
+    else:
+        assert not out.exists()
+
+
 def test_fix_interop_writes_json_for_json_inputs(fw, ids, tmp_path):
     inputs = []
     for rs, name in ((fw, "fw.json"), (ids, "ids.json")):
@@ -726,6 +755,22 @@ def test_malformed_rules_file_reports_location(tmp_path):
     assert "bad.rules:3" in result.output
 
 
+def test_reports_name_inputs_by_their_normalised_paths(cases_dir, monkeypatch):
+    monkeypatch.chdir(cases_dir.parent)
+
+    def entry(name: str) -> str:
+        digest = hashlib.sha256((cases_dir / name).read_bytes()).hexdigest()
+        return f"input: {cases_dir.name}/{name} sha256={digest}"
+
+    for command, names in (
+        ("lint", ["fw.rules"]),
+        ("check-topology", ["ingress.topo", "fw.rules", "ids.rules"]),
+    ):
+        result = run(command, f"./{cases_dir.name}/{names[0]}")
+        lines = [ln for ln in result.output.splitlines() if ln.startswith("input: ")]
+        assert lines == [entry(name) for name in names], command
+
+
 def test_malformed_json_is_an_input_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -788,6 +833,22 @@ _FW_JSON = json.dumps(_fw_dict()).encode()
             "rule 1: value for undeclared attribute 'extra'",
         ),
         ("bad.json", _first_rule(lambda r: r.update(action=["deny"])), "rule 1: action must be a string"),
+        # a value is a string too: read through str(), null would be the label 'None'
+        (
+            "bad.json",
+            _first_rule(lambda r: r["values"].update(protocol=None)),
+            "rule 1: value for 'protocol' must be a string",
+        ),
+        (
+            "bad.json",
+            _first_rule(lambda r: r["values"].update(dst_port=80)),
+            "rule 1: value for 'dst_port' must be a string",
+        ),
+        (
+            "bad.json",
+            _first_rule(lambda r: r["values"].update(dst_port=[1, 2])),
+            "rule 1: value for 'dst_port' must be a string",
+        ),
         # ids and actions of a JSON file are checked by RuleSet itself
         (
             "bad.json",
