@@ -119,15 +119,15 @@ def _region_key(v: ValueSet) -> tuple:
     return (2, ",".join(sorted(v.labels or ())), 0, "")
 
 
-def flattening_key(b: Branch, keys: dict[int, tuple]) -> tuple:
-    """Flattening order's key: the owner, then the region (``keys`` memoizes by label identity)."""
-    region = [keys.get(id(v)) or keys.setdefault(id(v), _region_key(v)) for v in b.labels]
+def flattening_key(b: Branch, keys: dict[ValueSet, tuple]) -> tuple:
+    """Flattening order's key: the owner, then the region (``keys`` memoizes by label)."""
+    region = [keys.get(v) or keys.setdefault(v, _region_key(v)) for v in b.labels]
     return (b.owner, tuple(region))
 
 
 def flattened(t: DecisionTree) -> list[Branch]:
     """The branches in flattening order: by owning rule id, then by region."""
-    keys: dict[int, tuple] = {}
+    keys: dict[ValueSet, tuple] = {}
     return sorted(branches(t), key=lambda b: flattening_key(b, keys))
 
 

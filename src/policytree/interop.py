@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .model import AttributeDef, Rule, RuleSet, Schema, SchemaError, Severity
 from .relations import relation_sets, scan
 from .relations import relate  # noqa: F401  perfbench/spans.py wraps this name here
-from .values import ValueSet, intervals, vs_subset
+from .values import COMPLEMENT_LABEL, ValueSet, intervals, vs_subset
 
 __all__ = [
     "InterKind",
@@ -106,6 +106,10 @@ def extend_schema(rs: RuleSet, target: Schema) -> RuleSet:
     Rules gain the wildcard for attributes they never constrained.  A
     wildcard over an attribute whose domain grew in ``target`` is first
     pinned to the original domain, so no rule matches more than before.
+    An open label enumeration is the exception: its ``COMPLEMENT_LABEL``
+    already stands for every label it never named, so a wildcard stays
+    the wildcard and a value that holds ``COMPLEMENT_LABEL`` gains the
+    labels ``target`` adds.  No rule matches less than before either.
     When ``target`` adds no attribute and widens no domain, the rules are
     reused.  ``target`` covers each domain and decision label of ``rs``, which
     was checked, so the result is not checked again.
@@ -129,6 +133,11 @@ def extend_schema(rs: RuleSet, target: Schema) -> RuleSet:
     names = target.condition_names
     if names == rs.schema.condition_names and not wider:
         return RuleSet._of_checked(target, rs.rules, rs.component_kind, rs.component_name)
+    gained = {  # open label enumerations that grew -> the labels they gain
+        name: target_by_name[name].domain.labels - own[name].labels
+        for name in wider
+        if own[name].labels is not None and COMPLEMENT_LABEL in own[name].labels
+    }
     new_rules = []
     for rule in rs.rules:
         condition = {}
@@ -137,7 +146,10 @@ def extend_schema(rs: RuleSet, target: Schema) -> RuleSet:
                 condition[name] = ValueSet()  # wildcard
                 continue
             v = rule.condition[name]
-            if v.is_wildcard and name in wider:
+            if name in gained:
+                if v.labels is not None and COMPLEMENT_LABEL in v.labels:
+                    v = ValueSet(labels=v.labels | gained[name])
+            elif v.is_wildcard and name in wider:
                 v = own[name]  # keep the original reach, not the wider one
             condition[name] = v
         new_rules.append(Rule(id=rule.id, condition=condition, action=rule.action, origin=rule.origin))

@@ -34,7 +34,7 @@ from math import prod
 from .dtree import DecisionTree, branches, flattening_key
 from .model import AttributeDef, Rule, RuleSet, Schema, SchemaError, Semantics
 from .relations import indices
-from .values import contains_point, vs_compare, vs_subset
+from .values import ValueSet, contains_point, vs_compare, vs_subset
 
 __all__ = [
     "Packet",
@@ -238,7 +238,7 @@ def equivalence(
             decided[bits] = rules[_owner(rs, indices(bits), semantics, inside)].action
         return decided[bits]
 
-    keys: dict[int, tuple] = {}
+    keys: dict[ValueSet, tuple] = {}
 
     def by_regions(bits: int) -> str | None:
         """The region first in flattening order; ties keep depth-first order."""

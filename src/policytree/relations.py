@@ -28,43 +28,24 @@ a component, or between two) over those sets and lists its findings in
 order.
 
 :func:`relate` is the scalar reference the tests check the sets against.
-It classifies one pair and keeps the per-field evidence, rolling field
-relations up to a kind through a 32-entry table indexed by the set of
-``FieldRel`` values seen across the fields.
+It classifies one pair field by field with
+:func:`~policytree.values.vs_compare`.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
 
 from .model import PERMIT_ACTIONS, Rule, Schema, SchemaError
 from .values import Cells, vs_compare
 
 __all__ = [
-    "FieldRel",
-    "FieldRelation",
     "RelationKind",
-    "RuleRelation",
-    "field_relation",
     "relate",
     "relation_sets",
     "indices",
     "scan",
 ]
-
-
-class FieldRel(str, Enum):
-    EQUAL = "equal"
-    PROPER_SUBSET = "proper-subset"
-    PROPER_SUPERSET = "proper-superset"
-    OVERLAPPING = "overlapping"
-    DISJOINT = "disjoint"
-
-
-class FieldRelation(NamedTuple):
-    attribute: str
-    rel: FieldRel
 
 
 class RelationKind(str, Enum):
@@ -76,49 +57,6 @@ class RelationKind(str, Enum):
     DISJOINT = "disjoint"
 
 
-class RuleRelation(NamedTuple):
-    kind: RelationKind
-    evidence: tuple[FieldRelation, ...]
-
-
-_BIT = {rel: 1 << i for i, rel in enumerate(FieldRel)}
-
-
-def _field_rel(sub: bool, sup: bool, meet: bool) -> FieldRel:
-    """The field relation of ``(a ⊆ b, b ⊆ a, a ∩ b ≠ ∅)``."""
-    if sub:
-        return FieldRel.EQUAL if sup else FieldRel.PROPER_SUBSET
-    if sup:
-        return FieldRel.PROPER_SUPERSET
-    return FieldRel.OVERLAPPING if meet else FieldRel.DISJOINT
-
-
-def _kind_of(mask: int) -> RelationKind:
-    """The kind of a pair whose fields show exactly the relations in ``mask``."""
-    eq = _BIT[FieldRel.EQUAL]
-    sub = _BIT[FieldRel.PROPER_SUBSET]
-    sup = _BIT[FieldRel.PROPER_SUPERSET]
-    if not mask & ~eq:
-        return RelationKind.EXACT
-    if not mask & ~(eq | sub):
-        return RelationKind.FORWARD
-    if not mask & ~(eq | sup):
-        return RelationKind.BACKWARD
-    if not mask & ~(eq | sub | sup):
-        return RelationKind.CORRELATED
-    if mask & _BIT[FieldRel.DISJOINT]:
-        return RelationKind.DISJOINT
-    return RelationKind.CORRELATED_GENERAL
-
-
-_KIND_OF_MASK = tuple(_kind_of(mask) for mask in range(1 << len(FieldRel)))
-
-
-def field_relation(a, b, attr) -> FieldRel:
-    """Relation of value ``a`` to value ``b`` under ``attr``'s domain."""
-    return _field_rel(*vs_compare(a, b, attr.domain))
-
-
 def _check_schema(rules, schema: Schema) -> None:
     names = set(schema.condition_names)
     for rule in rules:
@@ -126,21 +64,29 @@ def _check_schema(rules, schema: Schema) -> None:
             raise SchemaError(f"rule {rule.id} does not match the schema")
 
 
-def relate(r_i: Rule, r_j: Rule, schema: Schema) -> RuleRelation:
+def relate(r_i: Rule, r_j: Rule, schema: Schema) -> RelationKind:
     """Classify how ``r_i`` relates to ``r_j`` over ``schema``.
 
-    Forward means ``r_i`` fits inside ``r_j``; backward the reverse.
+    Forward means ``r_i`` fits inside ``r_j``; backward the reverse.  One
+    disjoint field makes the pair disjoint, and otherwise one field that
+    overlaps only partially makes it ``CORRELATED_GENERAL``.
     """
     _check_schema((r_i, r_j), schema)
-    evidence = tuple(
-        FieldRelation(attr.name, field_relation(r_i.condition[attr.name],
-                                                r_j.condition[attr.name], attr))
-        for attr in schema.condition_attributes
-    )
-    mask = 0
-    for fr in evidence:
-        mask |= _BIT[fr.rel]
-    return RuleRelation(kind=_KIND_OF_MASK[mask], evidence=evidence)
+    inside = holds = True
+    general = False
+    for attr in schema.condition_attributes:
+        name = attr.name
+        sub, sup, meet = vs_compare(r_i.condition[name], r_j.condition[name], attr.domain)
+        if not (sub or sup or meet):
+            return RelationKind.DISJOINT
+        general = general or not (sub or sup)
+        inside = inside and sub
+        holds = holds and sup
+    if general:
+        return RelationKind.CORRELATED_GENERAL
+    if inside:
+        return RelationKind.EXACT if holds else RelationKind.FORWARD
+    return RelationKind.BACKWARD if holds else RelationKind.CORRELATED
 
 
 def relation_sets(a_rules, b_rules, schema: Schema) -> tuple[list[int], list[int], list[int]]:

@@ -221,7 +221,7 @@ def reference_rdt(rs: RuleSet, policy: rdt.ConflictPolicy) -> DecisionTree:
     def captures(incoming: Rule, owner: int) -> bool:
         if policy is rdt.ConflictPolicy.FIRST_MATCH:
             return False
-        return relate(incoming, rs.rules[owner - 1], rs.schema).kind is RelationKind.FORWARD
+        return relate(incoming, rs.rules[owner - 1], rs.schema) is RelationKind.FORWARD
 
     def chain(rule: Rule, masks: tuple[int, ...], level: int) -> Node:
         if level == action_level:

@@ -315,6 +315,21 @@ def test_check_interop_gates_on_overlapping_input(fw_path, ids_path):
     assert forced.exit_code == 1
 
 
+def test_interop_keeps_the_labels_an_open_enum_never_named(tmp_path):
+    # A's catch-all holds ftp through its complement label, so A blocks what B accepts
+    a, b, out = tmp_path / "A.rules", tmp_path / "B.rules", tmp_path / "out"
+    head = "kind filtering\nattr app label-enum {}\ndecision action accept,deny\nrules\n"
+    a.write_text("component A\n" + head.format("ssh,web") + "1 | any | deny\n")
+    b.write_text("component B\n" + head.format("ssh,ftp") + "1 | ftp | accept\n")
+    assert "decision: deny" in run("eval", str(a), "--packet", "app=~other~").output
+    checked = run("check-interop", str(a), str(b))
+    assert checked.exit_code == 1
+    assert "finding: inter-shadowing following=B:r1 preceding=A:r1 [error]" in checked.output
+    fixed = run("--policy", "first-match", "fix-interop", str(a), str(b), "-o", str(out))
+    assert fixed.exit_code == 1
+    assert (out / "A-corrected.rules").read_text().endswith("rules\n1 | any | deny | A:r1\n")
+
+
 def test_fix_interop_repairs_the_pair(fw_path, ids_path, tmp_path):
     result = run("fix-interop", fw_path, ids_path, "-o", str(tmp_path))
     assert result.exit_code == 1

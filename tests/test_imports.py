@@ -3,7 +3,7 @@
 A name is used when the module reads it or lists it in ``__all__``.  The
 three ``relate`` imports below are kept only so that ``perfbench/spans.py``
 can wrap the name where each module imports it; ROADMAP item 4 takes them
-out together with the scalar ``relate`` family.
+out together with the scalar ``relate``.
 """
 
 from __future__ import annotations

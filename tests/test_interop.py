@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _corpus import iter_packets, mixed_values
 from policytree.dtree import tree_to_rules
 from policytree.interop import (
     InterKind,
@@ -11,11 +14,21 @@ from policytree.interop import (
     extend_schema,
     union_schema,
 )
-from policytree.model import AttributeDef, ComponentKind, Rule, RuleSet, Schema, SchemaError, Severity
+from policytree.model import (
+    AttributeDef,
+    ComponentKind,
+    Rule,
+    RuleSet,
+    Schema,
+    SchemaError,
+    Semantics,
+    Severity,
+)
+from policytree.oracle import endpoint_space, evaluate
 from policytree.rdt import build_rdt
 from policytree.ruleio import RuleFileError
 from policytree.topology import PositioningViolation, check_positioning, parse_topology
-from policytree.values import ANY, AttrKind, ValueSet, intervals, labels
+from policytree.values import ANY, COMPLEMENT_LABEL, AttrKind, ValueSet, intervals, labels
 
 
 def _schema(*attrs: AttributeDef, decisions=("accept", "deny")) -> Schema:
@@ -110,6 +123,35 @@ def test_extend_pins_wildcards_when_the_domain_grows():
     assert ext.rules[0].condition["x"] == intervals(((0, 9),))  # not the new wildcard
     assert ext.rules[1].condition["x"] == intervals(((3, 4),))
     assert ext.rules[0].condition["y"].is_wildcard
+
+
+@st.composite
+def _open_side(draw, name: str) -> RuleSet:
+    # an interval attribute and an open label enumeration, each side its own domains
+    declared = draw(st.frozensets(st.sampled_from(("a", "b", "c")), min_size=1))
+    tag = AttributeDef("tag", AttrKind.LABEL_ENUM, ValueSet(labels=declared | {COMPLEMENT_LABEL}))
+    schema = _schema(_iattr("x", 0, draw(st.sampled_from((9, 14)))), tag)
+    rules = tuple(
+        Rule(i, {a.name: draw(mixed_values(a)) for a in schema.condition_attributes},
+             draw(st.sampled_from(("accept", "deny"))))
+        for i in range(1, draw(st.integers(1, 5)) + 1)
+    )
+    return RuleSet(schema=schema, rules=rules, component_name=name)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(_open_side("P"), _open_side("F"))
+def test_restating_keeps_every_decision(p, f):
+    union = union_schema(p.schema, f.schema)
+    restated = [extend_schema(rs, union) for rs in (p, f)]
+    packets = list(iter_packets(endpoint_space(*restated)))
+    for rs, ext in zip((p, f), restated):
+        declared = rs.schema.attribute("tag").domain.labels
+        for packet in packets:
+            # a label the side never declared is, to that side, its complement label
+            own = dict(packet, tag=packet["tag"] if packet["tag"] in declared else COMPLEMENT_LABEL)
+            for semantics in Semantics:
+                assert evaluate(ext, packet, semantics) == evaluate(rs, own, semantics)
 
 
 @pytest.mark.parametrize(

@@ -49,7 +49,7 @@ def test_shadowing_later_rule_inside_with_other_class():
     assert a.severity is Severity.ERROR
     assert relate(
         rs.rules[a.earlier - 1], rs.rules[a.later - 1], rs.schema
-    ).kind is RelationKind.BACKWARD
+    ) is RelationKind.BACKWARD
 
 
 def test_redundancy_later_rule_inside_with_same_class():
@@ -64,7 +64,7 @@ def test_identical_conditions_shadow_or_duplicate():
     assert a.kind is IntraKind.SHADOWING
     assert relate(
         rs.rules[a.earlier - 1], rs.rules[a.later - 1], rs.schema
-    ).kind is RelationKind.EXACT
+    ) is RelationKind.EXACT
     (b,) = detect_intra(_rs1((((0, 9),), "accept"), (((0, 9),), "accept")))
     assert b.kind is IntraKind.REDUNDANCY
 
@@ -76,7 +76,7 @@ def test_generalization_catch_all_after_exception():
     assert a.severity is Severity.WARNING
     assert relate(
         rs.rules[a.earlier - 1], rs.rules[a.later - 1], rs.schema
-    ).kind is RelationKind.FORWARD
+    ) is RelationKind.FORWARD
 
 
 def test_correlation_partial_overlap_other_class():

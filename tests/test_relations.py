@@ -13,6 +13,7 @@ from _corpus import (
     enumerate_points,
     interval_schema,
     is_correlated,
+    iter_packets,
     random_ruleset,
     random_value,
 )
@@ -21,13 +22,8 @@ from _corpus import mixed_schemas as _schemas
 from policytree.interop import InterAnomaly, InterKind, detect_inter
 from policytree.intra import IntraAnomaly, IntraKind, detect_intra, is_relevant_ruleset
 from policytree.model import Rule, RuleSet, SchemaError, Severity
-from policytree.relations import (
-    FieldRel,
-    RelationKind,
-    field_relation,
-    relate,
-    relation_sets,
-)
+from policytree.oracle import endpoint_space, matches
+from policytree.relations import RelationKind, relate, relation_sets
 from policytree.values import ANY, intervals
 
 SCHEMA = interval_schema(2)  # f0 in 0..39, f1 in 0..14
@@ -48,30 +44,37 @@ def box(r):
     )
 
 
-def test_field_relation_cases():
-    assert field_relation(intervals(((0, 5),)), intervals(((0, 5),)), F0) is FieldRel.EQUAL
-    assert field_relation(intervals(((1, 4),)), intervals(((0, 5),)), F0) is FieldRel.PROPER_SUBSET
-    assert field_relation(intervals(((0, 5),)), intervals(((1, 4),)), F0) is FieldRel.PROPER_SUPERSET
-    assert field_relation(intervals(((0, 5),)), intervals(((4, 9),)), F0) is FieldRel.OVERLAPPING
-    assert field_relation(intervals(((0, 5),)), intervals(((7, 9),)), F0) is FieldRel.DISJOINT
-    assert field_relation(ANY, F0.domain, F0) is FieldRel.EQUAL
+@pytest.mark.parametrize(
+    "a, b, kind",
+    [
+        (intervals(((0, 5),)), intervals(((0, 5),)), RelationKind.EXACT),
+        (intervals(((1, 4),)), intervals(((0, 5),)), RelationKind.FORWARD),
+        (intervals(((0, 5),)), intervals(((1, 4),)), RelationKind.BACKWARD),
+        (intervals(((0, 5),)), intervals(((4, 9),)), RelationKind.CORRELATED_GENERAL),
+        (intervals(((0, 5),)), intervals(((7, 9),)), RelationKind.DISJOINT),
+        (ANY, F0.domain, RelationKind.EXACT),
+    ],
+)
+def test_one_field_cases(a, b, kind):
+    one = interval_schema(1, (40,))  # f0 in 0..39, as in SCHEMA
+    assert relate(Rule(1, {"f0": a}, "accept"), Rule(2, {"f0": b}, "deny"), one) is kind
 
 
 def test_kind_examples():
     a = rule(intervals(((0, 20),)), intervals(((0, 10),)))
-    assert relate(a, rule(a.condition["f0"], a.condition["f1"]), SCHEMA).kind is RelationKind.EXACT
+    assert relate(a, rule(a.condition["f0"], a.condition["f1"]), SCHEMA) is RelationKind.EXACT
     inner = rule(intervals(((5, 10),)), intervals(((0, 10),)))
-    assert relate(inner, a, SCHEMA).kind is RelationKind.FORWARD
-    assert relate(a, inner, SCHEMA).kind is RelationKind.BACKWARD
+    assert relate(inner, a, SCHEMA) is RelationKind.FORWARD
+    assert relate(a, inner, SCHEMA) is RelationKind.BACKWARD
     crossed = rule(intervals(((5, 10),)), ANY)
-    assert relate(a, crossed, SCHEMA).kind is RelationKind.CORRELATED
+    assert relate(a, crossed, SCHEMA) is RelationKind.CORRELATED
     slid = rule(intervals(((10, 30),)), intervals(((5, 12),)))
-    assert relate(a, slid, SCHEMA).kind is RelationKind.CORRELATED_GENERAL
+    assert relate(a, slid, SCHEMA) is RelationKind.CORRELATED_GENERAL
     apart = rule(intervals(((30, 39),)), ANY)
-    assert relate(a, apart, SCHEMA).kind is RelationKind.DISJOINT
+    assert relate(a, apart, SCHEMA) is RelationKind.DISJOINT
     # an empty value set lies inside every value, so this rule is inside a
     hollow = rule(intervals(()), intervals(((3, 5),)))
-    assert relate(hollow, a, SCHEMA).kind is RelationKind.FORWARD
+    assert relate(hollow, a, SCHEMA) is RelationKind.FORWARD
     both = [hollow, a]
     assert _set_bits(both, both, SCHEMA) == _scalar_bits(both, both, SCHEMA)
 
@@ -80,14 +83,7 @@ def test_disjoint_wins_over_partial_overlap():
     # one disjoint field makes the rules disjoint no matter the others
     a = rule(intervals(((0, 10),)), intervals(((0, 5),)))
     b = rule(intervals(((0, 10),)), intervals(((7, 9),)))
-    assert relate(a, b, SCHEMA).kind is RelationKind.DISJOINT
-
-
-def test_evidence_names_every_attribute():
-    a = rule(ANY, intervals(((0, 5),)))
-    b = rule(intervals(((3, 9),)), ANY)
-    rel = relate(a, b, SCHEMA)
-    assert [e.attribute for e in rel.evidence] == ["f0", "f1"]
+    assert relate(a, b, SCHEMA) is RelationKind.DISJOINT
 
 
 def test_is_correlated():
@@ -102,8 +98,8 @@ def test_classification_total_and_symmetric(seed):
     rng = random.Random(seed)
     rs = random_ruleset(rng, max_rules=6, n_attrs=2)
     for a, b in itertools.combinations(rs.rules, 2):
-        ab = relate(a, b, rs.schema).kind
-        ba = relate(b, a, rs.schema).kind
+        ab = relate(a, b, rs.schema)
+        ba = relate(b, a, rs.schema)
         assert ab in RelationKind
         if ab is RelationKind.FORWARD:
             assert ba is RelationKind.BACKWARD
@@ -118,8 +114,27 @@ def test_classification_matches_point_semantics(seed):
     rng = random.Random(seed)
     rs = random_ruleset(rng, max_rules=5, n_attrs=2)
     for a, b in itertools.combinations(rs.rules, 2):
-        kind = relate(a, b, rs.schema).kind
+        kind = relate(a, b, rs.schema)
         pa, pb = box(a), box(b)
+        assert (pa <= pb) == (kind in (RelationKind.EXACT, RelationKind.FORWARD))
+        assert (pa >= pb) == (kind in (RelationKind.EXACT, RelationKind.BACKWARD))
+        assert pa.isdisjoint(pb) == (kind is RelationKind.DISJOINT)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.data())
+def test_classification_matches_packets_on_every_attribute_kind(data):
+    schema = data.draw(_schemas())
+    rs = data.draw(_rulesets(schema, "A"))
+    packets = list(iter_packets(endpoint_space(rs)))
+    boxes = [
+        frozenset(n for n, packet in enumerate(packets) if matches(packet, r, schema))
+        for r in rs.rules
+    ]
+    for (a, pa), (b, pb) in itertools.permutations(zip(rs.rules, boxes), 2):
+        if not pa or not pb:
+            continue  # an empty value set lies inside everything, by convention
+        kind = relate(a, b, schema)
         assert (pa <= pb) == (kind in (RelationKind.EXACT, RelationKind.FORWARD))
         assert (pa >= pb) == (kind in (RelationKind.EXACT, RelationKind.BACKWARD))
         assert pa.isdisjoint(pb) == (kind is RelationKind.DISJOINT)
@@ -127,11 +142,11 @@ def test_classification_matches_point_semantics(seed):
 
 def test_case_study_relations(fw):
     r1, r2, r3, r4 = fw.rules
-    assert relate(r1, r2, fw.schema).kind is RelationKind.BACKWARD
-    assert relate(r1, r3, fw.schema).kind is RelationKind.BACKWARD
-    assert relate(r1, r4, fw.schema).kind is RelationKind.BACKWARD
-    assert relate(r2, r3, fw.schema).kind is RelationKind.FORWARD
-    assert relate(r3, r4, fw.schema).kind is RelationKind.CORRELATED
+    assert relate(r1, r2, fw.schema) is RelationKind.BACKWARD
+    assert relate(r1, r3, fw.schema) is RelationKind.BACKWARD
+    assert relate(r1, r4, fw.schema) is RelationKind.BACKWARD
+    assert relate(r2, r3, fw.schema) is RelationKind.FORWARD
+    assert relate(r3, r4, fw.schema) is RelationKind.CORRELATED
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +158,11 @@ def _scalar_intra(rs: RuleSet) -> list[IntraAnomaly]:
     for a, b in itertools.combinations(rs.rules, 2):
         rel = relate(a, b, rs.schema)
         same = action_class(a.action) is action_class(b.action)
-        if rel.kind in (RelationKind.EXACT, RelationKind.BACKWARD):
+        if rel in (RelationKind.EXACT, RelationKind.BACKWARD):
             kind = IntraKind.REDUNDANCY if same else IntraKind.SHADOWING
-        elif rel.kind is RelationKind.FORWARD and not same:
+        elif rel is RelationKind.FORWARD and not same:
             kind = IntraKind.GENERALIZATION
-        elif is_correlated(rel.kind) and not same:
+        elif is_correlated(rel) and not same:
             kind = IntraKind.CORRELATION
         else:
             continue
@@ -171,9 +186,9 @@ def _scalar_inter(preceding: RuleSet, following: RuleSet) -> list[InterAnomaly]:
         for f in following.rules:
             rel = relate(p, f, preceding.schema)
             classes = (action_class(p.action), action_class(f.action))
-            if rel.kind in (RelationKind.EXACT, RelationKind.BACKWARD):
+            if rel in (RelationKind.EXACT, RelationKind.BACKWARD):
                 kind = inside.get(classes)
-            elif is_correlated(rel.kind) and classes[0] is not classes[1]:
+            elif is_correlated(rel) and classes[0] is not classes[1]:
                 kind = InterKind.CORRELATION
             else:
                 kind = None
@@ -185,7 +200,7 @@ def _scalar_inter(preceding: RuleSet, following: RuleSet) -> list[InterAnomaly]:
 
 def _scalar_relevant(rs: RuleSet) -> bool:
     return all(
-        relate(a, b, rs.schema).kind is RelationKind.DISJOINT
+        relate(a, b, rs.schema) is RelationKind.DISJOINT
         for a, b in itertools.combinations(rs.rules, 2)
     )
 
@@ -202,7 +217,7 @@ _BITS = {
 
 
 def _scalar_bits(a_rules, b_rules, schema) -> list[list[tuple[int, int, int]]]:
-    return [[_BITS[relate(a, b, schema).kind] for b in b_rules] for a in a_rules]
+    return [[_BITS[relate(a, b, schema)] for b in b_rules] for a in a_rules]
 
 
 def _set_bits(a_rules, b_rules, schema) -> list[list[tuple[int, int, int]]]:
