@@ -426,9 +426,15 @@ def eval_packet(ctx: click.Context, rules_file: str, packet_arg: str, semantics:
 
     opts: Options = ctx.obj
     rs, entry = _load(ctx, rules_file)
+    fields: list[str] = []
+    for item in packet_arg.split(","):
+        if fields and "=" not in item and item.strip() not in rs.schema.condition_names:
+            fields[-1] += "," + item  # a further value of the field before it, refused below
+        else:
+            fields.append(item)
     packet: dict[str, int | str] = {}
     try:
-        for item in packet_arg.split(","):
+        for item in fields:
             name, _, token = item.partition("=")
             name, token = name.strip(), token.strip()
             if not name or not token:

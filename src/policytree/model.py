@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .values import AttrKind, ValueSet, vs_is_empty, vs_subset
 
@@ -109,8 +109,7 @@ class Schema:
         raise SchemaError(f"no condition attribute named {name!r}")
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """One rule: id, per-attribute constraints, and a decision label.
 
     ``origin`` records where the rule came from (a component name, possibly

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .dtree import DecisionTree, Edge, Node
 from .model import RuleSet
-from .relations import relate  # noqa: F401  perfbench/spans.py wraps this name here
+from .relations import indices, relate  # noqa: F401  perfbench/spans.py wraps relate here
 from .values import Cells, labels
 
 __all__ = [
@@ -112,11 +112,13 @@ def _split(level_masks: list[int], members: int) -> list[list[int]]:
 class _Builder:
     """The memo tables of one :func:`_build`, and the rules it reads."""
 
-    __slots__ = ("rules", "masks", "policy", "built", "captures", "actions", "shapes")
+    __slots__ = ("rules", "masks", "policy", "sparse", "built", "captures", "actions", "shapes")
 
     def __init__(self, rules, masks: list[list[int]], policy: ConflictPolicy):
         self.rules, self.masks, self.policy = rules, masks, policy
-        self.built: dict[tuple[int, int], tuple[Node, int, int]] = {}
+        # in a large build most entries hold a few rules: key those by index, not by a wide int
+        self.sparse = len(rules) > 8192
+        self.built: dict[tuple, tuple[Node, int, int]] = {}
         self.captures: dict[tuple[int, int], bool] = {}
         self.actions: dict[int, tuple[Node, int, int]] = {}  # owning rule index -> its leaf
         self.shapes: dict = {}  # a merged subtree's labels and actions -> a small id
@@ -127,7 +129,10 @@ class _Builder:
         Parts whose subtrees have one shape become one edge where the first of
         them was, with their labels ORed and the subtree of the earliest owner.
         """
-        built = self.built.get((level, members))
+        entry = level, members
+        if self.sparse and members.bit_count() << 6 < members.bit_length():
+            entry = level, tuple(indices(members))
+        built = self.built.get(entry)
         if built is None:
             if level > len(self.masks):
                 k = _owner(members, self.masks, self.policy, self.captures)
@@ -149,7 +154,7 @@ class _Builder:
                 key = frozenset((g[0], shape) for shape, g in groups.items())
                 owner = min((g[2] for g in groups.values()), default=0)
                 built = node, self.shapes.setdefault(key, len(self.shapes)), owner
-            self.built[level, members] = built
+            self.built[entry] = built
         return built
 
 

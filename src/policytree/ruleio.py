@@ -48,7 +48,6 @@ from .values import (
     COMPLEMENT_LABEL,
     ValueSet,
     ValueSetError,
-    contains_point,
     intervals as make_intervals,
     vs_subset,
 )
@@ -182,24 +181,18 @@ def parse_value(token: str, attr: AttributeDef) -> ValueSet:
 
 
 def parse_point(token: str, attr: AttributeDef) -> int | str:
-    """Parse a single packet value (one point, no ranges or wildcards)."""
-    token = token.strip()
-    if attr.kind.is_numeric:
-        try:
-            if attr.kind is AttrKind.IPV4_RANGE:
-                lo, hi = _parse_ipv4_atom(token)
-                if lo != hi:
-                    raise ValueError("a packet needs a single address")
-                value: int | str = lo
-            else:
-                value = _parse_int(token)
-        except ValueError as exc:
-            raise ValueSetError(f"{attr.name}: {exc}") from None
-    else:
-        value = token
-    if not contains_point(ANY, value, attr.domain):
-        raise ValueSetError(f"{attr.name}: {token!r} outside the declared domain")
-    return value
+    """The one point that a packet field names: ``token`` read as a rule value."""
+    try:
+        v = parse_value(token, attr)
+    except ValueError as exc:
+        raise ValueSetError(str(exc)) from None
+    if v.labels is not None and len(v.labels) == 1:
+        (point,) = v.labels
+        return point
+    if v.intervals is not None and len(v.intervals) == 1 and v.intervals[0][0] == v.intervals[0][1]:
+        return v.intervals[0][0]
+    single = "address" if attr.kind is AttrKind.IPV4_RANGE else "value"
+    raise ValueSetError(f"{attr.name}: a packet needs a single {single}")
 
 
 def format_value(v: ValueSet, attr: AttributeDef) -> str:

@@ -22,8 +22,8 @@ whole domain come back as the wildcard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 __all__ = [
     "AttrKind",
@@ -69,24 +69,21 @@ class AttrKind(str, Enum):
 COMPLEMENT_LABEL = "~other~"
 
 
-@dataclass(frozen=True)
-class ValueSet:
-    """One attribute constraint.  Wildcard when both fields are ``None``."""
+class ValueSet(tuple):
+    """One attribute constraint: ``(labels, intervals)``, the wildcard when both are ``None``."""
 
-    labels: frozenset[str] | None = None
-    intervals: tuple[tuple[int, int], ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.labels is not None and self.intervals is not None:
+    def __new__(cls, labels: frozenset[str] | None = None, intervals: tuple | None = None):
+        if labels is not None and intervals is not None:
             raise ValueSetError("a value set is either labels or intervals, not both")
-        # value sets key every codec and memo, so the hash is computed once
-        object.__setattr__(self, "_hash", hash((self.labels, self.intervals)))
+        return tuple.__new__(cls, (labels, intervals))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self):
+        return tuple(self)
 
-    def __reduce__(self):  # string hashes differ between interpreters: rebuild the hash
-        return ValueSet, (self.labels, self.intervals)
+    labels = property(itemgetter(0))
+    intervals = property(itemgetter(1))
 
     @property
     def is_wildcard(self) -> bool:
@@ -159,11 +156,7 @@ def _pair(a: ValueSet, b: ValueSet, domain: ValueSet) -> tuple[ValueSet, ValueSe
 
 
 def vs_is_empty(v: ValueSet) -> bool:
-    if v.is_wildcard:
-        return False
-    if v.labels is not None:
-        return not v.labels
-    return not v.intervals
+    return not v.is_wildcard and not (v.labels or v.intervals)
 
 
 def vs_subset(a: ValueSet, b: ValueSet, domain: ValueSet) -> bool:

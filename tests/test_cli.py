@@ -684,6 +684,11 @@ def test_eval_first_match(fw_path):
     assert result.exit_code == 0
     assert "decision: deny" in result.output
     assert "rule: r1" in result.output
+    # a field takes any value literal that names one point
+    ranged = _PKT.replace("dst_port=80", "dst_port=80-80").replace(
+        "src_addr=140.192.10.30", "src_addr=140.192.10.30-140.192.10.30"
+    )
+    assert run("eval", fw_path, "--packet", ranged).output == result.output
 
 
 def test_eval_owner_capture(fw_path):
@@ -726,12 +731,16 @@ def test_eval_unmatched_packet(fw_path):
             _PKT.replace("src_addr=140.192.10.30", "src_addr=140.192.10.0/24"),
             "bad --packet: src_addr: a packet needs a single address",
         ),
+        (_PKT.replace("dst_port=80", "dst_port=80,81"), "dst_port: a packet needs a single value"),
+        (_PKT.replace("dst_port=80", "dst_port=any"), "dst_port: a packet needs a single value"),
+        (_PKT.replace("protocol=TCP", "protocol=TCP,UDP"), "protocol: a packet needs a single value"),
     ],
 )
 def test_eval_rejects_bad_packets(fw_path, packet, hint):
     result = run("eval", fw_path, "--packet", packet)
     assert result.exit_code == 2
     assert hint in result.output
+    assert result.output.count("error:") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,25 @@ def test_reading_a_shared_tree_leaves_it_unchanged():
         assert (dump_tree(t), node_counts(t.root)) == before
 
 
+def test_a_build_of_more_than_8192_rules_decides_as_its_rules():
+    # each point's region holds three of 8,202 rules, so the builder keys it
+    # by their indices, not by an 8,202-bit int; each point splits only the
+    # wide rule's remainder, which stays the first part
+    schema = interval_schema(1, (20_000,))
+    points = [intervals(((p, p),)) for p in range(0, 16_400, 2)]
+    values = [intervals(((0, 16_399),)), *points, ANY]
+    actions = ["deny", *(("deny", "accept")[k % 4 == 0] for k in range(len(points))), "accept"]
+    rules = tuple(Rule(i, {"f0": v}, a) for i, (v, a) in enumerate(zip(values, actions), start=1))
+    rs = RuleSet(schema=schema, rules=rules, component_name="WIDE")
+    assert len(rs.rules) > 8192
+    space = endpoint_space(rs)
+    for policy, semantics in (
+        (ConflictPolicy.SPECIFICITY, Semantics.OWNER_CAPTURE),
+        (ConflictPolicy.FIRST_MATCH, Semantics.FIRST_MATCH),
+    ):
+        assert equivalence(build_rdt(rs, policy).tree, rs, semantics, space) == []
+
+
 # ---------------------------------------------------------------------------
 # the firewall fixture
 # ---------------------------------------------------------------------------

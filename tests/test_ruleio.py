@@ -251,6 +251,14 @@ def test_parse_point():
         parse_point("ICMP", proto)
     with pytest.raises(ValueSetError):
         parse_point("1.2.3.*", ipv4)
+    # a packet field is read as a rule value that names one point
+    assert parse_point("80-80", port) == 80
+    assert parse_point("140.192.10.9-140.192.10.9", ipv4) == parse_point("140.192.10.9/32", ipv4)
+    for token, attr in (("80,81", port), ("any", port), ("TCP,UDP", proto), ("All", proto)):
+        with pytest.raises(ValueSetError, match=f"^{attr.name}: a packet needs a single value$"):
+            parse_point(token, attr)
+    with pytest.raises(ValueSetError, match="^a: a packet needs a single address$"):
+        parse_point("140.192.10.9,140.192.10.10", ipv4)
 
 
 @pytest.mark.parametrize("token", ["1_0", "+10", "-10", "\u0661\u0660"])

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from _corpus import enumerate_points, mixed_rulesets, mixed_schemas
 from policytree import values
+from policytree.model import Rule
 from policytree.values import (
     ANY,
     Cells,
@@ -130,6 +132,21 @@ def test_shape_mismatch_raises():
         vs_compare(labels("a"), intervals(((0, 1),)), DOM)
     with pytest.raises(ValueSetError):
         ValueSet(labels=frozenset({"a"}), intervals=((0, 1),))
+    with pytest.raises(ValueSetError, match="either labels or intervals"):
+        ValueSet(frozenset(), ())
+
+
+def test_value_records_are_equal_by_their_fields():
+    for make in (lambda: labels("dos", "worm"), lambda: intervals(((0, 9), (20, 29))), ValueSet):
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b)
+        assert (a.labels, a.intervals) == tuple(a)
+        assert all(type(twin) is ValueSet for twin in (copy.copy(a), pickle.loads(pickle.dumps(a))))
+    assert ValueSet() == ANY and ANY.is_wildcard
+    rule = Rule(3, {"port": _one(80, 80)}, "deny", "FW:r3")
+    assert rule == Rule(3, {"port": _one(80, 80)}, "deny", "FW:r3")
+    assert (rule.id, rule.condition["port"], rule.action, rule.origin) == (3, _one(80, 80), "deny", "FW:r3")
+    assert Rule(1, {}, "accept").origin == ""
 
 
 def test_wildcard_domain_rejected():
