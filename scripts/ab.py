@@ -18,8 +18,11 @@ two sides' outputs differ.
 ``--import-rounds N`` times ``import policytree.cli`` instead, in N fresh
 interpreters per tree, alternating which tree goes first.  Each runs with
 ``PYTHONPATH`` set to its tree's ``src`` and the rest of the environment
-inherited, as the benchmark's ``setup_s`` probe does.  It prints each
-side's median and quartiles, B/A of the medians, and how many rounds B won.
+inherited, as the benchmark's ``setup_s`` probe does.  It prints whether
+the probes write bytecode, which they inherit from the environment
+(``PYTHONDONTWRITEBYTECODE``): only when they do not does each import
+include compiling ``src/``.  Then each side's median and quartiles, B/A of
+the medians, and how many rounds B won.
 
 Usage, from the root of the repository:
 
@@ -108,10 +111,10 @@ def summary(workload, inputs, raws) -> tuple[int, str]:
     return sum(o.rules_out for o in outcomes), h.hexdigest()
 
 
-def import_time(tree: Path) -> float:
-    """Seconds to import ``policytree.cli`` from ``tree`` in a fresh interpreter."""
+def probe(tree: Path, code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports from ``tree``."""
     done = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE],
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(tree / "src")),
         cwd=tree,
         capture_output=True,
@@ -119,7 +122,12 @@ def import_time(tree: Path) -> float:
         timeout=60,
         check=True,
     )
-    return float(done.stdout.strip())
+    return done.stdout.strip()
+
+
+def import_time(tree: Path) -> float:
+    """Seconds to import ``policytree.cli`` from ``tree`` in a fresh interpreter."""
+    return float(probe(tree, IMPORT_PROBE))
 
 
 def compare_imports(trees: dict[str, Path], rounds: int) -> None:
@@ -129,6 +137,10 @@ def compare_imports(trees: dict[str, Path], rounds: int) -> None:
         for tag in ("a", "b") if r % 2 == 0 else ("b", "a"):
             times[tag].append(import_time(trees[tag]))
     print(f"import policytree.cli, {rounds} fresh interpreters per tree")
+    if probe(trees["a"], "import sys; print(sys.flags.dont_write_bytecode)") != "0":
+        print("the probes write no bytecode: each import includes compiling src/")
+    else:
+        print("the probes write bytecode: only a tree's first import may compile src/")
     for tag, samples in times.items():
         q1, median, q3 = statistics.quantiles(samples, n=4)
         print(f"{tag.upper()}: median {median * 1e3:.1f} ms [{q1 * 1e3:.1f}, {q3 * 1e3:.1f}]")

@@ -28,8 +28,8 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from operator import xor
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .dtree import DecisionTree, branches, flattening_key
 from .model import AttributeDef, Rule, RuleSet, Schema, SchemaError, Semantics
@@ -110,8 +110,7 @@ def evaluate(rs: RuleSet, packet: Packet, semantics: Semantics) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DomainSpace:
+class DomainSpace(NamedTuple):
     """A grid of packets: one point list per attribute, crossed."""
 
     schema: Schema

@@ -1,8 +1,9 @@
 """Reading and writing rule files, and reading the lines of any input file.
 
-Rule and topology files are UTF-8 text read line by line, and each defect
-in one is a :class:`RuleFileError` naming the file and line.  The rule-file
-text format, line by line (``#`` starts a comment anywhere):
+Rule and topology files are UTF-8 text, less one leading byte-order mark,
+read line by line, and each defect in one is a :class:`RuleFileError`
+naming the file and line.  The rule-file text format, line by line (``#``
+starts a comment anywhere):
 
 .. code-block:: text
 
@@ -229,11 +230,15 @@ _COLUMN = "|"
 
 
 def _decoded(data: bytes | str, source: str) -> str:
-    """``data`` as text: bytes are decoded as UTF-8."""
+    """``data`` as text: bytes are decoded as UTF-8, less one leading byte-order mark.
+
+    ``utf-8-sig`` would drop the mark too, but count a bad byte's offset from
+    after it.
+    """
     if isinstance(data, str):
         return data
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise RuleFileError(
             f"not UTF-8 text ({exc.reason} at byte {exc.start})", None, source
@@ -552,6 +557,12 @@ _NOT_IN_HEADER = "#\x85\u2028\u2029"
 
 
 def _from_dict(d: dict, source: str) -> RuleSet:
+    def shaped(value, container: type, key: str):
+        # read as another container, a value fails with Python's own message or is misread
+        if not isinstance(value, container):
+            raise ValueError(f"{key} must be {'a list' if container is list else 'an object'}")
+        return value
+
     def text(value, key: str, forbidden: str = _NOT_IN_HEADER) -> str:
         # the header is rebuilt as text, where these characters change its meaning
         if not isinstance(value, str):
@@ -561,14 +572,16 @@ def _from_dict(d: dict, source: str) -> RuleSet:
             raise ValueError(f"{key} holds {bad!r}")
         return value
 
+    shaped(d, dict, "the document")
     lines = [f"component {text(d['component'], 'component')}", f"kind {text(d['kind'], 'kind')}"]
-    for i, a in enumerate(d["attributes"]):
+    for i, a in enumerate(shaped(d["attributes"], list, "attributes")):
+        shaped(a, dict, f"attributes[{i}]")
         fields = (text(a[k], f"attributes[{i}].{k}") for k in ("name", "kind", "domain"))
         lines.append("attr " + " ".join(fields))
-    dec = d["decision"]
+    dec = shaped(d["decision"], dict, "decision")
     labels = [
         text(label, f"decision.labels[{i}]", _NOT_IN_HEADER + ",")
-        for i, label in enumerate(dec["labels"])
+        for i, label in enumerate(shaped(dec["labels"], list, "decision.labels"))
     ]
     lines.append(f"decision {text(dec['name'], 'decision.name')} {','.join(labels)}")
     lines.append("rules")
@@ -576,12 +589,13 @@ def _from_dict(d: dict, source: str) -> RuleSet:
     attrs, names = base.schema.condition_attributes, set(base.schema.condition_names)
     read_rule = _rule_reader(attrs, base.schema.decision_attribute, base.component_name)
     rules = []
-    for position, entry in enumerate(d["rules"], start=1):
+    for position, entry in enumerate(shaped(d["rules"], list, "rules"), start=1):
+        shaped(entry, dict, f"rules[{position - 1}]")
         rule_id, origin = entry["id"], entry.get("origin", "")
         if type(rule_id) is not int or not isinstance(origin, str):
             raise ValueError(f"rule {rule_id!r}: id must be an integer and origin a string")
         _name(origin, f"rule {rule_id} origin", None, source, _NOT_IN_HEADER + _COLUMN)
-        action, given = entry["action"], entry["values"]
+        action, given = entry["action"], shaped(entry["values"], dict, f"rule {rule_id}: values")
         if not isinstance(action, str):
             raise ValueError(f"rule {rule_id}: action must be a string")
         texts = [given[a.name] for a in attrs]

@@ -7,7 +7,6 @@ alerting component in front of a filtering one is flagged as mis-positioned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import ComponentKind
@@ -22,15 +21,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TopologyComponent:
+class TopologyComponent(NamedTuple):
     name: str
     kind: ComponentKind
     rules_path: str | None = None
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(NamedTuple):
     components: dict[str, TopologyComponent]
     paths: tuple[tuple[str, tuple[str, ...]], ...]
 

@@ -22,8 +22,8 @@ whole domain come back as the wildcard.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
-from operator import itemgetter
 
 __all__ = [
     "AttrKind",
@@ -69,7 +69,7 @@ class AttrKind(str, Enum):
 COMPLEMENT_LABEL = "~other~"
 
 
-class ValueSet(tuple):
+class ValueSet(namedtuple("ValueSet", "labels intervals")):
     """One attribute constraint: ``(labels, intervals)``, the wildcard when both are ``None``."""
 
     __slots__ = ()
@@ -79,23 +79,9 @@ class ValueSet(tuple):
             raise ValueSetError("a value set is either labels or intervals, not both")
         return tuple.__new__(cls, (labels, intervals))
 
-    def __getnewargs__(self):
-        return tuple(self)
-
-    labels = property(itemgetter(0))
-    intervals = property(itemgetter(1))
-
     @property
     def is_wildcard(self) -> bool:
         return self.labels is None and self.intervals is None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.is_wildcard:
-            return "ValueSet(any)"
-        if self.labels is not None:
-            return f"ValueSet({{{', '.join(sorted(self.labels))}}})"
-        spans = ",".join(f"[{lo},{hi}]" for lo, hi in self.intervals or ())
-        return f"ValueSet({spans})"
 
 
 ANY = ValueSet()

@@ -511,11 +511,15 @@ def test_fix_interop_keeps_its_files_in_the_output_dir(fw, ids_path, tmp_path, s
     assert run("lint", str(path)).exit_code == 1  # other commands still read the name
 
 
-def _ids_dict(component: str = "IDS", origin: str | None = None) -> dict:
+def _ids_dict(
+    component: str = "IDS", origin: str | None = None, port_kind: str = "port-range"
+) -> dict:
     """cases/ids.rules with rule 1 open to every attack class, so that its
-    regions reach the firewall's corrected file."""
+    regions reach the firewall's corrected file, and dst_port of ``port_kind``."""
     d = ruleset_to_dict(load_ruleset(CASES / "ids.rules"))
     d["component"] = component
+    (dst_port,) = (a for a in d["attributes"] if a["name"] == "dst_port")
+    dst_port["kind"] = port_kind
     d["rules"][0]["values"]["attack_class"] = "any"
     for rule in d["rules"]:
         rule["origin"] = component if origin is None else origin
@@ -542,6 +546,12 @@ rules
         ("in.json", _ids_dict(origin="up | accept"), "rule 1 origin 'up | accept' holds '|'"),
         ("in.json", _ids_dict(origin="up2 # c"), "rule 1 origin 'up2 # c' holds '#'"),
         ("in.json", _ids_dict(origin="up\u2028x"), "rule 1 origin 'up\\u2028x' holds '\\u2028'"),
+        # nor can a pair be restated over one schema when an attribute has two kinds
+        (
+            "in.json",
+            _ids_dict(port_kind="integer-range"),
+            "attribute 'dst_port' declared as port-range and integer-range",
+        ),
     ],
 )
 def test_names_a_rule_line_cannot_hold_are_input_errors(fixed_fw, tmp_path, name, content, hint):
@@ -550,6 +560,9 @@ def test_names_a_rule_line_cannot_hold_are_input_errors(fixed_fw, tmp_path, name
     out = tmp_path / "out"
     if name.endswith(".json"):
         result = run("fix-interop", fixed_fw, str(path), "-o", str(out))
+        checked = run("check-interop", fixed_fw, str(path))
+        _one_error_line(checked)
+        assert hint in checked.output
     else:
         result = run("correct", str(path), "-o", str(out))
     _one_error_line(result)
@@ -839,8 +852,29 @@ _FW_JSON = json.dumps(_fw_dict()).encode()
             "bad.topo:1: rule file 'fw\\x00.rules' holds control character '\\x00'",
         ),
         ("bad.json", _without(_fw_dict(), "kind"), "missing key 'kind'"),
-        ("bad.json", _fw_dict(rules=5), "bad JSON rule file"),
-        ("bad.json", [_fw_dict()], "bad JSON rule file"),
+        # each container is checked where it is read, not misread or failed on by Python
+        ("bad.json", _fw_dict(rules=5), "bad JSON rule file: rules must be a list"),
+        ("bad.json", [_fw_dict()], "bad JSON rule file: the document must be an object"),
+        ("bad.json", _fw_dict(rules={}), "bad JSON rule file: rules must be a list"),
+        ("bad.json", _fw_dict(rules=[5]), "bad JSON rule file: rules[0] must be an object"),
+        (
+            "bad.json",
+            _first_rule(lambda r: r.update(values=[])),
+            "bad JSON rule file: rule 1: values must be an object",
+        ),
+        ("bad.json", _fw_dict(attributes="x"), "bad JSON rule file: attributes must be a list"),
+        ("bad.json", _fw_dict(attributes={}), "bad JSON rule file: attributes must be a list"),
+        (
+            "bad.json",
+            _fw_dict(attributes=[5]),
+            "bad JSON rule file: attributes[0] must be an object",
+        ),
+        ("bad.json", _fw_dict(decision=[]), "bad JSON rule file: decision must be an object"),
+        (
+            "bad.json",
+            _edited(lambda d: d["decision"].update(labels={"accept": 1, "deny": 2})),
+            "bad JSON rule file: decision.labels must be a list",
+        ),
         (
             "bad.json",
             _first_rule(lambda r: r["values"].update(protocol="SCTP")),
@@ -1050,6 +1084,33 @@ def test_bad_files_are_input_errors(tmp_path, name, content, hint):
     assert str(tmp_path) in result.output
     assert result.output.count("\n") == 1
     assert hint in result.output
+
+
+def test_a_byte_order_mark_is_not_part_of_a_file(tmp_path):
+    """Each input file reads the same with a leading UTF-8 byte-order mark; its
+    report entry still digests the bytes as they are."""
+    files = {
+        "ingress.topo": (CASES / "ingress.topo").read_bytes(),
+        "fw.rules": _FW_TEXT,
+        "ids.rules": (CASES / "ids.rules").read_bytes(),
+        "fw.json": _FW_JSON,
+    }
+    reports = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        folder = tmp_path / ("bom" if mark else "plain")
+        folder.mkdir()
+        for name, data in files.items():
+            (folder / name).write_bytes(mark + data)
+        commands = [("lint", "fw.rules"), ("check-topology", "ingress.topo"), ("lint", "fw.json")]
+        runs = [run(command, str(folder / name)) for command, name in commands]
+        for result in runs:
+            assert result.exit_code in (0, 1), result.output
+            for path, digest in re.findall(r"^input: (\S+) sha256=(\w+)$", result.output, re.M):
+                assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        reports.append(
+            [re.sub(r"sha256=\w+", "sha256=", r.output.replace(str(folder), "<dir>")) for r in runs]
+        )
+    assert reports[0] == reports[1]
 
 
 # JSON header defects: the header is read as text, but the text's lines are not the file's

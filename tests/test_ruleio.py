@@ -192,17 +192,72 @@ def test_reserved_label_rejected():
         (lambda t: t.replace("kind filtering", "kind firewall"), "kind"),
         (lambda t: t.replace("1 | TCP", "7 | TCP"), "rule id"),
         (lambda t: t.replace("| 80 |", "|"), "column"),
-        (lambda t: t.replace("rules\n", ""), "rules"),
+        (lambda t: t[: t.index("rules\n")], "missing 'rules' section"),
         (lambda t: t.replace("| accept", "| allow"), "decision domain"),
         (lambda t: t.replace("1 | TCP", "1 | ICMP"), "domain"),
         (lambda t: t.replace("| 80 |", "| 90000 |"), "domain"),
         (lambda t: t + "garbage line\n", "columns"),
         (lambda t: t.replace("rules\n", "garbage line\nrules\n"), "directive"),
+        (lambda t: t.replace("| 80 |", "| 1,,5 |"), "port: empty value atom"),
+        (lambda t: t.replace("| 80 |", "| 20-10 |"), "port: inverted range '20-10'"),
+        (lambda t: t.replace("1 | TCP", "1 | a,"), "p: empty label in 'a,'"),
+        (
+            lambda t: t.replace("protocol-enum TCP,UDP", "label-enum a,,b"),
+            "bad domain for 'p': empty label",
+        ),
+        (lambda t: t.replace("component X", "component"), "component needs a name"),
     ],
 )
 def test_parse_errors(mangle, fragment):
-    with pytest.raises(RuleFileError, match=fragment):
+    with pytest.raises(RuleFileError) as exc:
         parse_ruleset(mangle(MINIMAL), source="t.rules")
+    assert fragment in exc.value.reason  # the source's name holds 'rules'
+
+
+_PORT = AttributeDef("port", AttrKind.PORT_RANGE, intervals(((0, 99),)))
+_ACTION = AttributeDef("action", AttrKind.LABEL_ENUM, labels("accept", "deny"))
+
+
+def _rules(*rules: Rule) -> RuleSet:
+    return RuleSet(Schema((_PORT,), _ACTION), rules)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: _rules(Rule(2, {"port": ANY}, "deny"), Rule(1, {"port": ANY}, "deny")),
+            "rule ids must be consecutive from 1; found 2 at position 1",
+        ),
+        (lambda: _rules(Rule(1, {}, "deny")), "rule 1: missing port"),
+        (lambda: _rules(Rule(1, {"port": ANY, "x": ANY}, "deny")), "rule 1: unexpected x"),
+        (
+            lambda: _rules(Rule(1, {"port": ANY}, "drop")),
+            "rule 1: action 'drop' not in decision domain",
+        ),
+        (
+            lambda: AttributeDef("n", AttrKind.INTEGER_RANGE, ANY),
+            "attribute 'n' needs an explicit domain",
+        ),
+        (
+            lambda: AttributeDef("n", AttrKind.INTEGER_RANGE, intervals(())),
+            "attribute 'n' has an empty domain",
+        ),
+        (
+            lambda: AttributeDef("n", AttrKind.INTEGER_RANGE, labels("a")),
+            "attribute 'n' needs an interval domain",
+        ),
+        (
+            lambda: AttributeDef("p", AttrKind.LABEL_ENUM, intervals(((0, 9),))),
+            "attribute 'p' needs a label domain",
+        ),
+        (lambda: Schema((), _ACTION), "a schema needs at least one condition attribute"),
+    ],
+)
+def test_model_records_refuse_what_they_cannot_hold(build, message):
+    with pytest.raises(SchemaError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_errors_carry_location():
