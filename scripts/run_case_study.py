@@ -24,9 +24,9 @@ from policytree.correction import correct_pair, correct_ruleset, integrate
 from policytree.dtree import DecisionTree, Node
 from policytree.interop import detect_inter, extend_schema, union_schema
 from policytree.intra import detect_intra
-from policytree.model import RuleSet
-from policytree.oracle import Semantics, endpoint_space, equivalence
-from policytree.rdt import ConflictPolicy, build_rdt
+from policytree.model import ConflictPolicy, RuleSet
+from policytree.oracle import endpoint_space, equivalence
+from policytree.rdt import build_rdt
 from policytree.ruleio import format_value, load_ruleset
 from policytree.values import vs_compare
 
@@ -129,14 +129,11 @@ def main() -> int:
     print("------------")
     started = time.perf_counter()
     space = endpoint_space(merged.ruleset)
-    semantics = (
-        Semantics.FIRST_MATCH if policy is ConflictPolicy.FIRST_MATCH else Semantics.OWNER_CAPTURE
-    )
-    mismatches = equivalence(pair.rdt.tree, merged.ruleset, semantics, space)
+    mismatches = equivalence(pair.rdt.tree, merged.ruleset, policy, space)
     elapsed = time.perf_counter() - started
     print(f"packet space: {space.size():,} elementary cells")
     print(f"referee wall time: {elapsed:.1f}s", file=sys.stderr)
-    print(f"tree vs ordered-rules referee ({semantics.value}): {len(mismatches)} mismatches")
+    print(f"tree vs ordered-rules referee ({policy.value}): {len(mismatches)} mismatches")
     print(f"relevancy violations in the global tree: {overlapping_siblings(pair.rdt.tree)}")
 
     residue = detect_inter(

@@ -21,8 +21,8 @@ from .correction import correct_pair, correct_ruleset
 from .dtree import dump_tree
 from .interop import detect_inter, extend_schema, union_schema
 from .intra import detect_intra, is_relevant_ruleset
-from .model import RuleSet, SchemaError, Semantics, Severity
-from .rdt import ConflictPolicy, build_rdt
+from .model import ConflictPolicy, RuleSet, SchemaError, Severity
+from .rdt import build_rdt
 from .relations import relation_sets
 from .report import Report, input_entry, render_json, render_text
 from .ruleio import (
@@ -55,7 +55,7 @@ class Options(NamedTuple):
     type=click.Choice(sorted(_POLICIES)),
     default="specificity",
     show_default=True,
-    help="How conflicting rules are resolved when building trees.",
+    help="Which rule wins where several match, in trees and in eval.",
 )
 @click.option(
     "--format",
@@ -412,16 +412,9 @@ def check_topology(ctx: click.Context, topology_file: str):
     required=True,
     help="Comma-separated attribute=value pairs covering every attribute.",
 )
-@click.option(
-    "--semantics",
-    type=click.Choice([s.value for s in Semantics]),
-    default=Semantics.FIRST_MATCH.value,
-    show_default=True,
-    help="Which rule wins when several match.",
-)
 @click.pass_context
-def eval_packet(ctx: click.Context, rules_file: str, packet_arg: str, semantics: str):
-    """Decide one packet against a rule set."""
+def eval_packet(ctx: click.Context, rules_file: str, packet_arg: str):
+    """Decide one packet against a rule set, under --policy."""
     from .oracle import evaluate_rule  # the referee; no other command loads it
 
     opts: Options = ctx.obj
@@ -448,8 +441,8 @@ def eval_packet(ctx: click.Context, rules_file: str, packet_arg: str, semantics:
     missing = set(rs.schema.condition_names) - set(packet)
     if missing:
         _fail(ctx, f"bad --packet: missing attributes {sorted(missing)}")
-    report = Report(command="eval", inputs=[entry])
-    rule = evaluate_rule(rs, packet, Semantics(semantics))
+    report = Report(command="eval", policy=opts.policy.value, inputs=[entry])
+    rule = evaluate_rule(rs, packet, opts.policy)
     if rule is None:
         report.result = {"decision": "no-match"}
         report.verdict = "no rule matches this packet"

@@ -27,8 +27,8 @@ from typing import NamedTuple, Sequence
 
 from .dtree import DecisionTree, Edge, Node, tree_to_rules
 from .interop import extend_schema, union_schema
-from .model import ComponentKind, Rule, RuleSet, Schema, SchemaError
-from .rdt import ConflictPolicy, RelevantDecisionTree, build_rdt
+from .model import ComponentKind, ConflictPolicy, Rule, RuleSet, Schema, SchemaError
+from .rdt import RelevantDecisionTree, build_rdt
 from .values import COMPLEMENT_LABEL, ValueSet
 
 __all__ = [
@@ -83,6 +83,11 @@ def integrate(preceding: RuleSet, following: RuleSet) -> GlobalRuleSet:
     )
 
 
+def _origin(prior: str, component: str, rule_id: int) -> str:
+    """An input rule's origin: the one it names (after a repair), else ``component:rN``."""
+    return prior if prior and prior != component else f"{component}:r{rule_id}"
+
+
 def correct_ruleset(
     rs: RuleSet,
     policy: ConflictPolicy = ConflictPolicy.SPECIFICITY,
@@ -91,11 +96,11 @@ def correct_ruleset(
 ) -> RuleSet:
     """Single-component repair: the rule set read back from its tree.
 
-    Each output rule's origin names the input rule that won its region.
+    Each output rule's origin is that of the input rule that won its region.
     ``built`` is the tree of ``rs`` under ``policy`` when the caller has
     already built it (to dump it, say); otherwise it is built here.
     """
-    origin_map = {r.id: f"{rs.component_name}:r{r.id}" for r in rs.rules}
+    origin_map = {r.id: _origin(r.origin, rs.component_name, r.id) for r in rs.rules}
     return tree_to_rules((built or build_rdt(rs, policy)).tree, origin_map)
 
 
@@ -216,8 +221,8 @@ def correct_pair(
     """Repair a preceding/following pair against each other.
 
     Returns both corrected rule sets (each over its own attributes), plus
-    the global tree.  Every output rule's origin names the input rule that
-    won its region, as ``component:rN``.
+    the global tree.  Every output rule's origin is that of the input rule
+    that won its region.
     ``restated`` is the pair already restated over its union schema, if any.
     """
     if restated is None:
@@ -225,12 +230,10 @@ def correct_pair(
         restated = extend_schema(preceding, target), extend_schema(following, target)
     g = integrate(*restated)
     rdt = build_rdt(g.ruleset, policy)
-    # carry provenance through earlier corrections: a rule that already
-    # names an origin rule keeps it, so outputs trace back to user input
-    origin_map = {}
-    for gid, (comp, oid) in g.provenance.items():
-        prior = g.ruleset.rules[gid - 1].origin
-        origin_map[gid] = prior if prior != comp else f"{comp}:r{oid}"
+    origin_map = {
+        gid: _origin(g.ruleset.rules[gid - 1].origin, comp, oid)
+        for gid, (comp, oid) in g.provenance.items()
+    }
 
     # an alerting follower keeps what is specific in its last own attribute,
     # the attack class; every other projection drops what is foreign-specific

@@ -2,17 +2,19 @@
 
 For every ordered pair (earlier rule i, later rule j):
 
-* shadowing (error): j fits inside i and their action classes differ, so j
-  can never fire and would have acted differently;
-* redundancy (error): j fits inside i with the same action class, so j is
-  dead weight;
+* shadowing (error): j fits inside i and their action classes differ, so
+  under first match j can never fire and would have acted differently;
+* redundancy (error): j fits inside i with the same action class, so under
+  first match j is dead weight;
 * generalization (warning): i fits properly inside j with a different
   action class; j acts as i's catch-all;
 * correlation (warning): the rules overlap both ways (correlated) with
   different action classes, so their relative order changes behaviour.
 
 Rules with identical conditions count as shadowing when the actions differ
-and as redundancy when they agree.
+and as redundancy when they agree.  The findings do not follow ``--policy``:
+under specificity a later rule strictly inside an earlier one captures its
+region instead, as r2 does from r1 in ``cases/fw.rules``.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ __all__ = [
     "SchemaError",
     "ComponentKind",
     "Severity",
-    "Semantics",
+    "ConflictPolicy",
     "AttributeDef",
     "Schema",
     "Rule",
@@ -48,11 +48,11 @@ class Severity(str, Enum):
     WARNING = "warning"
 
 
-class Semantics(str, Enum):
-    """Which rule decides a packet that several rules match (see :mod:`policytree.oracle`)."""
+class ConflictPolicy(str, Enum):
+    """Which rule decides a packet that several rules match (see :mod:`policytree.rdt`)."""
 
+    SPECIFICITY = "specificity-then-order"
     FIRST_MATCH = "first-match"
-    OWNER_CAPTURE = "owner-capture"
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,14 @@
 """Packet-level referee, independent of the tree construction.
 
 This module answers "what does this rule set do to this packet?" straight
-from the ordered rules, under two semantics:
+from the ordered rules, under either :class:`~policytree.model.ConflictPolicy`:
 
 * ``first-match``: the first matching rule wins;
-* ``owner-capture``: rule 1 owns whatever it matches; each later rule
-  claims the still-unowned part of its region and additionally takes over
-  any region whose current owner it fits strictly inside (it is the more
-  specific rule).  This is the reference for the specificity construction
-  policy, computed here rule-by-rule without any tree involved.
+* ``specificity-then-order`` (owner capture): rule 1 owns whatever it
+  matches; each later rule claims the still-unowned part of its region and
+  takes over any region whose current owner it fits strictly inside (it is
+  the more specific rule).  This is the reference for the tree builder's
+  specificity policy, computed here rule-by-rule without any tree.
 
 It also cuts each numeric domain into elementary cells, the maximal
 intervals on which no rule value changes, and keeps one packet per cell
@@ -32,13 +32,12 @@ from math import prod
 from typing import NamedTuple
 
 from .dtree import DecisionTree, branches, flattening_key
-from .model import AttributeDef, Rule, RuleSet, Schema, SchemaError, Semantics
+from .model import AttributeDef, ConflictPolicy, Rule, RuleSet, Schema, SchemaError
 from .relations import indices
 from .values import ValueSet, contains_point, vs_compare, vs_subset
 
 __all__ = [
     "Packet",
-    "Semantics",
     "DomainSpace",
     "endpoint_space",
     "matches",
@@ -48,6 +47,11 @@ __all__ = [
 ]
 
 Packet = dict[str, "int | str"]
+
+
+class Semantics:  # the names perfbench/workloads.py reads; they go with ROADMAP item 1, step B
+    OWNER_CAPTURE = ConflictPolicy.SPECIFICITY
+    FIRST_MATCH = ConflictPolicy.FIRST_MATCH
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +82,12 @@ def _strictly_inside(a: Rule, b: Rule, schema: Schema) -> bool:
     return strict
 
 
-def _owner(rs: RuleSet, held, semantics: Semantics, inside: dict) -> int | None:
+def _owner(rs: RuleSet, held, policy: ConflictPolicy, inside: dict) -> int | None:
     """Which of ``held``, an iterator of rule indices in order, decides (``None`` if
-    none): the first under first match; under owner-capture a later rule takes over
+    none): the first under first match; under specificity a later rule takes over
     an owner it fits strictly inside.  ``inside`` memoizes that test by index pair."""
     owner = next(held, None)
-    if owner is None or semantics is Semantics.FIRST_MATCH:
+    if owner is None or policy is ConflictPolicy.FIRST_MATCH:
         return owner
     for k in held:
         if (k, owner) not in inside:
@@ -92,16 +96,16 @@ def _owner(rs: RuleSet, held, semantics: Semantics, inside: dict) -> int | None:
     return owner
 
 
-def evaluate_rule(rs: RuleSet, packet: Packet, semantics: Semantics) -> Rule | None:
+def evaluate_rule(rs: RuleSet, packet: Packet, policy: ConflictPolicy) -> Rule | None:
     """The rule that decides one packet, or ``None`` for no match."""
     held = (k for k, rule in enumerate(rs.rules) if matches(packet, rule, rs.schema))
-    k = _owner(rs, held, semantics, {})
+    k = _owner(rs, held, policy, {})
     return None if k is None else rs.rules[k]
 
 
-def evaluate(rs: RuleSet, packet: Packet, semantics: Semantics) -> str | None:
+def evaluate(rs: RuleSet, packet: Packet, policy: ConflictPolicy) -> str | None:
     """The rule set's decision for one packet, or ``None`` for no match."""
-    rule = evaluate_rule(rs, packet, semantics)
+    rule = evaluate_rule(rs, packet, policy)
     return rule.action if rule else None
 
 
@@ -190,12 +194,12 @@ def _axis_classes(attr: AttributeDef, points: tuple, column) -> tuple[list[int],
 
 
 def equivalence(
-    tree: DecisionTree, rs: RuleSet, semantics: Semantics, space: DomainSpace
+    tree: DecisionTree, rs: RuleSet, policy: ConflictPolicy, space: DomainSpace
 ) -> list[tuple[Packet, str | None, str | None]]:
     """Counterexamples where the tree and the rules disagree.
 
     Returns ``(packet, tree decision, rule decision)`` triples in point
-    order; empty means the tree reproduces the reference semantics on
+    order; empty means the tree reproduces the rules under ``policy`` on
     every packet of ``space`` cut further at the tree's own label bounds.
 
     By recursive flow classification: bits ``0..n-1`` of a match set are
@@ -234,7 +238,7 @@ def equivalence(
 
     def by_rules(bits: int) -> str | None:
         if bits not in decided:
-            decided[bits] = rules[_owner(rs, indices(bits), semantics, inside)].action
+            decided[bits] = rules[_owner(rs, indices(bits), policy, inside)].action
         return decided[bits]
 
     keys: dict[ValueSet, tuple] = {}

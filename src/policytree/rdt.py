@@ -28,24 +28,17 @@ once, at the end.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple
 
 from .dtree import DecisionTree, Edge, Node
-from .model import RuleSet
+from .model import ConflictPolicy, RuleSet
 from .relations import indices, relate  # noqa: F401  perfbench/spans.py wraps relate here
 from .values import Cells, labels
 
 __all__ = [
-    "ConflictPolicy",
     "RelevantDecisionTree",
     "build_rdt",
 ]
-
-
-class ConflictPolicy(str, Enum):
-    SPECIFICITY = "specificity-then-order"
-    FIRST_MATCH = "first-match"
 
 
 class RelevantDecisionTree(NamedTuple):

@@ -563,6 +563,11 @@ def _from_dict(d: dict, source: str) -> RuleSet:
             raise ValueError(f"{key} must be {'a list' if container is list else 'an object'}")
         return value
 
+    def at(entry: dict, key: str, place: str):
+        if key not in entry:  # named by the rule it is missing from, as its other defects are
+            raise ValueError(f"{place}: missing key {key!r}")
+        return entry[key]
+
     def text(value, key: str, forbidden: str = _NOT_IN_HEADER) -> str:
         # the header is rebuilt as text, where these characters change its meaning
         if not isinstance(value, str):
@@ -590,15 +595,18 @@ def _from_dict(d: dict, source: str) -> RuleSet:
     read_rule = _rule_reader(attrs, base.schema.decision_attribute, base.component_name)
     rules = []
     for position, entry in enumerate(shaped(d["rules"], list, "rules"), start=1):
-        shaped(entry, dict, f"rules[{position - 1}]")
-        rule_id, origin = entry["id"], entry.get("origin", "")
+        place = f"rules[{position - 1}]"
+        shaped(entry, dict, place)
+        rule_id, origin = at(entry, "id", place), entry.get("origin", "")
         if type(rule_id) is not int or not isinstance(origin, str):
             raise ValueError(f"rule {rule_id!r}: id must be an integer and origin a string")
+        place = f"rule {rule_id}"
         _name(origin, f"rule {rule_id} origin", None, source, _NOT_IN_HEADER + _COLUMN)
-        action, given = entry["action"], shaped(entry["values"], dict, f"rule {rule_id}: values")
+        action, given = at(entry, "action", place), at(entry, "values", place)
+        shaped(given, dict, f"{place}: values")
         if not isinstance(action, str):
             raise ValueError(f"rule {rule_id}: action must be a string")
-        texts = [given[a.name] for a in attrs]
+        texts = [at(given, a.name, place) for a in attrs]
         bad = next((a.name for a, v in zip(attrs, texts) if not isinstance(v, str)), None)
         if bad is not None:
             raise ValueError(f"rule {rule_id}: value for {bad!r} must be a string")

@@ -33,6 +33,7 @@ from policytree.model import (
     PERMIT_ACTIONS,
     AttributeDef,
     ComponentKind,
+    ConflictPolicy,
     Rule,
     RuleSet,
     Schema,
@@ -203,7 +204,7 @@ def texts(t: DecisionTree) -> tuple[str, str]:
     return dump_tree(t), serialize_ruleset(tree_to_rules(t))
 
 
-def reference_rdt(rs: RuleSet, policy: rdt.ConflictPolicy) -> DecisionTree:
+def reference_rdt(rs: RuleSet, policy: ConflictPolicy) -> DecisionTree:
     """The relevant tree built by plain sequential insertion, as an independent reference.
 
     Each rule is inserted in order.  At a proper overlap the edge keeps its
@@ -219,7 +220,7 @@ def reference_rdt(rs: RuleSet, policy: rdt.ConflictPolicy) -> DecisionTree:
     cells = tuple(Cells(a.domain, [r.condition[a.name] for r in rs.rules]) for a in attrs)
 
     def captures(incoming: Rule, owner: int) -> bool:
-        if policy is rdt.ConflictPolicy.FIRST_MATCH:
+        if policy is ConflictPolicy.FIRST_MATCH:
             return False
         return relate(incoming, rs.rules[owner - 1], rs.schema) is RelationKind.FORWARD
 

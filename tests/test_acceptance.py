@@ -19,8 +19,9 @@ from policytree.correction import correct_pair, correct_ruleset, integrate, proj
 from policytree.dtree import tree_to_rules
 from policytree.interop import InterKind, detect_inter, extend_schema, union_schema
 from policytree.intra import detect_intra
-from policytree.oracle import Semantics, endpoint_space, equivalence
-from policytree.rdt import ConflictPolicy, build_rdt
+from policytree.model import ConflictPolicy
+from policytree.oracle import endpoint_space, equivalence
+from policytree.rdt import build_rdt
 from policytree.ruleio import (
     load_ruleset,
     parse_ruleset,
@@ -208,13 +209,13 @@ def test_criterion_09_trees_match_the_packet_referee():
     bad = 0
     for rs in _corpus_sets():
         space = endpoint_space(rs)
-        if equivalence(build_rdt(rs).tree, rs, Semantics.OWNER_CAPTURE, space):
+        if equivalence(build_rdt(rs).tree, rs, ConflictPolicy.SPECIFICITY, space):
             bad += 1
         if equivalence(
-            build_rdt(rs, ConflictPolicy.FIRST_MATCH).tree, rs, Semantics.FIRST_MATCH, space
+            build_rdt(rs, ConflictPolicy.FIRST_MATCH).tree, rs, ConflictPolicy.FIRST_MATCH, space
         ):
             bad += 1
-    _verdict(9, bad == 0, f"{len(_CORPUS)} sets x 2 semantics, {bad} mismatching")
+    _verdict(9, bad == 0, f"{len(_CORPUS)} sets x 2 policies, {bad} mismatching")
 
 
 def test_criterion_10_projection_keeps_relevancy_and_decisions():

@@ -14,7 +14,7 @@ SCRIPT = CASES.parent / "scripts" / "run_case_study.py"
 
 #: sha256 of the script's standard output (the referee's wall time goes to stderr).
 DIGESTS = {
-    "specificity-then-order": "37a9288a8ef90b5cd8e361c2edbf35559a930d09fab5cddd9e3c5ca5e7c8045c",
+    "specificity-then-order": "a6b9aea3de87d1f98fd3fb7e8a7b1f2b72a249f37674ceff5a7cdc7d481f33b3",
     "first-match": "bcbf3d5b1242135c74bace6b3a3256d5a9e5ba71d7f743594bf2737d42308eb9",
 }
 

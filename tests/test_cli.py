@@ -20,11 +20,13 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _corpus import random_component_pair
+from _corpus import iter_packets, random_component_pair
 from conftest import CASES
 from policytree import cli, correction, interop, intra, model, rdt, relations
 from policytree.cli import main
-from policytree.ruleio import load_ruleset, ruleset_to_dict, serialize_ruleset
+from policytree.oracle import endpoint_space
+from policytree.ruleio import format_value, load_ruleset, ruleset_to_dict, serialize_ruleset
+from policytree.values import intervals, labels
 
 runner = CliRunner()
 
@@ -150,7 +152,7 @@ def test_commands_that_load_more_import_it_as_they_run(tmp_path):
 
 
 #: sha256 of ``policytree --help`` and each subcommand's ``--help``, in name order.
-HELP_DIGEST = "638f7133d14a2dc4e2a17d6f59a6f50187f17358602e292d5043711bc260f99f"
+HELP_DIGEST = "34cbc3183962dfada95871e3d17602164cf79414b6924fd31a3da1540e88beac"
 
 
 def test_help_keeps_its_bytes():
@@ -693,22 +695,56 @@ _PKT = (
 
 
 def test_eval_first_match(fw_path):
-    result = run("eval", fw_path, "--packet", _PKT)
+    result = run("--policy", "first-match", "eval", fw_path, "--packet", _PKT)
     assert result.exit_code == 0
     assert "decision: deny" in result.output
     assert "rule: r1" in result.output
+    assert "policy: first-match" in result.output
     # a field takes any value literal that names one point
     ranged = _PKT.replace("dst_port=80", "dst_port=80-80").replace(
         "src_addr=140.192.10.30", "src_addr=140.192.10.30-140.192.10.30"
     )
-    assert run("eval", fw_path, "--packet", ranged).output == result.output
+    ranged_run = run("--policy", "first-match", "eval", fw_path, "--packet", ranged)
+    assert ranged_run.output == result.output
 
 
 def test_eval_owner_capture(fw_path):
-    result = run("eval", fw_path, "--packet", _PKT, "--semantics", "owner-capture")
+    result = run("eval", fw_path, "--packet", _PKT)
     assert result.exit_code == 0
     assert "decision: accept" in result.output
     assert "rule: r2" in result.output
+    assert "policy: specificity-then-order" in result.output
+
+
+def _cell_packets(path: str) -> list[str]:
+    """A ``--packet`` argument for each elementary cell of the rule file at ``path``."""
+    rs = load_ruleset(path)
+
+    def field(attr, point) -> str:
+        value = intervals(((point, point),)) if attr.kind.is_numeric else labels(point)
+        return f"{attr.name}={format_value(value, attr)}"
+
+    return [
+        ",".join(field(a, packet[a.name]) for a in rs.schema.condition_attributes)
+        for packet in iter_packets(endpoint_space(rs))
+    ]
+
+
+@pytest.mark.parametrize("flags", [[], ["--policy", "specificity"], ["--policy", "first-match"]])
+def test_eval_decides_as_the_corrected_file(fw_path, tmp_path, flags):
+    # eval and correct read one switch, so a correction changes no packet's decision
+    fixed = tmp_path / "fixed.rules"
+    assert run(*flags, "correct", fw_path, "-o", str(fixed)).exit_code == 1
+    packets = _cell_packets(fw_path)
+    assert len(packets) == 90
+
+    def decision(path: str, packet: str) -> str:
+        result = run(*flags, "eval", path, "--packet", packet)
+        assert result.exit_code in (0, 1), result.output
+        return next(ln for ln in result.output.splitlines() if ln.startswith("decision: "))
+
+    for packet in packets:
+        assert decision(fw_path, packet) == decision(str(fixed), packet), packet
 
 
 def test_eval_origin_traces_to_the_input_rule(fixed_fw):
@@ -852,6 +888,15 @@ _FW_JSON = json.dumps(_fw_dict()).encode()
             "bad.topo:1: rule file 'fw\\x00.rules' holds control character '\\x00'",
         ),
         ("bad.json", _without(_fw_dict(), "kind"), "missing key 'kind'"),
+        # a key missing from one rule names the rule, or its place before it has an id
+        (
+            "bad.json",
+            _edited(lambda d: d["rules"][2]["values"].pop("dst_port")),
+            "bad JSON rule file: rule 3: missing key 'dst_port'",
+        ),
+        ("bad.json", _edited(lambda d: d["rules"][2].pop("action")), "rule 3: missing key 'action'"),
+        ("bad.json", _edited(lambda d: d["rules"][2].pop("values")), "rule 3: missing key 'values'"),
+        ("bad.json", _edited(lambda d: d["rules"][2].pop("id")), "rules[2]: missing key 'id'"),
         # each container is checked where it is read, not misread or failed on by Python
         ("bad.json", _fw_dict(rules=5), "bad JSON rule file: rules must be a list"),
         ("bad.json", [_fw_dict()], "bad JSON rule file: the document must be an object"),

@@ -23,9 +23,17 @@ from policytree.correction import (
 from policytree.dtree import DecisionTree, Edge, Node, dump_tree, tree_to_rules
 from policytree.interop import detect_inter, extend_schema, union_schema
 from policytree.intra import detect_intra, is_relevant_ruleset
-from policytree.model import AttributeDef, ComponentKind, Rule, RuleSet, Schema, SchemaError
-from policytree.oracle import Semantics, endpoint_space, equivalence
-from policytree.rdt import ConflictPolicy, build_rdt
+from policytree.model import (
+    AttributeDef,
+    ComponentKind,
+    ConflictPolicy,
+    Rule,
+    RuleSet,
+    Schema,
+    SchemaError,
+)
+from policytree.oracle import endpoint_space, equivalence
+from policytree.rdt import build_rdt
 from policytree.ruleio import parse_ruleset, parse_value, serialize_ruleset
 from policytree.values import ANY, AttrKind, COMPLEMENT_LABEL, ValueSet, intervals, labels
 
@@ -88,11 +96,12 @@ def test_correct_ruleset_origins_name_the_winning_rule(fw):
 
 
 def test_correct_ruleset_is_stable_on_relevant_input(fw):
-    once = correct_ruleset(fw)
-    twice = correct_ruleset(once)
-    assert [(r.condition, r.action) for r in twice.rules] == [
-        (r.condition, r.action) for r in once.rules
-    ]
+    # a second repair keeps the origins the first one named, so it changes no byte
+    for policy in ConflictPolicy:
+        once = correct_ruleset(fw, policy)
+        twice = correct_ruleset(once, policy)
+        assert twice.rules == once.rules
+        assert serialize_ruleset(twice) == serialize_ruleset(once)
 
 
 def test_integrate_concatenates_and_tracks_provenance(fw, ids):
@@ -133,16 +142,13 @@ def test_a_rule_with_an_empty_value_set_owns_no_region():
         ),
         component_name="E",
     )
-    for policy, semantics in (
-        (ConflictPolicy.SPECIFICITY, Semantics.OWNER_CAPTURE),
-        (ConflictPolicy.FIRST_MATCH, Semantics.FIRST_MATCH),
-    ):
+    for policy in ConflictPolicy:
         back = parse_ruleset(serialize_ruleset(correct_ruleset(rs, policy)))
         assert [(r.condition, r.action, r.origin) for r in back.rules] == [
             ({"f0": ANY, "f1": ANY}, "deny", "E:r2")
         ]
         tree = build_rdt(back, policy).tree
-        assert equivalence(tree, rs, semantics, endpoint_space(rs, back)) == []
+        assert equivalence(tree, rs, policy, endpoint_space(rs, back)) == []
 
 
 # ---------------------------------------------------------------------------

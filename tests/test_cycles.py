@@ -21,8 +21,9 @@ from policytree.correction import correct_pair, correct_ruleset, project
 from policytree.dtree import dump_tree, flattened, tree_to_rules
 from policytree.interop import detect_inter, extend_schema, union_schema
 from policytree.intra import detect_intra, is_relevant_ruleset
-from policytree.oracle import Semantics, endpoint_space, equivalence
-from policytree.rdt import ConflictPolicy, build_rdt
+from policytree.model import ConflictPolicy
+from policytree.oracle import endpoint_space, equivalence
+from policytree.rdt import build_rdt
 from policytree.relations import relation_sets
 from policytree.ruleio import parse_ruleset, serialize_ruleset
 
@@ -64,7 +65,7 @@ def _calls(source: str) -> dict:
         "dump_tree": lambda: dump_tree(tree),
         "check_relevant": lambda: check_relevant(tree),
         "endpoint_space": lambda: endpoint_space(rs),
-        "equivalence": lambda: equivalence(tree, rs, Semantics.OWNER_CAPTURE, space),
+        "equivalence": lambda: equivalence(tree, rs, ConflictPolicy.SPECIFICITY, space),
         "serialize_ruleset": lambda: serialize_ruleset(rs),
     }
 

@@ -17,8 +17,8 @@ from policytree.dtree import (
     dump_tree,
     tree_to_rules,
 )
-from policytree.model import Rule, RuleSet, SchemaError
-from policytree.oracle import Semantics, evaluate
+from policytree.model import ConflictPolicy, Rule, RuleSet, SchemaError
+from policytree.oracle import evaluate
 from policytree.values import ANY, intervals
 
 from _corpus import build_tree, check_relevant, copy_node, evaluate_tree, interval_schema, random_ruleset
@@ -112,7 +112,7 @@ def test_evaluate_tree_is_first_match(seed):
     t = build_tree(rs)
     for _ in range(6):
         p = {"f0": rng.randrange(40), "f1": rng.randrange(15)}
-        assert evaluate_tree(t, p) == evaluate(rs, p, Semantics.FIRST_MATCH)
+        assert evaluate_tree(t, p) == evaluate(rs, p, ConflictPolicy.FIRST_MATCH)
 
 
 def test_evaluate_tree_ignores_prefix_sharing():

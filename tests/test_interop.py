@@ -20,8 +20,8 @@ from policytree.model import (
     Rule,
     RuleSet,
     Schema,
+    ConflictPolicy,
     SchemaError,
-    Semantics,
     Severity,
 )
 from policytree.oracle import endpoint_space, evaluate
@@ -150,8 +150,8 @@ def test_restating_keeps_every_decision(p, f):
         for packet in packets:
             # a label the side never declared is, to that side, its complement label
             own = dict(packet, tag=packet["tag"] if packet["tag"] in declared else COMPLEMENT_LABEL)
-            for semantics in Semantics:
-                assert evaluate(ext, packet, semantics) == evaluate(rs, own, semantics)
+            for policy in ConflictPolicy:
+                assert evaluate(ext, packet, policy) == evaluate(rs, own, policy)
 
 
 @pytest.mark.parametrize(

@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 
 from policytree.dtree import tree_to_rules
 from policytree.intra import IntraAnomaly, IntraKind, detect_intra, is_relevant_ruleset
-from policytree.model import AttributeDef, Rule, RuleSet, Schema, Semantics, Severity
+from policytree.model import AttributeDef, ConflictPolicy, Rule, RuleSet, Schema, Severity
 from policytree.oracle import endpoint_space, equivalence
-from policytree.rdt import ConflictPolicy, build_rdt
+from policytree.rdt import build_rdt
 from policytree.relations import RelationKind, relate
 from policytree.values import ANY, AttrKind, intervals, labels
 
@@ -158,7 +158,7 @@ def test_a_covered_later_rule_decides_no_packet_under_first_match():
             rules = tuple(r._replace(id=i) for i, r in enumerate(kept, start=1))
             less = RuleSet(rs.schema, rules, rs.component_kind, rs.component_name)
             tree = build_rdt(less, ConflictPolicy.FIRST_MATCH).tree
-            assert equivalence(tree, rs, Semantics.FIRST_MATCH, space) == [], (seed, finding)
+            assert equivalence(tree, rs, ConflictPolicy.FIRST_MATCH, space) == [], (seed, finding)
             checked[finding.kind] += 1
     assert checked == {IntraKind.SHADOWING: 173, IntraKind.REDUNDANCY: 145}
 

@@ -10,17 +10,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from policytree.dtree import DecisionTree, Edge, Node, branches, tree_to_rules
-from policytree.model import AttributeDef, Rule, RuleSet, Schema, SchemaError
+from policytree.model import AttributeDef, ConflictPolicy, Rule, RuleSet, Schema, SchemaError
 from policytree.oracle import (
     DomainSpace,
-    Semantics,
     endpoint_space,
     equivalence,
     evaluate,
     evaluate_rule,
     matches,
 )
-from policytree.rdt import ConflictPolicy, build_rdt
+from policytree.rdt import build_rdt
 from policytree.ruleio import parse_point
 from policytree.values import ANY, AttrKind, ValueSet, intervals, labels
 
@@ -73,31 +72,31 @@ def test_matches_checks_every_field(fw):
 
 def test_the_two_semantics_disagree_inside_the_exception(fw):
     pkt = _fw_packet(fw)  # inside rules 1-4; rule 2 is the most specific
-    assert evaluate(fw, pkt, Semantics.FIRST_MATCH) == "deny"
-    assert evaluate(fw, pkt, Semantics.OWNER_CAPTURE) == "accept"
-    assert evaluate_rule(fw, pkt, Semantics.FIRST_MATCH).id == 1
-    assert evaluate_rule(fw, pkt, Semantics.OWNER_CAPTURE).id == 2
+    assert evaluate(fw, pkt, ConflictPolicy.FIRST_MATCH) == "deny"
+    assert evaluate(fw, pkt, ConflictPolicy.SPECIFICITY) == "accept"
+    assert evaluate_rule(fw, pkt, ConflictPolicy.FIRST_MATCH).id == 1
+    assert evaluate_rule(fw, pkt, ConflictPolicy.SPECIFICITY).id == 2
 
 
 def test_unmatched_packet_returns_none(fw):
     pkt = _fw_packet(fw, proto="ICMP")
-    for sem in Semantics:
+    for sem in ConflictPolicy:
         assert evaluate_rule(fw, pkt, sem) is None
         assert evaluate(fw, pkt, sem) is None
 
 
 def test_capture_chains_through_nested_rules():
     rs = _rs1((((0, 20),), "accept"), (((5, 15),), "deny"), (((7, 9),), "accept"))
-    assert evaluate(rs, {"f0": 8}, Semantics.OWNER_CAPTURE) == "accept"  # r3 over r2
-    assert evaluate(rs, {"f0": 6}, Semantics.OWNER_CAPTURE) == "deny"  # r2 over r1
-    assert evaluate(rs, {"f0": 2}, Semantics.OWNER_CAPTURE) == "accept"  # r1 alone
-    assert evaluate(rs, {"f0": 8}, Semantics.FIRST_MATCH) == "accept"  # still r1
+    assert evaluate(rs, {"f0": 8}, ConflictPolicy.SPECIFICITY) == "accept"  # r3 over r2
+    assert evaluate(rs, {"f0": 6}, ConflictPolicy.SPECIFICITY) == "deny"  # r2 over r1
+    assert evaluate(rs, {"f0": 2}, ConflictPolicy.SPECIFICITY) == "accept"  # r1 alone
+    assert evaluate(rs, {"f0": 8}, ConflictPolicy.FIRST_MATCH) == "accept"  # still r1
 
 
 def test_partial_overlap_never_captures():
     rs = _rs1((((0, 10),), "accept"), (((5, 15),), "deny"))
-    assert evaluate(rs, {"f0": 7}, Semantics.OWNER_CAPTURE) == "accept"  # r1 keeps it
-    assert evaluate(rs, {"f0": 12}, Semantics.OWNER_CAPTURE) == "deny"  # r2's own part
+    assert evaluate(rs, {"f0": 7}, ConflictPolicy.SPECIFICITY) == "accept"  # r1 keeps it
+    assert evaluate(rs, {"f0": 12}, ConflictPolicy.SPECIFICITY) == "deny"  # r2's own part
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +136,19 @@ def test_equivalence_agrees_per_semantics(fw):
     space = endpoint_space(fw)
     corrected = build_rdt(fw).tree
     first = build_rdt(fw, ConflictPolicy.FIRST_MATCH).tree
-    assert equivalence(corrected, fw, Semantics.OWNER_CAPTURE, space) == []
-    assert equivalence(first, fw, Semantics.FIRST_MATCH, space) == []
+    assert equivalence(corrected, fw, ConflictPolicy.SPECIFICITY, space) == []
+    assert equivalence(first, fw, ConflictPolicy.FIRST_MATCH, space) == []
 
-    crossed = equivalence(corrected, fw, Semantics.FIRST_MATCH, space)
+    crossed = equivalence(corrected, fw, ConflictPolicy.FIRST_MATCH, space)
     assert crossed
     pkt, by_tree, by_rules = crossed[0]
     assert {by_tree, by_rules} == {"accept", "deny"}
-    assert evaluate(fw, pkt, Semantics.FIRST_MATCH) == by_rules
+    assert evaluate(fw, pkt, ConflictPolicy.FIRST_MATCH) == by_rules
 
 
 def test_equivalence_requires_one_schema(fw, ids):
     with pytest.raises(SchemaError, match="share a schema"):
-        equivalence(build_rdt(fw).tree, ids, Semantics.FIRST_MATCH, endpoint_space(fw))
+        equivalence(build_rdt(fw).tree, ids, ConflictPolicy.FIRST_MATCH, endpoint_space(fw))
 
 
 def test_equivalence_rejects_a_region_outside_the_domain(fw):
@@ -161,18 +160,18 @@ def test_equivalence_rejects_a_region_outside_the_domain(fw):
         mutant.edges[0].label = label
         with pytest.raises(SchemaError, match="falls outside its domain"):
             space = endpoint_space(source)
-            equivalence(replace(tree, root=mutant), source, Semantics.OWNER_CAPTURE, space)
+            equivalence(replace(tree, root=mutant), source, ConflictPolicy.SPECIFICITY, space)
     tree = build_rdt(rs).tree
     mutant = copy_node(tree.root)
     mutant.edges[0].child.edges[0].label = ValueSet(labels=frozenset({"drop"}))
     with pytest.raises(SchemaError, match="not in decision domain"):
-        equivalence(replace(tree, root=mutant), rs, Semantics.OWNER_CAPTURE, endpoint_space(rs))
+        equivalence(replace(tree, root=mutant), rs, ConflictPolicy.SPECIFICITY, endpoint_space(rs))
 
 
 def test_no_decision_counts_as_agreement():
     rs = _rs1((((5, 10),), "accept"))
     space = endpoint_space(rs)
-    assert equivalence(build_rdt(rs).tree, rs, Semantics.OWNER_CAPTURE, space) == []
+    assert equivalence(build_rdt(rs).tree, rs, ConflictPolicy.SPECIFICITY, space) == []
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +187,12 @@ def test_scalar_referee_matches_the_trees(seed):
     corrected = build_rdt(rs).tree
     first = build_rdt(rs, ConflictPolicy.FIRST_MATCH).tree
     naive = build_tree(rs)
-    assert equivalence(naive, rs, Semantics.FIRST_MATCH, space) == []
+    assert equivalence(naive, rs, ConflictPolicy.FIRST_MATCH, space) == []
     by_corrected, by_first, by_naive = map(tree_decider, (corrected, first, naive))
     for pkt in islice(iter_packets(space), 120):
-        assert by_corrected(pkt) == evaluate(rs, pkt, Semantics.OWNER_CAPTURE)
-        assert by_first(pkt) == evaluate(rs, pkt, Semantics.FIRST_MATCH)
-        assert by_naive(pkt) == evaluate(rs, pkt, Semantics.FIRST_MATCH)
+        assert by_corrected(pkt) == evaluate(rs, pkt, ConflictPolicy.SPECIFICITY)
+        assert by_first(pkt) == evaluate(rs, pkt, ConflictPolicy.FIRST_MATCH)
+        assert by_naive(pkt) == evaluate(rs, pkt, ConflictPolicy.FIRST_MATCH)
 
 
 def _every_point(schema: Schema) -> DomainSpace:
@@ -240,30 +239,30 @@ def test_cells_decide_as_every_point_does(seed):
     for policy in ConflictPolicy:
         trees.append(_shrink_one_label(build_rdt(rs, policy).tree, rng))
     for tree in trees:
-        for semantics in Semantics:
-            by_cells = equivalence(tree, rs, semantics, cells)
-            by_points = equivalence(tree, rs, semantics, full)
+        for policy in ConflictPolicy:
+            by_cells = equivalence(tree, rs, policy, cells)
+            by_points = equivalence(tree, rs, policy, full)
             assert bool(by_cells) == bool(by_points)
 
 
 def _scalar_mismatches(tree, rs, space):
-    """The referee's answer under each semantics, one packet at a time."""
+    """The referee's answer under each policy, one packet at a time."""
     packets = list(iter_packets(space))
     by_tree = list(map(tree_decider(tree), packets))
     return {
-        semantics: [
+        policy: [
             (pkt, t, r)
             for pkt, t in zip(packets, by_tree)
-            if t != (r := evaluate(rs, pkt, semantics))
+            if t != (r := evaluate(rs, pkt, policy))
         ]
-        for semantics in Semantics
+        for policy in ConflictPolicy
     }
 
 
 @settings(max_examples=12)
 @given(st.integers(0, 10_000), st.none())
 @example(2, None)
-@example(42, 4)  # four attributes: 38,400 points, and the two semantics disagree
+@example(42, 4)  # four attributes: 38,400 points, and the two policies disagree
 def test_equivalence_lists_what_every_point_decides(seed, n_attrs):
     """The exact mismatch list, order included, against scalar evaluation."""
     rng = random.Random(seed)
@@ -272,8 +271,8 @@ def test_equivalence_lists_what_every_point_decides(seed, n_attrs):
     other = random_ruleset(rng, max_rules=6, n_attrs=n_attrs)
     full = _every_point(rs.schema)
     for tree in (build_tree(other), build_rdt(other).tree):
-        for semantics, expected in _scalar_mismatches(tree, rs, full).items():
-            assert equivalence(tree, rs, semantics, full) == expected
+        for policy, expected in _scalar_mismatches(tree, rs, full).items():
+            assert equivalence(tree, rs, policy, full) == expected
 
 
 def test_overlapping_regions_go_to_the_first_in_flattening_order():
@@ -287,20 +286,17 @@ def test_overlapping_regions_go_to_the_first_in_flattening_order():
     assert [b.owner for b in branches(tree)] == [3, 2]
     rs = _rs1((((0, 20),), "deny"), (((10, 30),), "accept"))
     full = _every_point(SCHEMA1)
-    for semantics, expected in _scalar_mismatches(tree, rs, full).items():
-        got = equivalence(tree, rs, semantics, full)
+    for policy, expected in _scalar_mismatches(tree, rs, full).items():
+        got = equivalence(tree, rs, policy, full)
         assert got == expected
         assert [(p["f0"], t) for p, t, _ in got] == [(x, "accept") for x in range(10, 21)]
 
 
 def test_equivalence_lists_label_and_address_mismatches(fw):
     # labels, IPv4 ranges and ports, on the cells of the rules and of the tree
-    for policy, semantics in (
-        (ConflictPolicy.SPECIFICITY, Semantics.OWNER_CAPTURE),
-        (ConflictPolicy.FIRST_MATCH, Semantics.FIRST_MATCH),
-    ):
+    for policy in ConflictPolicy:
         tree = build_rdt(fw, policy).tree
         space = endpoint_space(fw, tree_to_rules(tree))
         for other, expected in _scalar_mismatches(tree, fw, space).items():
-            assert bool(expected) == (other is not semantics)
+            assert bool(expected) == (other is not policy)
             assert equivalence(tree, fw, other, space) == expected

@@ -4,7 +4,7 @@ The firewall fixture's corrected region list is written out literally; the
 values were derived by hand-simulating the insertion order and are held in
 place by :func:`_verify`: the tree must be relevant, its flattening free of
 anomalies, and its decisions equal, on the packet grid, to the original
-rules replayed under the semantics that match the policy.
+rules replayed under the same policy.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from policytree.dtree import (
     tree_to_rules,
 )
 from policytree.intra import detect_intra
-from policytree.model import ComponentKind, Rule, RuleSet
-from policytree.oracle import Semantics, endpoint_space, equivalence, evaluate
+from policytree.model import ComponentKind, ConflictPolicy, Rule, RuleSet
+from policytree.oracle import endpoint_space, equivalence, evaluate
 from policytree.rdt import (
-    ConflictPolicy,
     RelevantDecisionTree,
     _build,
     build_rdt,
@@ -69,15 +68,10 @@ def _verify(rdt: RelevantDecisionTree, rs: RuleSet) -> tuple[list, list, list]:
     The mismatches replay ``rs`` under first match for the first-match
     policy and under owner capture for the specificity policy.
     """
-    semantics = (
-        Semantics.FIRST_MATCH
-        if rdt.policy is ConflictPolicy.FIRST_MATCH
-        else Semantics.OWNER_CAPTURE
-    )
     return (
         check_relevant(rdt.tree),
         detect_intra(tree_to_rules(rdt.tree)),
-        equivalence(rdt.tree, rs, semantics, endpoint_space(rs)),
+        equivalence(rdt.tree, rs, rdt.policy, endpoint_space(rs)),
     )
 
 
@@ -184,7 +178,7 @@ def test_merge_keeps_decisions_on_relevant_sets(seed):
         decide = tree_decider(t)
         for x in range(40):
             p = {"f0": x}
-            assert decide(p) == evaluate(rs, p, Semantics.FIRST_MATCH)
+            assert decide(p) == evaluate(rs, p, ConflictPolicy.FIRST_MATCH)
 
 
 @given(st.integers(0, 10_000), st.sampled_from(list(ConflictPolicy)))
@@ -249,10 +243,7 @@ def test_a_subtree_reached_through_two_parents_is_built_once():
 
 def test_reading_a_shared_tree_leaves_it_unchanged():
     rs = _sixty_rules()
-    for policy, semantics in (
-        (ConflictPolicy.SPECIFICITY, Semantics.OWNER_CAPTURE),
-        (ConflictPolicy.FIRST_MATCH, Semantics.FIRST_MATCH),
-    ):
+    for policy in ConflictPolicy:
         t = build_rdt(rs, policy).tree
         before = dump_tree(t), node_counts(t.root)
         branches(t)
@@ -260,7 +251,7 @@ def test_reading_a_shared_tree_leaves_it_unchanged():
         check_relevant(t)
         evaluate_tree(t, {name: 3 for name in rs.schema.condition_names})
         project(t, rs.schema.condition_names[:2])
-        equivalence(t, rs, semantics, endpoint_space(rs))
+        equivalence(t, rs, policy, endpoint_space(rs))
         assert (dump_tree(t), node_counts(t.root)) == before
 
 
@@ -276,11 +267,8 @@ def test_a_build_of_more_than_8192_rules_decides_as_its_rules():
     rs = RuleSet(schema=schema, rules=rules, component_name="WIDE")
     assert len(rs.rules) > 8192
     space = endpoint_space(rs)
-    for policy, semantics in (
-        (ConflictPolicy.SPECIFICITY, Semantics.OWNER_CAPTURE),
-        (ConflictPolicy.FIRST_MATCH, Semantics.FIRST_MATCH),
-    ):
-        assert equivalence(build_rdt(rs, policy).tree, rs, semantics, space) == []
+    for policy in ConflictPolicy:
+        assert equivalence(build_rdt(rs, policy).tree, rs, policy, space) == []
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +369,5 @@ def test_trees_over_every_attribute_kind_decide_as_the_rules(data):
     # explicit full domains and empty sets among the rule values
     rs = data.draw(mixed_rulesets(data.draw(mixed_schemas()), "R"))
     space = endpoint_space(rs)
-    for policy, semantics in (
-        (ConflictPolicy.SPECIFICITY, Semantics.OWNER_CAPTURE),
-        (ConflictPolicy.FIRST_MATCH, Semantics.FIRST_MATCH),
-    ):
-        assert equivalence(build_rdt(rs, policy).tree, rs, semantics, space) == []
+    for policy in ConflictPolicy:
+        assert equivalence(build_rdt(rs, policy).tree, rs, policy, space) == []
