@@ -2,8 +2,9 @@
 
 Rule and topology files are UTF-8 text, less one leading byte-order mark,
 read line by line, and each defect in one is a :class:`RuleFileError`
-naming the file and line.  The rule-file text format, line by line (``#``
-starts a comment anywhere):
+naming the file and line.  The helpers raise a ``ValueError`` holding the
+reason alone, and each line loop, here and in ``topology``, places it.  The
+rule-file text format, line by line (``#`` starts a comment anywhere):
 
 .. code-block:: text
 
@@ -27,7 +28,8 @@ or ``a.b.c.d/nn`` prefixes (``nn`` from 0 to 32, no host bits set).
 machine consumption, and ``parse_ruleset(..., source="x.json")`` reads that
 dictionary back as JSON text; both representations round-trip.  Each rule
 of either format is read by one reader (:func:`_rule_reader`), so a defect
-gives the same reason in both; a JSON file's errors name no line.
+gives the same reason in both.  JSON fields are read through one checked
+lookup (:func:`_at`, :func:`_shaped`); the JSON arm places each error, with no line.
 """
 
 from __future__ import annotations
@@ -240,9 +242,8 @@ def _decoded(data: bytes | str, source: str) -> str:
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        raise RuleFileError(
-            f"not UTF-8 text ({exc.reason} at byte {exc.start})", None, source
-        ) from None
+        reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+        raise RuleFileError(reason, None, source) from None
 
 
 def _lines(text: str):
@@ -253,70 +254,61 @@ def _lines(text: str):
             yield line_no, line
 
 
-def _once(seen: dict, key, line_no: int, source: str, what: str) -> None:
+def _once(seen: dict, key, line_no: int, what: str) -> None:
     """Note ``key`` as given on ``line_no``; if ``seen`` has it from an
     earlier line, fail with ``what`` and that line."""
     first = seen.setdefault(key, line_no)
     if first != line_no:
-        raise RuleFileError(f"{what} on line {first}", line_no, source)
+        raise ValueError(f"{what} on line {first}")
 
 
-def _control_char(text: str) -> str | None:
-    """The first C0 control character or DEL in ``text``, if any.
+def _name(text: str, what: str, forbidden: str = "") -> str:
+    """``text``, unless it holds a C0 control character or DEL, or a character of ``forbidden``.
 
     Names read from input files are printed verbatim in reports and rule
-    files, where such a character would be a line break or a terminal escape.
+    files, where a control character would be a line break or a terminal escape.
     """
-    return next((c for c in text if c < " " or c == "\x7f"), None)
-
-
-def _name(text: str, what: str, line: int | None, source: str, forbidden: str = "") -> str:
-    """``text``, unless it holds a control character (see :func:`_control_char`)
-    or a character of ``forbidden``."""
-    bad = _control_char(text)
+    bad = next((c for c in text if c < " " or c == "\x7f"), None)
     if bad is not None:
-        raise RuleFileError(f"{what} {text!r} holds control character {bad!r}", line, source)
+        raise ValueError(f"{what} {text!r} holds control character {bad!r}")
     bad = next((c for c in text if c in forbidden), None)
     if bad is not None:
-        raise RuleFileError(f"{what} {text!r} holds {bad!r}", line, source)
+        raise ValueError(f"{what} {text!r} holds {bad!r}")
     return text
 
 
-def _labels(text: str, what: str, line: int, source: str, forbidden: str = "") -> frozenset[str]:
+def _labels(text: str, what: str, forbidden: str = "") -> frozenset[str]:
     """The comma-separated names of a label domain."""
-    return frozenset(_name(p.strip(), what, line, source, forbidden) for p in text.split(","))
+    return frozenset(_name(p.strip(), what, forbidden) for p in text.split(","))
 
 
-def _parse_attr_decl(rest: str, line: int, source: str) -> AttributeDef:
+def _parse_attr_decl(rest: str) -> AttributeDef:
     parts = rest.split(None, 2)
     if len(parts) != 3:
-        raise RuleFileError("expected: attr <name> <kind> <domain>", line, source)
+        raise ValueError("expected: attr <name> <kind> <domain>")
     name, kind_s, domain_s = parts
-    _name(name, "attribute name", line, source)
+    _name(name, "attribute name")
     try:
         kind = AttrKind(kind_s)
     except ValueError:
-        raise RuleFileError(f"unknown attribute kind {kind_s!r}", line, source) from None
+        raise ValueError(f"unknown attribute kind {kind_s!r}") from None
     if kind.is_numeric:
         try:
             domain = _parse_intervals(domain_s, kind)
         except ValueError as exc:
-            raise RuleFileError(f"bad domain for {name!r}: {exc}", line, source) from None
+            raise ValueError(f"bad domain for {name!r}: {exc}") from None
     else:
-        names = _labels(domain_s, f"label of {name!r}", line, source, _COLUMN)
+        names = _labels(domain_s, f"label of {name!r}", _COLUMN)
         if "" in names:
-            raise RuleFileError(f"bad domain for {name!r}: empty label", line, source)
+            raise ValueError(f"bad domain for {name!r}: empty label")
         # a declared 'any' or 'all' would be written back as, and read as, the wildcard
         reserved = sorted(n for n in names if n == COMPLEMENT_LABEL or n.lower() in _WILDCARD_TOKENS)
         if reserved:
-            raise RuleFileError(f"{reserved[0]!r} is reserved and cannot be declared", line, source)
+            raise ValueError(f"{reserved[0]!r} is reserved and cannot be declared")
         if kind is AttrKind.LABEL_ENUM:  # open: one more label stands for every label not named
             names |= {COMPLEMENT_LABEL}
         domain = ValueSet(labels=names)
-    try:
-        return AttributeDef(name=name, kind=kind, domain=domain)
-    except SchemaError as exc:
-        raise RuleFileError(str(exc), line, source) from None
+    return AttributeDef(name=name, kind=kind, domain=domain)
 
 
 def parse_ruleset(data: bytes | str, *, source: str = "<string>") -> RuleSet:
@@ -332,11 +324,9 @@ def parse_ruleset(data: bytes | str, *, source: str = "<string>") -> RuleSet:
 
         try:
             return _from_dict(json.loads(data, object_pairs_hook=_unrepeated), source)
-        except KeyError as exc:
-            reason = f"missing key {exc}"
         except RuleFileError as exc:  # the header text's lines are not the file's
             reason = exc.reason
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             reason = str(exc)
         except RecursionError:
             reason = "nested too deeply"
@@ -354,52 +344,43 @@ def _parse_text(text: str, source: str) -> RuleSet:
     header_at: dict[str, int] = {}  # component/kind/decision -> its line
 
     for line_no, line in _lines(text):
-        if read_rule is not None:
-            rule = _parse_rule_line(line, line_no, source, len(attrs), len(rules) + 1, read_rule)
-            rules.append(rule)
-            continue
-        head, *tail = line.split(None, 1)  # a tab separates as a space does
-        rest = tail[0] if tail else ""
-        if head in ("component", "kind", "decision"):
-            _once(header_at, head, line_no, source, f"{head} already given")
-        if head == "component":
-            if not rest:
-                raise RuleFileError("component needs a name", line_no, source)
-            component = _name(rest, "component", line_no, source, _COLUMN)
-        elif head == "kind":
-            try:
-                kind = ComponentKind(rest)
-            except ValueError:
-                raise RuleFileError(
-                    f"kind must be filtering or alerting, not {rest!r}", line_no, source
-                ) from None
-        elif head == "attr":
-            attr = _parse_attr_decl(rest, line_no, source)
-            if any(a.name == attr.name for a in attrs):
-                raise RuleFileError(f"duplicate attribute {attr.name!r}", line_no, source)
-            attrs.append(attr)
-        elif head == "decision":
-            parts = rest.split(None, 1)
-            if len(parts) != 2:
-                raise RuleFileError("expected: decision <name> <labels>", line_no, source)
-            name = _name(parts[0], "decision name", line_no, source)
-            names = _labels(parts[1], "decision label", line_no, source)
-            try:
-                decision = AttributeDef(
-                    name=name, kind=AttrKind.LABEL_ENUM, domain=ValueSet(labels=names)
-                )
-            except SchemaError as exc:
-                raise RuleFileError(str(exc), line_no, source) from None
-        elif head == "rules":
-            if component is None or kind is None or decision is None or not attrs:
-                raise RuleFileError(
-                    "component, kind, attr and decision lines must precede rules",
-                    line_no,
-                    source,
-                )
-            read_rule = _rule_reader(attrs, decision, component)
-        else:
-            raise RuleFileError(f"unknown directive {head!r}", line_no, source)
+        try:
+            if read_rule is not None:
+                rules.append(_parse_rule_line(line, len(attrs), len(rules) + 1, read_rule))
+                continue
+            head, *tail = line.split(None, 1)  # a tab separates as a space does
+            rest = tail[0] if tail else ""
+            if head in ("component", "kind", "decision"):
+                _once(header_at, head, line_no, f"{head} already given")
+            if head == "component":
+                if not rest:
+                    raise ValueError("component needs a name")
+                component = _name(rest, "component", _COLUMN)
+            elif head == "kind":
+                try:
+                    kind = ComponentKind(rest)
+                except ValueError:
+                    raise ValueError(f"kind must be filtering or alerting, not {rest!r}") from None
+            elif head == "attr":
+                attr = _parse_attr_decl(rest)
+                if any(a.name == attr.name for a in attrs):
+                    raise ValueError(f"duplicate attribute {attr.name!r}")
+                attrs.append(attr)
+            elif head == "decision":
+                parts = rest.split(None, 1)
+                if len(parts) != 2:
+                    raise ValueError("expected: decision <name> <labels>")
+                name = _name(parts[0], "decision name")
+                names = _labels(parts[1], "decision label")
+                decision = AttributeDef(name, AttrKind.LABEL_ENUM, ValueSet(labels=names))
+            elif head == "rules":
+                if component is None or kind is None or decision is None or not attrs:
+                    raise ValueError("component, kind, attr and decision lines must precede rules")
+                read_rule = _rule_reader(attrs, decision, component)
+            else:
+                raise ValueError(f"unknown directive {head!r}")
+        except ValueError as exc:  # each reason, a SchemaError's too, placed here
+            raise RuleFileError(str(exc), line_no, source) from None
 
     if read_rule is None:
         raise RuleFileError("missing 'rules' section", None, source)
@@ -412,26 +393,17 @@ def _parse_text(text: str, source: str) -> RuleSet:
     return RuleSet._of_checked(schema, tuple(rules), kind, component)
 
 
-def _parse_rule_line(
-    line: str, line_no: int, source: str, n: int, position: int, read_rule
-) -> Rule:
+def _parse_rule_line(line: str, n: int, position: int, read_rule) -> Rule:
     """The rule on a text line of ``n`` values, read by ``read_rule``."""
     cells = [c.strip() for c in line.split("|")]
     if len(cells) not in (n + 2, n + 3):
-        raise RuleFileError(
-            f"expected {n + 2} columns (id, {n} values, action), got {len(cells)}",
-            line_no,
-            source,
-        )
+        raise ValueError(f"expected {n + 2} columns (id, {n} values, action), got {len(cells)}")
     try:
         rule_id = _parse_int(cells[0])
     except ValueError:
-        raise RuleFileError(f"bad rule id {cells[0]!r}", line_no, source) from None
-    origin = _name(cells[n + 2], "origin", line_no, source) if len(cells) == n + 3 else ""
-    try:
-        return read_rule(rule_id, cells[1 : n + 1], cells[n + 1], origin, position)
-    except ValueError as exc:
-        raise RuleFileError(str(exc), line_no, source) from None
+        raise ValueError(f"bad rule id {cells[0]!r}") from None
+    origin = _name(cells[n + 2], "origin") if len(cells) == n + 3 else ""
+    return read_rule(rule_id, cells[1 : n + 1], cells[n + 1], origin, position)
 
 
 def _rule_reader(attrs: list[AttributeDef], decision: AttributeDef, component: str):
@@ -555,68 +527,69 @@ def _unrepeated(pairs: list[tuple[str, object]]) -> dict:
 # a comment mark, or a line break that is not a control character
 _NOT_IN_HEADER = "#\x85\u2028\u2029"
 
+_SHAPES = {list: "a list", dict: "an object", str: "a string", int: "an integer"}
+
+
+def _shaped(value, shape: type, what: str, forbidden: str = _NOT_IN_HEADER, word: bool = False):
+    """``value``, if it is of ``shape``: a list, an object, a string or an integer, not a bool.
+    A string must also pass :func:`_name` without ``forbidden`` and, with ``word``, be one
+    word: the header is rebuilt as text, where these characters or a space change its meaning."""
+    if not isinstance(value, shape) or isinstance(value, bool):
+        raise ValueError(f"{what} must be {_SHAPES[shape]}")
+    if shape is str:
+        _name(value, what, forbidden)
+        if word and value.split() != [value]:
+            raise ValueError(f"{what} {value!r} must be one word")
+    return value
+
+
+def _at(entry: dict, key: str, place: str):
+    """``entry[key]``, where ``place`` names ``entry`` if the key is missing."""
+    if key not in entry:
+        raise ValueError(f"{place}: missing key {key!r}")
+    return entry[key]
+
 
 def _from_dict(d: dict, source: str) -> RuleSet:
-    def shaped(value, container: type, key: str):
-        # read as another container, a value fails with Python's own message or is misread
-        if not isinstance(value, container):
-            raise ValueError(f"{key} must be {'a list' if container is list else 'an object'}")
-        return value
-
-    def at(entry: dict, key: str, place: str):
-        if key not in entry:  # named by the rule it is missing from, as its other defects are
-            raise ValueError(f"{place}: missing key {key!r}")
-        return entry[key]
-
-    def text(value, key: str, forbidden: str = _NOT_IN_HEADER) -> str:
-        # the header is rebuilt as text, where these characters change its meaning
-        if not isinstance(value, str):
-            raise ValueError(f"{key} must be a string")
-        bad = _control_char(value) or next((c for c in value if c in forbidden), None)
-        if bad is not None:
-            raise ValueError(f"{key} holds {bad!r}")
-        return value
-
-    shaped(d, dict, "the document")
-    lines = [f"component {text(d['component'], 'component')}", f"kind {text(d['kind'], 'kind')}"]
-    for i, a in enumerate(shaped(d["attributes"], list, "attributes")):
-        shaped(a, dict, f"attributes[{i}]")
-        fields = (text(a[k], f"attributes[{i}].{k}") for k in ("name", "kind", "domain"))
+    doc = "the document"
+    _shaped(d, dict, doc)
+    lines = [f"{k} {_shaped(_at(d, k, doc), str, k)}" for k in ("component", "kind")]
+    for i, a in enumerate(_shaped(_at(d, "attributes", doc), list, "attributes")):
+        place = f"attributes[{i}]"
+        _shaped(a, dict, place)
+        fields = (
+            _shaped(_at(a, k, place), str, f"{place}.{k}", word=k != "domain")
+            for k in ("name", "kind", "domain")
+        )
         lines.append("attr " + " ".join(fields))
-    dec = shaped(d["decision"], dict, "decision")
+    dec = _shaped(_at(d, "decision", doc), dict, "decision")
+    name = _shaped(_at(dec, "name", "decision"), str, "decision.name", word=True)
     labels = [
-        text(label, f"decision.labels[{i}]", _NOT_IN_HEADER + ",")
-        for i, label in enumerate(shaped(dec["labels"], list, "decision.labels"))
+        _shaped(label, str, f"decision.labels[{i}]", _NOT_IN_HEADER + ",")
+        for i, label in enumerate(_shaped(_at(dec, "labels", "decision"), list, "decision.labels"))
     ]
-    lines.append(f"decision {text(dec['name'], 'decision.name')} {','.join(labels)}")
-    lines.append("rules")
+    lines += [f"decision {name} {','.join(labels)}", "rules"]
     base = _parse_text("\n".join(lines) + "\n", source)
     attrs, names = base.schema.condition_attributes, set(base.schema.condition_names)
     read_rule = _rule_reader(attrs, base.schema.decision_attribute, base.component_name)
     rules = []
-    for position, entry in enumerate(shaped(d["rules"], list, "rules"), start=1):
+    for position, entry in enumerate(_shaped(_at(d, "rules", doc), list, "rules"), start=1):
         place = f"rules[{position - 1}]"
-        shaped(entry, dict, place)
-        rule_id, origin = at(entry, "id", place), entry.get("origin", "")
-        if type(rule_id) is not int or not isinstance(origin, str):
-            raise ValueError(f"rule {rule_id!r}: id must be an integer and origin a string")
+        rule_id = _shaped(_at(_shaped(entry, dict, place), "id", place), int, f"{place}.id")
         place = f"rule {rule_id}"
-        _name(origin, f"rule {rule_id} origin", None, source, _NOT_IN_HEADER + _COLUMN)
-        action, given = at(entry, "action", place), at(entry, "values", place)
-        shaped(given, dict, f"{place}: values")
-        if not isinstance(action, str):
-            raise ValueError(f"rule {rule_id}: action must be a string")
-        texts = [at(given, a.name, place) for a in attrs]
-        bad = next((a.name for a, v in zip(attrs, texts) if not isinstance(v, str)), None)
-        if bad is not None:
-            raise ValueError(f"rule {rule_id}: value for {bad!r} must be a string")
+        origin = _shaped(entry.get("origin", ""), str, f"{place} origin", _NOT_IN_HEADER + _COLUMN)
+        action = _shaped(_at(entry, "action", place), str, f"{place}: action")
+        given = _shaped(_at(entry, "values", place), dict, f"{place}: values")
+        texts = [
+            _shaped(_at(given, a.name, place), str, f"{place}: value for {a.name!r}") for a in attrs
+        ]
         undeclared = next((k for k in given if k not in names), None)
         if undeclared is not None:
-            raise ValueError(f"rule {rule_id}: value for undeclared attribute {undeclared!r}")
+            raise ValueError(f"{place}: value for undeclared attribute {undeclared!r}")
         try:
             rules.append(read_rule(rule_id, texts, action, origin, position))
         except ValueError as exc:
-            raise ValueError(f"rule {rule_id}: {exc}") from None
+            raise ValueError(f"{place}: {exc}") from None
     return RuleSet._of_checked(base.schema, tuple(rules), base.component_kind, base.component_name)
 
 

@@ -42,7 +42,8 @@ def parse_topology(data: bytes | str, *, source: str = "<string>") -> Topology:
     control character, as each is printed in reports.  Every kind given for
     one name, on either kind of line, must agree, each component and each
     path is declared once, and a path names each of its members once.  Each
-    defect raises :class:`~policytree.ruleio.RuleFileError` naming ``source``.
+    defect raises a ``ValueError`` with its reason alone, which the line loop
+    places as a :class:`~policytree.ruleio.RuleFileError` naming ``source``.
     """
     components: dict[str, TopologyComponent] = {}
     declared_at: dict[str, int] = {}  # component name -> its component line
@@ -54,46 +55,47 @@ def parse_topology(data: bytes | str, *, source: str = "<string>") -> Topology:
         try:
             kind = ComponentKind(kind_s)
         except ValueError:
-            raise RuleFileError(f"unknown kind {kind_s!r}", line_no, source) from None
+            raise ValueError(f"unknown kind {kind_s!r}") from None
         first, first_line = kind_at.setdefault(name, (kind, line_no))
         if first is not kind:
-            raise RuleFileError(
-                f"component {name!r} is {kind.value} here but {first.value} on line {first_line}",
-                line_no,
-                source,
+            raise ValueError(
+                f"component {name!r} is {kind.value} here but {first.value} on line {first_line}"
             )
         return kind
 
     for line_no, line in _lines(_decoded(data, source)):
-        head, *rest = line.split()
-        if head == "component":
-            if len(rest) not in (2, 3):
-                raise RuleFileError("expected component <name> <kind> [<file>]", line_no, source)
-            name = _name(rest[0], "name", line_no, source, ":")  # ':' ends a path member's name
-            _once(declared_at, name, line_no, source, f"component {name!r} already declared")
-            kind = parse_kind(name, rest[1], line_no)
-            path = _name(rest[2], "rule file", line_no, source) if len(rest) == 3 else None
-            components[name] = TopologyComponent(name=name, kind=kind, rules_path=path)
-        elif head == "path":
-            if len(rest) < 2:
-                raise RuleFileError("a path needs a name and members", line_no, source)
-            path_name, members = _name(rest[0], "name", line_no, source), []
-            _once(path_at, path_name, line_no, source, f"path {path_name!r} already declared")
-            for member in rest[1:]:
-                if ":" in member:
-                    name, kind_s = member.split(":", 1)
-                    kind = parse_kind(_name(name, "name", line_no, source), kind_s, line_no)
-                    components.setdefault(name, TopologyComponent(name=name, kind=kind))
-                elif member in components:
-                    name = member
-                else:
-                    raise RuleFileError(f"undeclared component {member!r}", line_no, source)
-                if name in members:
-                    raise RuleFileError(f"path {path_name!r} names {name!r} twice", line_no, source)
-                members.append(name)
-            paths.append((path_name, tuple(members)))
-        else:
-            raise RuleFileError(f"unknown directive {head!r}", line_no, source)
+        try:
+            head, *rest = line.split()
+            if head == "component":
+                if len(rest) not in (2, 3):
+                    raise ValueError("expected component <name> <kind> [<file>]")
+                name = _name(rest[0], "name", ":")  # ':' ends a path member's name
+                _once(declared_at, name, line_no, f"component {name!r} already declared")
+                kind = parse_kind(name, rest[1], line_no)
+                path = _name(rest[2], "rule file") if len(rest) == 3 else None
+                components[name] = TopologyComponent(name=name, kind=kind, rules_path=path)
+            elif head == "path":
+                if len(rest) < 2:
+                    raise ValueError("a path needs a name and members")
+                path_name, members = _name(rest[0], "name"), []
+                _once(path_at, path_name, line_no, f"path {path_name!r} already declared")
+                for member in rest[1:]:
+                    if ":" in member:
+                        name, kind_s = member.split(":", 1)
+                        kind = parse_kind(_name(name, "name"), kind_s, line_no)
+                        components.setdefault(name, TopologyComponent(name=name, kind=kind))
+                    elif member in components:
+                        name = member
+                    else:
+                        raise ValueError(f"undeclared component {member!r}")
+                    if name in members:
+                        raise ValueError(f"path {path_name!r} names {name!r} twice")
+                    members.append(name)
+                paths.append((path_name, tuple(members)))
+            else:
+                raise ValueError(f"unknown directive {head!r}")
+        except ValueError as exc:
+            raise RuleFileError(str(exc), line_no, source) from None
     return Topology(components=components, paths=tuple(paths))
 
 

@@ -976,9 +976,13 @@ _FW_JSON = json.dumps(_fw_dict()).encode()
         (
             "bad.json",
             _edited(lambda d: d["attributes"][0].update(domain="TCP,UDP,ICMP # note")),
-            "attributes[0].domain holds '#'",
+            "attributes[0].domain 'TCP,UDP,ICMP # note' holds '#'",
         ),
-        ("bad.json", _edited(lambda d: d.update(component="FW\nkind alerting")), "component holds"),
+        (
+            "bad.json",
+            _edited(lambda d: d.update(component="FW\nkind alerting")),
+            "component 'FW\\nkind alerting' holds control character '\\n'",
+        ),
         ("bad.json", _edited(lambda d: d["decision"].update(labels=["accept,deny"])), "labels[0]"),
         (
             "bad.topo",
@@ -1032,7 +1036,11 @@ _FW_JSON = json.dumps(_fw_dict()).encode()
             _FW_TEXT.replace(b"| any | deny\n", b"| any | deny | X\x1b[0m\n", 1),
             "origin 'X\\x1b[0m' holds control character '\\x1b'",
         ),
-        ("bad.json", _fw_dict(component="F\x1b[31mW"), "component holds '\\x1b'"),
+        (
+            "bad.json",
+            _fw_dict(component="F\x1b[31mW"),
+            "component 'F\\x1b[31mW' holds control character '\\x1b'",
+        ),
         (
             "bad.json",
             _edited(lambda d: d["rules"][0].update(origin="\x9b\x1b")),

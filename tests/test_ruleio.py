@@ -333,12 +333,51 @@ def test_numbers_are_ascii_digits_only(token):
 def test_dict_header_strings_keep_their_meaning(fw):
     d = ruleset_to_dict(fw)
     d["attributes"][0]["domain"] += " # note"
-    with pytest.raises(RuleFileError, match=r"attributes\[0\]\.domain holds '#'"):
+    with pytest.raises(RuleFileError, match=r"attributes\[0\]\.domain '.* # note' holds '#'"):
         ruleset_from_dict(d)
     for key in ("component", "kind"):
         for text in ("FW\r", "FW\u2028x", 5):
             with pytest.raises(RuleFileError, match=key):
                 ruleset_from_dict({**ruleset_to_dict(fw), key: text})
+    # a name or kind with a space in it would be split into other fields of its text line
+    empty = {**ruleset_to_dict(fw), "rules": []}
+    attr = {"name": "x port-range", "kind": "0-10", "domain": ""}
+    reason = r"attributes\[0\]\.name 'x port-range' must be one word"
+    with pytest.raises(RuleFileError, match=reason):
+        ruleset_from_dict({**empty, "attributes": [attr]})
+    decision = {"name": "act accept,deny", "labels": []}
+    with pytest.raises(RuleFileError, match="decision.name 'act accept,deny' must be one word"):
+        ruleset_from_dict({**empty, "decision": decision})
+
+
+def _required_keys(d: dict):
+    """``(place, path, key)`` for each key of ``d`` that a JSON rule file must give:
+    ``key`` of the dict at ``path`` in ``d``, and the place its error names."""
+    yield from (("the document", (), k) for k in d)
+    yield from (("decision", ("decision",), k) for k in d["decision"])
+    for i, attr in enumerate(d["attributes"]):
+        yield from ((f"attributes[{i}]", ("attributes", i), k) for k in attr)
+    for i, rule in enumerate(d["rules"]):
+        # a rule is named by its id once it has one; an absent origin reads as the component
+        named = f"rule {rule['id']}"
+        for k in rule.keys() - {"origin"}:
+            yield f"rules[{i}]" if k == "id" else named, ("rules", i), k
+        yield from ((named, ("rules", i, "values"), k) for k in rule["values"])
+
+
+def test_every_missing_json_key_names_its_place(fw):
+    cases = list(_required_keys(ruleset_to_dict(fw)))
+    # the document's 5 keys, the decision's 2, 3 per attribute, 3 and 5 values per rule
+    assert len(cases) == 5 + 2 + 5 * 3 + 4 * (3 + 5)
+    for place, path, key in cases:
+        d = ruleset_to_dict(fw)
+        holder = d
+        for step in path:
+            holder = holder[step]
+        del holder[key]
+        with pytest.raises(RuleFileError) as exc:
+            ruleset_from_dict(d)
+        assert f"{place}: missing key {key!r}" in exc.value.reason
 
 
 
