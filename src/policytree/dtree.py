@@ -37,8 +37,8 @@ __all__ = [
 class Edge:
     """A labelled edge.  ``owner`` is set on action edges only.
 
-    While :mod:`policytree.rdt` builds a tree, condition labels are
-    :class:`~policytree.values.Cells` masks instead of value sets.
+    Only the input of :func:`policytree.rdt.normalize` holds condition
+    labels that are :class:`~policytree.values.Cells` masks, not value sets.
     """
 
     label: ValueSet

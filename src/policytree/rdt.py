@@ -5,7 +5,7 @@ incoming value set is decomposed against the sibling edges: the part
 covered by an existing edge descends into that subtree, splitting the edge
 when the overlap is proper, and whatever remains becomes a fresh edge
 carrying the rest of the rule.  Each distinct subtree is built once (see
-:func:`_build`).  Where several rules reach a region, the first owns it
+:func:`build_rdt`).  Where several rules reach a region, the first owns it
 and the conflict policy decides whether a later one takes it:
 
 * ``specificity-then-order`` (default): the incoming rule captures the
@@ -21,9 +21,9 @@ The result is always relevant: sibling labels are pairwise disjoint by
 construction, and every action node carries exactly one action edge.
 
 Every label is a Boolean combination of the rules' value sets, so the tree
-is built and merged over :class:`~policytree.values.Cells` masks, one
-codec per condition attribute, and its labels are read back as value sets
-once, at the end.
+is split and merged over :class:`~policytree.values.Cells` masks, one codec
+per condition attribute, and each node's labels are read back as value
+sets as the node is made.  Only :func:`normalize`'s input holds masks.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class RelevantDecisionTree(NamedTuple):
 
 
 class _MaskTree(NamedTuple):
-    """A tree under construction: condition labels are masks of ``cells``."""
+    """A tree for :func:`normalize`: condition labels are masks of ``cells``."""
 
     root: Node
     cells: tuple[Cells, ...]  # one codec per condition level
@@ -103,12 +103,13 @@ def _split(level_masks: list[int], members: int) -> list[list[int]]:
 
 
 class _Builder:
-    """The memo tables of one :func:`_build`, and the rules it reads."""
+    """The memo tables of one :func:`build_rdt`, and the rules and codecs it reads."""
 
-    __slots__ = ("rules", "masks", "policy", "sparse", "built", "captures", "actions", "shapes")
+    __slots__ = ("rules", "cells", "masks", "policy", "sparse", "built", "captures", "actions",
+                 "shapes")
 
-    def __init__(self, rules, masks: list[list[int]], policy: ConflictPolicy):
-        self.rules, self.masks, self.policy = rules, masks, policy
+    def __init__(self, rules, cells: tuple[Cells, ...], masks: list[list[int]], policy: ConflictPolicy):
+        self.rules, self.cells, self.masks, self.policy = rules, cells, masks, policy
         # in a large build most entries hold a few rules: key those by index, not by a wide int
         self.sparse = len(rules) > 8192
         self.built: dict[tuple, tuple[Node, int, int]] = {}
@@ -121,6 +122,7 @@ class _Builder:
 
         Parts whose subtrees have one shape become one edge where the first of
         them was, with their labels ORed and the subtree of the earliest owner.
+        The shape is keyed on masks; the edges carry their value sets.
         """
         entry = level, members
         if self.sparse and members.bit_count() << 6 < members.bit_length():
@@ -143,30 +145,13 @@ class _Builder:
                     group[0] |= m
                     if owner < group[2]:
                         group[1:] = child, owner
-                node = Node(level, [Edge(m, child) for m, child, _ in groups.values()])
+                value = self.cells[level - 1].value
+                node = Node(level, [Edge(value(m), child) for m, child, _ in groups.values()])
                 key = frozenset((g[0], shape) for shape, g in groups.items())
                 owner = min((g[2] for g in groups.values()), default=0)
                 built = node, self.shapes.setdefault(key, len(self.shapes)), owner
             self.built[entry] = built
         return built
-
-
-def _build(rs: RuleSet, policy: ConflictPolicy) -> _MaskTree:
-    """The merged tree of ``rs``, with each distinct subtree built once.
-
-    The subtree below a node depends only on its level and on the rules that
-    reach it, an int with bit ``k`` set for ``rs.rules[k]``.  So a node is
-    memoized on the pair, and parents that reach the same rules share one
-    node: a decision diagram (Gouda & Liu, ICDCS 2004) whose paths read as
-    in the tree that inserts the rules one by one.  Regions with the same
-    owning rule share one action node.  Each node is merged as it is made.
-    """
-    attrs, rules = rs.schema.condition_attributes, rs.rules
-    cells = tuple(Cells(a.domain, [r.condition[a.name] for r in rules]) for a in attrs)
-    masks = [[c.mask(r.condition[a.name]) for r in rules] for c, a in zip(cells, attrs)]
-    # a rule with an empty value set matches no packet, so it owns no region
-    members = sum(1 << k for k in range(len(rules)) if all(m[k] for m in masks))
-    return _MaskTree(root=_Builder(rules, masks, policy).node(1, members)[0], cells=cells)
 
 
 def normalize(t: _MaskTree) -> _MaskTree:
@@ -211,26 +196,24 @@ def _merge(node: Node, action_level: int, shapes: dict, merged: dict) -> tuple[i
     return merged[id(node)]
 
 
-def _decode(node: Node, cells: tuple[Cells, ...]) -> None:
-    """Replace every condition mask below ``node`` by its value set.
-
-    A shared node is decoded once: after that, its first label is no mask.
-    """
-    codec = cells[node.level - 1]
-    for edge in node.edges:
-        edge.label = codec.value(edge.label)
-        child = edge.child
-        if child.level <= len(cells) and isinstance(child.edges[0].label, int):
-            _decode(child, cells)
-
-
 def build_rdt(rs: RuleSet, policy: ConflictPolicy = ConflictPolicy.SPECIFICITY) -> RelevantDecisionTree:
-    """Build the merged diagram of every rule, and read the labels back as value sets."""
-    built = _build(rs, policy)
-    _decode(built.root, built.cells)
+    """The merged tree of ``rs``, with each distinct subtree built once.
+
+    The subtree below a node depends only on its level and on the rules that
+    reach it, an int with bit ``k`` set for ``rs.rules[k]``.  So a node is
+    memoized on the pair, and parents that reach the same rules share one
+    node: a decision diagram (Gouda & Liu, ICDCS 2004) whose paths read as
+    in the tree that inserts the rules one by one.  Regions with the same
+    owning rule share one action node.  Each node is merged as it is made.
+    """
+    attrs, rules = rs.schema.condition_attributes, rs.rules
+    cells = tuple(Cells(a.domain, [r.condition[a.name] for r in rules]) for a in attrs)
+    masks = [[c.mask(r.condition[a.name]) for r in rules] for c, a in zip(cells, attrs)]
+    # a rule with an empty value set matches no packet, so it owns no region
+    members = sum(1 << k for k in range(len(rules)) if all(m[k] for m in masks))
     tree = DecisionTree(
         schema=rs.schema,
-        root=built.root,
+        root=_Builder(rules, cells, masks, policy).node(1, members)[0],
         component_name=rs.component_name,
         component_kind=rs.component_kind,
     )

@@ -263,15 +263,17 @@ def _once(seen: dict, key, line_no: int, what: str) -> None:
 
 
 def _name(text: str, what: str, forbidden: str = "") -> str:
-    """``text``, unless it holds a C0 control character or DEL, or a character of ``forbidden``.
+    """``text``, unless it holds a C0 control character or DEL, a lone surrogate,
+    or a character of ``forbidden``.
 
     Names read from input files are printed verbatim in reports and rule
-    files, where a control character would be a line break or a terminal escape.
+    files, where a control character would be a line break or a terminal
+    escape, and a lone surrogate, which JSON can spell, cannot be written.
     """
     bad = next((c for c in text if c < " " or c == "\x7f"), None)
     if bad is not None:
         raise ValueError(f"{what} {text!r} holds control character {bad!r}")
-    bad = next((c for c in text if c in forbidden), None)
+    bad = next((c for c in text if c in forbidden or "\ud800" <= c <= "\udfff"), None)
     if bad is not None:
         raise ValueError(f"{what} {text!r} holds {bad!r}")
     return text
@@ -532,12 +534,15 @@ _SHAPES = {list: "a list", dict: "an object", str: "a string", int: "an integer"
 
 def _shaped(value, shape: type, what: str, forbidden: str = _NOT_IN_HEADER, word: bool = False):
     """``value``, if it is of ``shape``: a list, an object, a string or an integer, not a bool.
-    A string must also pass :func:`_name` without ``forbidden`` and, with ``word``, be one
-    word: the header is rebuilt as text, where these characters or a space change its meaning."""
+    A string must also pass :func:`_name` without ``forbidden``, have no surrounding
+    whitespace and, with ``word``, be one word: the header is rebuilt as text, where
+    these characters or a space change its meaning, and a text reader strips each field."""
     if not isinstance(value, shape) or isinstance(value, bool):
         raise ValueError(f"{what} must be {_SHAPES[shape]}")
     if shape is str:
         _name(value, what, forbidden)
+        if value != value.strip():
+            raise ValueError(f"{what} {value!r} has surrounding whitespace")
         if word and value.split() != [value]:
             raise ValueError(f"{what} {value!r} must be one word")
     return value
@@ -550,19 +555,25 @@ def _at(entry: dict, key: str, place: str):
     return entry[key]
 
 
+def _known(entry: dict, keys: tuple[str, ...], place: str) -> dict:
+    """``entry``, unless it holds a key not in ``keys``: a misspelt key is not skipped."""
+    unknown = next((k for k in entry if k not in keys), None)
+    if unknown is not None:
+        raise ValueError(f"{place}: unknown key {unknown!r}")
+    return entry
+
+
 def _from_dict(d: dict, source: str) -> RuleSet:
     doc = "the document"
-    _shaped(d, dict, doc)
+    _known(_shaped(d, dict, doc), ("component", "kind", "attributes", "decision", "rules"), doc)
     lines = [f"{k} {_shaped(_at(d, k, doc), str, k)}" for k in ("component", "kind")]
     for i, a in enumerate(_shaped(_at(d, "attributes", doc), list, "attributes")):
         place = f"attributes[{i}]"
-        _shaped(a, dict, place)
-        fields = (
-            _shaped(_at(a, k, place), str, f"{place}.{k}", word=k != "domain")
-            for k in ("name", "kind", "domain")
-        )
+        keys = ("name", "kind", "domain")
+        _known(_shaped(a, dict, place), keys, place)
+        fields = (_shaped(_at(a, k, place), str, f"{place}.{k}", word=k != "domain") for k in keys)
         lines.append("attr " + " ".join(fields))
-    dec = _shaped(_at(d, "decision", doc), dict, "decision")
+    dec = _known(_shaped(_at(d, "decision", doc), dict, "decision"), ("name", "labels"), "decision")
     name = _shaped(_at(dec, "name", "decision"), str, "decision.name", word=True)
     labels = [
         _shaped(label, str, f"decision.labels[{i}]", _NOT_IN_HEADER + ",")
@@ -577,6 +588,7 @@ def _from_dict(d: dict, source: str) -> RuleSet:
         place = f"rules[{position - 1}]"
         rule_id = _shaped(_at(_shaped(entry, dict, place), "id", place), int, f"{place}.id")
         place = f"rule {rule_id}"
+        _known(entry, ("id", "values", "action", "origin"), place)
         origin = _shaped(entry.get("origin", ""), str, f"{place} origin", _NOT_IN_HEADER + _COLUMN)
         action = _shaped(_at(entry, "action", place), str, f"{place}: action")
         given = _shaped(_at(entry, "values", place), dict, f"{place}: values")
@@ -603,6 +615,7 @@ def save_ruleset(path: str | Path, rs: RuleSet) -> None:
     if path.suffix == ".json":
         import json
 
-        path.write_text(json.dumps(ruleset_to_dict(rs), indent=2, sort_keys=True) + "\n")
+        text = json.dumps(ruleset_to_dict(rs), indent=2, sort_keys=True) + "\n"
     else:
-        path.write_text(serialize_ruleset(rs))
+        text = serialize_ruleset(rs)
+    path.write_text(text, encoding="utf-8")

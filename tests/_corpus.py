@@ -204,16 +204,14 @@ def texts(t: DecisionTree) -> tuple[str, str]:
     return dump_tree(t), serialize_ruleset(tree_to_rules(t))
 
 
-def reference_rdt(rs: RuleSet, policy: ConflictPolicy) -> DecisionTree:
-    """The relevant tree built by plain sequential insertion, as an independent reference.
+def insertion_masks(rs: RuleSet, policy: ConflictPolicy) -> rdt._MaskTree:
+    """The tree of plain sequential insertion, unmerged, its labels cell masks.
 
     Each rule is inserted in order.  At a proper overlap the edge keeps its
     remainder, and the intersection follows with a private copy of the
     subtree; the rule's cells that no edge holds become a fresh chain.  At
     an action leaf the incoming rule takes the region only when the policy
     lets it capture the owner.  A rule with an empty value set is skipped.
-    Then :func:`policytree.rdt.normalize`, and the masks read back as value
-    sets.
     """
     attrs = rs.schema.condition_attributes
     action_level = len(attrs) + 1
@@ -253,18 +251,28 @@ def reference_rdt(rs: RuleSet, policy: ConflictPolicy) -> DecisionTree:
         masks = tuple(c.mask(rule.condition[a.name]) for c, a in zip(cells, attrs))
         if all(masks):  # a rule with an empty value set matches no packet
             insert(root, rule, masks)
-    rdt.normalize(rdt._MaskTree(root=root, cells=cells))
+    return rdt._MaskTree(root=root, cells=cells)
+
+
+def reference_rdt(rs: RuleSet, policy: ConflictPolicy) -> DecisionTree:
+    """The relevant tree built by plain sequential insertion, as an independent reference.
+
+    :func:`insertion_masks`, then :func:`policytree.rdt.normalize`, and the
+    masks read back as value sets.
+    """
+    merged = rdt.normalize(insertion_masks(rs, policy))
+    action_level = len(merged.cells) + 1
 
     def decode(node: Node) -> None:
         if node.level < action_level:
             for edge in node.edges:
-                edge.label = cells[node.level - 1].value(edge.label)
+                edge.label = merged.cells[node.level - 1].value(edge.label)
                 decode(edge.child)
 
-    decode(root)
+    decode(merged.root)
     return DecisionTree(
         schema=rs.schema,
-        root=root,
+        root=merged.root,
         component_name=rs.component_name,
         component_kind=rs.component_kind,
     )

@@ -7,6 +7,7 @@ import errno
 import gc
 import hashlib
 import json
+import os
 import random
 import re
 import shutil
@@ -1046,6 +1047,13 @@ _FW_JSON = json.dumps(_fw_dict()).encode()
             _edited(lambda d: d["rules"][0].update(origin="\x9b\x1b")),
             "rule 1 origin '\\x9b\\x1b' holds control character '\\x1b'",
         ),
+        # JSON can spell a lone surrogate, which no rule file or terminal can be written in
+        ("bad.json", _fw_dict(component="FW\ud800"), "component 'FW\\ud800' holds '\\ud800'"),
+        (
+            "bad.json",
+            _edited(lambda d: d["rules"][0].update(origin="\udfff")),
+            "rule 1 origin '\\udfff' holds '\\udfff'",
+        ),
         (
             "bad.topo",
             b"component F\x1bW filtering fw.rules\n",
@@ -1137,6 +1145,21 @@ def test_bad_files_are_input_errors(tmp_path, name, content, hint):
     assert str(tmp_path) in result.output
     assert result.output.count("\n") == 1
     assert hint in result.output
+
+
+def test_rule_files_are_written_as_utf8_whatever_the_locale(tmp_path):
+    # every reader decodes UTF-8, so a writer that followed an ASCII locale would fail here
+    source = tmp_path / "pf.rules"
+    source.write_bytes(_FW_TEXT.replace(b"component FW", "component Pare-feu-é".encode()))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    main_code = "from policytree.cli import main; main()"
+    for name in ("fixed.rules", "fixed.json"):
+        out = tmp_path / name
+        command = [sys.executable, "-c", main_code, "correct", str(source), "-o", str(out)]
+        probe = subprocess.run(command, env=env, capture_output=True)
+        assert probe.returncode == 1, probe.stderr  # the input had findings
+        assert load_ruleset(out).component_name == "Pare-feu-é"
 
 
 def test_a_byte_order_mark_is_not_part_of_a_file(tmp_path):

@@ -24,7 +24,6 @@ from policytree.model import ComponentKind, ConflictPolicy, Rule, RuleSet
 from policytree.oracle import endpoint_space, equivalence, evaluate
 from policytree.rdt import (
     RelevantDecisionTree,
-    _build,
     build_rdt,
     normalize,
 )
@@ -36,6 +35,7 @@ from _corpus import (
     check_relevant,
     copy_node,
     evaluate_tree,
+    insertion_masks,
     interval_schema,
     mixed_rulesets,
     mixed_schemas,
@@ -184,7 +184,7 @@ def test_merge_keeps_decisions_on_relevant_sets(seed):
 @given(st.integers(0, 10_000), st.sampled_from(list(ConflictPolicy)))
 def test_merge_is_idempotent(seed, policy):
     rs = random_ruleset(random.Random(seed), max_rules=10)
-    once = normalize(_build(rs, policy))
+    once = normalize(insertion_masks(rs, policy))
     merged = copy_node(once.root)
     assert normalize(once).root == merged
 

@@ -348,6 +348,27 @@ def test_dict_header_strings_keep_their_meaning(fw):
     decision = {"name": "act accept,deny", "labels": []}
     with pytest.raises(RuleFileError, match="decision.name 'act accept,deny' must be one word"):
         ruleset_from_dict({**empty, "decision": decision})
+    # a text reader strips each field, so JSON may not pad one: ' FW  ' would load as FW
+    for key, text in (("component", " FW  "), ("kind", "filtering ")):
+        with pytest.raises(RuleFileError, match=f"{key} '{text}' has surrounding whitespace"):
+            ruleset_from_dict({**ruleset_to_dict(fw), key: text})
+    padded = [
+        (("decision", "labels", 0), " accept", r"decision\.labels\[0\] ' accept'"),
+        (("rules", 0, "values", "protocol"), "TCP ", r"rule 1: value for 'protocol' 'TCP '"),
+        (("rules", 0, "origin"), "FW ", r"rule 1 origin 'FW '"),
+    ]
+    for (*path, key), text, what in padded:
+        d = ruleset_to_dict(fw)
+        _within(d, path)[key] = text
+        with pytest.raises(RuleFileError, match=f"{what} has surrounding whitespace"):
+            ruleset_from_dict(d)
+
+
+def _within(d: dict, path) -> dict:
+    """The object at ``path`` in ``d``, a sequence of keys and indices."""
+    for step in path:
+        d = d[step]
+    return d
 
 
 def _required_keys(d: dict):
@@ -371,13 +392,31 @@ def test_every_missing_json_key_names_its_place(fw):
     assert len(cases) == 5 + 2 + 5 * 3 + 4 * (3 + 5)
     for place, path, key in cases:
         d = ruleset_to_dict(fw)
-        holder = d
-        for step in path:
-            holder = holder[step]
-        del holder[key]
+        del _within(d, path)[key]
         with pytest.raises(RuleFileError) as exc:
             ruleset_from_dict(d)
         assert f"{place}: missing key {key!r}" in exc.value.reason
+
+
+def test_every_unknown_json_key_names_its_place(fw):
+    d = ruleset_to_dict(fw)
+    places = [("the document", ()), ("decision", ("decision",))]
+    places += [(f"attributes[{i}]", ("attributes", i)) for i in range(len(d["attributes"]))]
+    places += [(f"rule {r['id']}", ("rules", i)) for i, r in enumerate(d["rules"])]
+    assert len(places) == 2 + 5 + 4
+    # a misspelt key would drop what it names: "orgin" leaves the rule with the component
+    for place, path in places:
+        for key in ("comment", "orgin"):
+            d = ruleset_to_dict(fw)
+            _within(d, path)[key] = ""
+            with pytest.raises(RuleFileError) as exc:
+                ruleset_from_dict(d)
+            assert f"{place}: unknown key {key!r}" in exc.value.reason
+    # the keys of a rule's values name attributes, so an unknown one is an undeclared attribute
+    d = ruleset_to_dict(fw)
+    d["rules"][0]["values"]["orgin"] = "any"
+    with pytest.raises(RuleFileError, match="rule 1: value for undeclared attribute 'orgin'"):
+        ruleset_from_dict(d)
 
 
 
